@@ -30,7 +30,6 @@ from .wire import BatchEnvelope, DeltaRecord, MetaBlock, RecordKind, decode_batc
 from .store import SituationStore
 from .situation import FusedObject, SituationRecord
 from .fusion import (
-    CourseClusterConfig,
     SimilarityThresholds,
     dedup,
     fuse_situation,
@@ -55,7 +54,6 @@ __all__ = [
     "AppConfig",
     "BatchEnvelope",
     "CamExtract",
-    "CourseClusterConfig",
     "CpmDetection",
     "CpmExtract",
     "DeltaRecord",

@@ -203,7 +203,6 @@ def cmd_fuse(config: AppConfig, args) -> int:
             args.at,
             store,
             th=config.thresholds(),
-            cfg=config.cluster_config(),
             window_ms=config.window_ms,
             radius_m=config.radius_m,
             max_lateral_m=config.max_lateral_m,

@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass, field
 
 from .aggregators import DEFAULT_SCHEDULE_MS, TransmitSchedule
-from .fusion import CourseClusterConfig, SimilarityThresholds
+from .fusion import SimilarityThresholds
 
 
 @dataclass
@@ -20,7 +20,7 @@ class AppConfig:
     max_position_m: float = 2.5
     max_course_deg: float = 15.0
     max_speed_ms: float = 1.5
-    speed_floor_ms: float = 1.5
+    speed_floor_ms: float = 1.5  # deprecated and ignored; old configs still load
     max_lateral_m: float = 2.0
 
     # vehicle data aggregator schedule
@@ -43,9 +43,6 @@ class AppConfig:
             max_course_deg=self.max_course_deg,
             max_speed_ms=self.max_speed_ms,
         )
-
-    def cluster_config(self) -> CourseClusterConfig:
-        return CourseClusterConfig(speed_floor_ms=self.speed_floor_ms)
 
     def schedule(self) -> TransmitSchedule:
         return TransmitSchedule(periods_ms=dict(self.vda_schedule_ms))

@@ -1,4 +1,4 @@
-"""Situation fusion: normalize, cluster by course, deduplicate, merge, link.
+"""Situation fusion: normalize, deduplicate, merge, link.
 
 Several sources usually report the same physical road user (its own awareness
 message, an infrastructure camera, the test vehicle's sensors).  Sensor error
@@ -6,14 +6,15 @@ makes those reports unequal, so duplicates can only be recognized by
 similarity: position, course, speed and classification all within thresholds
 chosen from the expected sensor error.
 
-To avoid comparing every pair, observations are bucketed by course on a fixed
-10-degree grid and each observation is compared only against buckets within
-its dynamic course range, which widens as the object slows down (a slow
-object's course estimate is noisy).  Objects below the speed floor are
-treated as course-less and compared against everything.  The reach always
-covers the similarity course threshold, so bucketing is a pure optimization:
-the resulting groups are exactly the connected components of the pairwise
-similarity relation.
+To avoid comparing every pair, observations are hashed into a uniform grid of
+cubes over their 3-D positions on the sphere (the fixed-radius near-neighbour
+cell grid) and compared only with the points of their own and adjacent
+cells.  Two positions lie within haversine distance r exactly when their
+chord is at most 2R*sin(r/2R); the chord bounds each coordinate difference,
+and the cube edge is at least that chord, so every similar pair lies in
+adjacent cells, at the poles and across +-180 degrees alike.  The grid is
+therefore a pure optimization: the resulting groups are exactly the connected
+components of the pairwise similarity relation.
 """
 
 from __future__ import annotations
@@ -59,8 +60,16 @@ DEFAULT_WINDOW_MS = 500
 DEFAULT_RADIUS_M = 300.0
 VUT_FIX_TOLERANCE_MS = 2000
 
-_BIN_DEG = 10.0
-_N_BINS = 36
+# Cell edge margin over the threshold chord; covers float rounding of the
+# coordinates (~1e-9 m at Earth radius) many times over.
+_GRID_MARGIN_M = 1e-3
+
+# Offsets of the 13 neighbour cells that follow a cell in (x, y, z) order,
+# plus the cell itself: every pair of adjacent cells is visited once.
+_FORWARD_CELLS = np.array(
+    [(dx, dy, dz) for dx in (0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)
+     if (dx, dy, dz) >= (0, 0, 0)]
+)
 
 
 class NoVutFix(LookupError):
@@ -84,32 +93,14 @@ class SimilarityThresholds:
             raise ValueError("thresholds must be positive")
 
 
-@dataclass(frozen=True)
-class CourseClusterConfig:
-    """Dynamic course range per object speed.
-
-    Below the speed floor the course is unreliable and the range is the full
-    circle; above it the range shrinks inversely with speed between the two
-    clamps.
-    """
-
-    speed_floor_ms: float = 1.5
-    width_speed_product: float = 450.0  # deg * m/s
-    min_width_deg: float = 10.0
-    max_width_deg: float = 45.0
-
-    def width_for(self, speed: float) -> float:
-        if speed < self.speed_floor_ms:
-            return 360.0
-        return min(self.max_width_deg, max(self.min_width_deg, self.width_speed_product / speed))
-
-
 @dataclass
 class DedupStats:
     """Work counters filled by dedup when requested."""
 
     observations: int = 0
     comparisons: int = 0
+    similar_pairs: int = 0
+    groups: int = 0
 
     @property
     def brute_force_comparisons(self) -> int:
@@ -133,29 +124,6 @@ def is_similar(
     ):
         return False
     return haversine_distance(a.position, b.position) <= th.max_position_m
-
-
-def cluster_by_course(
-    obs: Sequence[TrafficObjectObservation], cfg: CourseClusterConfig | None = None
-) -> list[list[TrafficObjectObservation]]:
-    """Partition observations into course buckets plus one slow bucket.
-
-    Buckets sit on the fixed fine grid; the per-speed dynamic range decides
-    how far across neighbouring buckets an observation is compared during
-    dedup.
-    """
-    cfg = cfg or CourseClusterConfig()
-    slow: list[TrafficObjectObservation] = []
-    bins: dict[int, list[TrafficObjectObservation]] = {}
-    for o in obs:
-        if o.speed < cfg.speed_floor_ms:
-            slow.append(o)
-        else:
-            bins.setdefault(int(o.course // _BIN_DEG) % _N_BINS, []).append(o)
-    clusters = [bucket for _, bucket in sorted(bins.items())]
-    if slow:
-        clusters.append(slow)
-    return clusters
 
 
 class _UnionFind:
@@ -215,116 +183,83 @@ def _similar_pairs_mask(idx_i, idx_j, arrays, th: SimilarityThresholds):
     return np.zeros(len(idx_i), dtype=bool)
 
 
-def _candidate_pairs(
-    obs: Sequence[TrafficObjectObservation],
-    th: SimilarityThresholds,
-    cfg: CourseClusterConfig,
-):
-    """Index pairs (i < j) that must be similarity-checked.
+def _grid_candidate_pairs(lat: np.ndarray, lon: np.ndarray, max_position_m: float):
+    """Index pairs that may lie within ``max_position_m``; each pair once.
 
-    Completeness argument: a similar pair has a course difference within
-    max_course_deg, and every object's scan span covers
-    max(own width, max_course_deg), so the pair is always generated by at
-    least one side.  Slow objects are checked against everything.
+    Positions become 3-D points R*(cos(lat)cos(lon), cos(lat)sin(lon),
+    sin(lat)).  Haversine distance d <= r holds exactly when the chord is at
+    most 2R*sin(r/2R), and the chord bounds |dx|, |dy| and |dz|.  With a cube
+    edge of at least that chord, the cell indices of a pair within r differ
+    by at most one on every axis, so the pair is produced from the earlier
+    point of a shared cell or from the cell whose neighbour offset to the
+    other is one of the 13 forward offsets; the backward offsets are never
+    scanned, so no pair appears twice.  Nothing depends on the longitude
+    range, so the poles and the antimeridian need no special case.
     """
-    lat, lon, course, speed, cls = _observation_arrays(obs)
-    slow = speed < cfg.speed_floor_ms
-    width = np.where(
-        slow,
-        360.0,
-        np.clip(cfg.width_speed_product / np.maximum(speed, 1e-9), cfg.min_width_deg, cfg.max_width_deg),
-    )
-    reach = np.maximum(width, th.max_course_deg)
-    span = (np.floor(reach / _BIN_DEG) + 1).astype(int)
+    half_angle = min(max_position_m / (2.0 * EARTH_RADIUS_M), math.pi / 2)
+    edge = 2.0 * EARTH_RADIUS_M * math.sin(half_angle) + _GRID_MARGIN_M
+    phi, lam = np.radians(lat), np.radians(lon)
+    xyz = np.stack((np.cos(phi) * np.cos(lam), np.cos(phi) * np.sin(lam), np.sin(phi)))
+    cells = np.floor(EARTH_RADIUS_M * xyz / edge).astype(np.int64)
 
-    fast_idx = np.nonzero(~slow)[0]
-    slow_idx = np.nonzero(slow)[0]
+    # Rank each axis densely over the occupied indices and their neighbours:
+    # a neighbour's rank is then the own rank +-1, and keys stay below (3n)^3.
+    own = np.zeros(len(lat), dtype=np.int64)
+    strides = np.zeros(3, dtype=np.int64)
+    for axis, c in enumerate(cells):
+        values = np.unique(np.concatenate((c - 1, c, c + 1)))
+        own = own * len(values) + np.searchsorted(values, c)
+        strides = strides * len(values)
+        strides[axis] = 1
 
-    pairs_i: list[np.ndarray] = []
-    pairs_j: list[np.ndarray] = []
+    # Work in key order: each row of neighbour keys is then ascending, which
+    # keeps the binary searches short.
+    order = np.argsort(own, kind="stable")
+    sorted_keys = own[order]
+    neighbours = sorted_keys + (_FORWARD_CELLS @ strides)[:, None]
+    lo = np.searchsorted(sorted_keys, neighbours, side="left")
+    hi = np.searchsorted(sorted_keys, neighbours, side="right")
+    # Own cell (offset 0): only the points after this one.
+    lo[0] = np.arange(1, len(lat) + 1)
 
-    # slow x everything (each slow-slow pair once)
-    for k, s in enumerate(slow_idx):
-        partner = np.concatenate([slow_idx[k + 1 :], fast_idx])
-        if partner.size:
-            pairs_i.append(np.full(partner.size, s))
-            pairs_j.append(partner)
-
-    if fast_idx.size:
-        bins = ((course[fast_idx] // _BIN_DEG).astype(int)) % _N_BINS
-        by_bin = {int(b): fast_idx[bins == b] for b in np.unique(bins)}
-        # Bin distance on the ring never exceeds half the circle.
-        max_span = min(int(span[fast_idx].max()), _N_BINS // 2)
-        for b, members in sorted(by_bin.items()):
-            if members.size > 1:
-                ii, jj = np.triu_indices(members.size, k=1)
-                pairs_i.append(members[ii])
-                pairs_j.append(members[jj])
-        for off in range(1, max_span + 1):
-            for b, members in sorted(by_bin.items()):
-                c = (b + off) % _N_BINS
-                # Scanning every bin forward visits each unordered bin pair at
-                # circular distance `off` exactly once, except antipodal pairs.
-                if 2 * off == _N_BINS and b >= c:
-                    continue
-                other = by_bin.get(c)
-                if other is None:
-                    continue
-                gi = np.repeat(members, other.size)
-                gj = np.tile(other, members.size)
-                within = np.maximum(span[gi], span[gj]) >= off
-                gi, gj = gi[within], gj[within]
-                if gi.size:
-                    pairs_i.append(np.minimum(gi, gj))
-                    pairs_j.append(np.maximum(gi, gj))
-
-    if not pairs_i:
-        empty = np.zeros(0, dtype=int)
-        return empty, empty, (lat, lon, course, speed, cls)
-
-    idx_i = np.concatenate(pairs_i)
-    idx_j = np.concatenate(pairs_j)
-
-    # Exact angular gate with the per-pair dynamic reach (slow objects have a
-    # full-circle reach, so slow-involved pairs always pass).
-    d = np.abs(course[idx_i] - course[idx_j]) % 360.0
-    d = np.minimum(d, 360.0 - d)
-    pass_gate = d <= np.maximum(reach[idx_i], reach[idx_j])
-    return idx_i[pass_gate], idx_j[pass_gate], (lat, lon, course, speed, cls)
+    lo, counts = lo.ravel(), (hi - lo).ravel()
+    within = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    idx_i = np.repeat(np.tile(order, len(_FORWARD_CELLS)), counts)
+    idx_j = order[np.repeat(lo, counts) + within]
+    return idx_i, idx_j
 
 
 def dedup(
     obs: Sequence[TrafficObjectObservation],
     th: SimilarityThresholds | None = None,
-    cfg: CourseClusterConfig | None = None,
+    cfg: object = None,
     stats: DedupStats | None = None,
 ) -> list[FusedObject]:
     """Merge all observations of the same physical object into one record.
 
-    Groups are the connected components of the similarity relation; course
-    bucketing only prunes pairs that can never be similar.  Output is ordered
-    by fused position (lat, lon, then course).
+    Groups are the connected components of the similarity relation; the cell
+    grid only prunes pairs that can never be similar.  Output is ordered by
+    fused position (lat, lon, then course).  ``cfg`` is deprecated and
+    ignored; it once held the course-bucketing widths.
     """
     th = th or SimilarityThresholds()
-    cfg = cfg or CourseClusterConfig()
-    if stats is not None:
-        stats.observations = len(obs)
-    if not obs:
-        return []
-
-    idx_i, idx_j, arrays = _candidate_pairs(obs, th, cfg)
-    if stats is not None:
-        stats.comparisons = int(len(idx_i))
+    arrays = _observation_arrays(obs)
+    idx_i, idx_j = _grid_candidate_pairs(arrays[0], arrays[1], th.max_position_m)
+    similar = _similar_pairs_mask(idx_i, idx_j, arrays, th)
 
     uf = _UnionFind(len(obs))
-    if len(idx_i):
-        similar = _similar_pairs_mask(idx_i, idx_j, arrays, th)
-        for a, b in zip(idx_i[similar].tolist(), idx_j[similar].tolist()):
-            uf.union(a, b)
+    for a, b in zip(idx_i[similar].tolist(), idx_j[similar].tolist()):
+        uf.union(a, b)
 
     groups: dict[int, list[TrafficObjectObservation]] = {}
     for k, o in enumerate(obs):
         groups.setdefault(uf.find(k), []).append(o)
+
+    if stats is not None:
+        stats.observations = len(obs)
+        stats.comparisons = int(len(idx_i))
+        stats.similar_pairs = int(similar.sum())
+        stats.groups = len(groups)
 
     fused = [merge_group(g) for g in groups.values()]
     fused.sort(key=lambda f: (f.position.lat, f.position.lon, f.course))
@@ -526,7 +461,6 @@ def fuse_situation(
     t: int,
     store: SituationStore,
     th: SimilarityThresholds | None = None,
-    cfg: CourseClusterConfig | None = None,
     window_ms: int = DEFAULT_WINDOW_MS,
     radius_m: float = DEFAULT_RADIUS_M,
     max_lateral_m: float = 2.0,
@@ -559,7 +493,7 @@ def fuse_situation(
         observations.extend(observations_from_cpm(extract))
     observations.append(_vut_observation(store, vut, fix))
 
-    objects = dedup(observations, th, cfg)
+    objects = dedup(observations, th)
 
     topo = _nearest_topology(store, center, radius_m)
     topology = join_topology(topo, backend_dedup(window.spats), t) if topo else None

@@ -59,20 +59,30 @@ def haversine_distance(a: GeoPosition, b: GeoPosition) -> float:
 def to_local_enu(origin: GeoPosition, p: GeoPosition) -> LocalPoint:
     """Project ``p`` onto the tangent plane at ``origin``.
 
-    Equirectangular: east = R*dlon*cos(lat0), north = R*dlat (radians).
+    Equirectangular: east = R*dlon*cos(lat0), north = R*dlat (radians), with
+    dlon wrapped into [-180, 180) so points across the antimeridian stay near.
     Only valid within ``MAX_LOCAL_RANGE_M`` of the origin.
     """
+    dlon = p.lon - origin.lon
+    if dlon >= 180.0:
+        dlon -= 360.0
+    elif dlon < -180.0:
+        dlon += 360.0
     north = EARTH_RADIUS_M * math.radians(p.lat - origin.lat)
-    east = EARTH_RADIUS_M * math.radians(p.lon - origin.lon) * math.cos(math.radians(origin.lat))
+    east = EARTH_RADIUS_M * math.radians(dlon) * math.cos(math.radians(origin.lat))
     if east * east + north * north >= MAX_LOCAL_RANGE_M * MAX_LOCAL_RANGE_M:
         raise RangeExceeded(f"point {p} is beyond {MAX_LOCAL_RANGE_M} m from origin {origin}")
     return LocalPoint(east, north)
 
 
 def from_local_enu(origin: GeoPosition, lp: LocalPoint) -> GeoPosition:
-    """Inverse of :func:`to_local_enu`."""
+    """Inverse of :func:`to_local_enu`; the longitude wraps across +-180."""
     lat = origin.lat + math.degrees(lp.north / EARTH_RADIUS_M)
     lon = origin.lon + math.degrees(lp.east / (EARTH_RADIUS_M * math.cos(math.radians(origin.lat))))
+    if lon > 180.0:
+        lon -= 360.0
+    elif lon < -180.0:
+        lon += 360.0
     return GeoPosition(lat, lon)
 
 

@@ -15,7 +15,6 @@ import pytest
 
 from situfuse.geo import GeoPosition, LocalPoint, from_local_enu
 from situfuse.fusion import DedupStats, dedup, fuse_situation
-from situfuse.messages import ObjectClassification, ObservationSource, TrafficObjectObservation
 from situfuse.metrics import (
     KinematicState,
     compute_ru,
@@ -35,7 +34,7 @@ from conftest import (
     oracle_components,
     reference_raw_rows,
 )
-from test_fusion import grouping_from_components, grouping_from_fused, random_instance
+from test_fusion import four_heading_sample, grouping_from_components, grouping_from_fused, random_instance
 from test_store import random_situation
 from test_stressmap import flat_oracle, random_sample
 from test_wire import naive_size, random_absolute_records, random_envelope, random_payload
@@ -129,33 +128,15 @@ def test_criterion_03_dedup_oracle_equivalence():
 
 
 def test_criterion_04_clustering_advantage():
-    rng = random.Random(1004)
-    n = 5000
-    sample = []
-    for k in range(n):
-        group_course = rng.choice([0.0, 90.0, 180.0, 270.0])
-        sample.append(
-            TrafficObjectObservation(
-                object_id=k,
-                classification=ObjectClassification.PASSENGER_CAR,
-                position=from_local_enu(
-                    ORIGIN, LocalPoint(rng.uniform(-400, 400), rng.uniform(-400, 400))
-                ),
-                speed=rng.uniform(5.0, 15.0),
-                course=(group_course + rng.gauss(0.0, 3.0)) % 360.0,
-                timestamp=T0,
-                source=ObservationSource.CPM_DETECTION,
-                reporter=500,
-            )
-        )
+    sample = four_heading_sample(random.Random(1004), 5000)
     stats = DedupStats()
     dedup(sample, stats=stats)
     brute = stats.brute_force_comparisons
     assert stats.comparisons < 0.5 * brute, f"{stats.comparisons} vs brute {brute}"
     report(
         4,
-        f"course bucketing compared {stats.comparisons} pairs"
-        f" = {stats.comparisons / brute:.2f}x of brute force on 4-heading traffic",
+        f"grid candidate search compared {stats.comparisons} pairs"
+        f" = {stats.comparisons / brute:.5f}x of brute force on 4-heading traffic",
     )
 
 

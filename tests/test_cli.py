@@ -106,6 +106,18 @@ def test_bad_config_is_user_error(tmp_path, capsys):
     assert run("--config", str(bad), "stats") == EXIT_USER
 
 
+def test_deprecated_speed_floor_key_still_fuses(workdir, capsys):
+    tmp_path, _, scenario_path, scenario = workdir
+    config = tmp_path / "old_config.json"
+    config.write_text(json.dumps({"store_path": str(tmp_path / "old.db"), "speed_floor_ms": 0.5}))
+    out_dir = tmp_path / "batches"
+    assert run("--config", str(config), "simulate", "--scenario", scenario_path, "--out", str(out_dir)) == EXIT_OK
+    assert run("--config", str(config), "ingest", *map(str, sorted(out_dir.glob("*.ksb")))) == EXIT_OK
+    at = scenario.start_time_ms + 2000
+    assert run("--config", str(config), "fuse", "--vut", str(scenario.vut_station), "--at", str(at)) == EXIT_OK
+    assert "situation 1:" in capsys.readouterr().out
+
+
 def test_stats_totals_reflect_deduplicated_ingest(workdir, capsys):
     tmp_path, config, scenario_path, scenario = workdir
     out_dir = tmp_path / "batches"

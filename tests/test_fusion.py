@@ -1,9 +1,21 @@
+import itertools
+import math
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from situfuse.geo import GeoPosition, LocalPoint, from_local_enu, to_local_enu
+from situfuse.geo import (
+    EARTH_RADIUS_M,
+    GeoPosition,
+    LocalPoint,
+    from_local_enu,
+    haversine_distance,
+    to_local_enu,
+)
 from situfuse.messages import (
     CamExtract,
     MapLane,
@@ -15,11 +27,10 @@ from situfuse.messages import (
     TrafficObjectObservation,
 )
 from situfuse.fusion import (
-    CourseClusterConfig,
     DedupStats,
+    _grid_candidate_pairs,
     NoVutFix,
     EmptyGroup,
-    cluster_by_course,
     dedup,
     fuse_situation,
     is_similar,
@@ -35,6 +46,7 @@ from conftest import (
     REFERENCE_VUT,
     make_vut_extract,
     oracle_components,
+    oracle_haversine,
     reference_raw_rows,
 )
 
@@ -110,42 +122,6 @@ def test_is_similar_symmetric_reflexive_random():
         assert is_similar(a, a)
         for b in sample:
             assert is_similar(a, b) == is_similar(b, a)
-
-
-# --- clustering ----------------------------------------------------------------
-
-
-def test_cluster_width_function():
-    cfg = CourseClusterConfig()
-    assert cfg.width_for(1.0) == 360.0
-    assert cfg.width_for(10.0) == 45.0
-    assert cfg.width_for(30.0) == 15.0
-    assert cfg.width_for(100.0) == 10.0
-
-
-def test_cluster_single_heading():
-    group = [obs(k, east=k * 10.0, course=2.0, speed=10.0) for k in range(5)]
-    clusters = cluster_by_course(group)
-    assert len(clusters) == 1
-    assert len(clusters[0]) == 5
-
-
-def test_cluster_opposite_headings_split():
-    a, b = obs(1, course=0.0), obs(2, course=180.0)
-    clusters = cluster_by_course([a, b])
-    assert len(clusters) == 2
-
-
-def test_cluster_is_partition():
-    rng = random.Random(2)
-    sample = [
-        obs(k, east=rng.uniform(-100, 100), speed=rng.uniform(0, 20), course=rng.uniform(0, 359.9))
-        for k in range(200)
-    ]
-    clusters = cluster_by_course(sample)
-    flat = [o for cluster in clusters for o in cluster]
-    assert len(flat) == len(sample)
-    assert {id(o) for o in flat} == {id(o) for o in sample}
 
 
 # --- dedup ----------------------------------------------------------------------
@@ -306,9 +282,100 @@ def test_dedup_comparison_counter():
     rng = random.Random(6)
     sample = random_instance(rng, 100)
     stats = DedupStats()
-    dedup(sample, stats=stats)
+    fused = dedup(sample, stats=stats)
     assert stats.observations == 100
     assert 0 <= stats.comparisons <= stats.brute_force_comparisons
+    similar = sum(is_similar(a, b) for a, b in itertools.combinations(sample, 2))
+    assert 0 < stats.similar_pairs == similar <= stats.comparisons
+    assert stats.groups == len(fused)
+    empty = DedupStats(comparisons=7)
+    assert dedup([], stats=empty) == []
+    assert empty == DedupStats()
+
+
+def four_heading_sample(rng, n):
+    """Traffic on four headings scattered over 800 m x 800 m."""
+    sample = []
+    for k in range(n):
+        group_course = rng.choice([0.0, 90.0, 180.0, 270.0])
+        sample.append(
+            TrafficObjectObservation(
+                object_id=k,
+                classification=ObjectClassification.PASSENGER_CAR,
+                position=from_local_enu(
+                    CENTER, LocalPoint(rng.uniform(-400, 400), rng.uniform(-400, 400))
+                ),
+                speed=rng.uniform(5.0, 15.0),
+                course=(group_course + rng.gauss(0.0, 3.0)) % 360.0,
+                timestamp=T0,
+                source=ObservationSource.CPM_DETECTION,
+                reporter=500,
+            )
+        )
+    return sample
+
+
+def test_grid_comparisons_on_four_heading_traffic():
+    stats = DedupStats()
+    dedup(four_heading_sample(random.Random(1004), 20_000), stats=stats)
+    assert stats.comparisons <= 0.001 * stats.brute_force_comparisons
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lat=st.one_of(st.floats(-90, 90), st.floats(89.99, 90), st.floats(-90, -89.99)),
+    lon=st.one_of(st.floats(-180, 180), st.floats(179.9999, 180), st.floats(-180, -179.9999)),
+    spread_m=st.sampled_from([1.0, 5.0, 30.0]),
+    max_position_m=st.sampled_from([0.5, 2.5, 10.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_grid_candidates_cover_brute_force(lat, lon, spread_m, max_position_m, seed):
+    # Positions straight from degree offsets around the centre, wrapped across
+    # +-180 and clamped at the poles, so the projection code plays no part.
+    rng = random.Random(seed)
+    points = []
+    for _ in range(40):
+        north, east = rng.uniform(-spread_m, spread_m), rng.uniform(-spread_m, spread_m)
+        p_lat = min(90.0, max(-90.0, lat + math.degrees(north / EARTH_RADIUS_M)))
+        scale = EARTH_RADIUS_M * max(math.cos(math.radians(lat)), 1e-12)
+        p_lon = (lon + math.degrees(east / scale) + 180.0) % 360.0 - 180.0
+        points.append((p_lat, p_lon))
+    points += rng.sample(points, 3)  # co-located duplicates
+    lats, lons = np.array(points).T
+
+    idx_i, idx_j = _grid_candidate_pairs(lats, lons, max_position_m)
+    candidates = [frozenset(p) for p in zip(idx_i.tolist(), idx_j.tolist())]
+    assert all(len(p) == 2 for p in candidates)
+    assert len(set(candidates)) == len(candidates)
+    brute = {
+        frozenset((a, b))
+        for a, b in itertools.combinations(range(len(points)), 2)
+        if oracle_haversine(*points[a], *points[b]) <= max_position_m
+    }
+    assert brute <= set(candidates)
+
+
+@pytest.mark.parametrize("lat, lon", [(10.0, 179.999995), (89.99, 179.9999)])
+def test_dedup_merges_pair_across_antimeridian(lat, lon):
+    west, east = (
+        TrafficObjectObservation(
+            object_id=k,
+            classification=ObjectClassification.PASSENGER_CAR,
+            position=GeoPosition(lat, side * lon),
+            speed=10.0,
+            course=90.0,
+            timestamp=T0,
+            source=ObservationSource.CPM_DETECTION,
+            reporter=500,
+        )
+        for k, side in ((1, 1.0), (2, -1.0))
+    )
+    apart = haversine_distance(west.position, east.position)
+    assert apart < 2.5
+    (fused,) = dedup([west, east])
+    assert len(fused.provenance) == 2
+    assert haversine_distance(fused.position, west.position) <= apart
+    assert haversine_distance(fused.position, east.position) <= apart
 
 
 # --- merging ---------------------------------------------------------------------

@@ -101,6 +101,28 @@ def test_enu_round_trip_1000_points():
         assert abs(rt.lon - p.lon) < 1e-9
 
 
+def test_to_local_enu_wraps_across_antimeridian():
+    arc = EQUATOR_MILLIDEG_ARC / 50  # 0.00002 degrees of longitude
+    east, north = to_local_enu(GeoPosition(0.0, 179.99999), GeoPosition(0.0, -179.99999))
+    assert east == pytest.approx(arc, rel=1e-6)
+    assert north == 0.0
+    east, _ = to_local_enu(GeoPosition(0.0, -179.99999), GeoPosition(0.0, 179.99999))
+    assert east == pytest.approx(-arc, rel=1e-6)
+    # near the pole the two points are 4 mm apart, not 7 km
+    east, _ = to_local_enu(GeoPosition(89.99, 179.9999), GeoPosition(89.99, -179.9999))
+    assert 0.0 < east < 0.005
+
+
+@pytest.mark.parametrize("lon, east", [(179.99999, 5.0), (-179.99999, -5.0)])
+def test_from_local_enu_wraps_across_antimeridian(lon, east):
+    o = GeoPosition(0.0, lon)
+    p = from_local_enu(o, LocalPoint(east, 0.0))
+    assert -180.0 <= p.lon <= 180.0
+    assert p.lon * lon < 0.0
+    assert haversine_distance(o, p) == pytest.approx(5.0, rel=1e-6)
+    assert to_local_enu(o, p) == pytest.approx((east, 0.0), rel=1e-6)
+
+
 @settings(max_examples=200)
 @given(
     east=st.floats(-7000, 7000),
