@@ -13,6 +13,7 @@ import json
 import sqlite3
 import threading
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from .geo import GeoPosition, haversine_distance
 from .messages import (
@@ -48,6 +49,35 @@ class StorageFailure(Exception):
 
 
 # --- raw row types ----------------------------------------------------------
+#
+# Each type knows its record kind and its row in that kind's raw table, in
+# the table's column order; ``wire.CODECS`` builds the same rows from payloads.
+
+
+def _vut_columns(v: VutSensorExtract) -> tuple:
+    """The columns raw_vut_sensor and vut_sensor share, timestamp_ms to steering."""
+    return (
+        v.timestamp, v.brake_actuated, v.abs_active, v.panic_braking, v.clutch_pressed, v.gear,
+        *(int(d) for d in v.door_positions), int(v.exterior_lights),
+        v.gnss.lat, v.gnss.lon, v.speed, v.accel_longitudinal, v.accel_lateral,
+        v.rain_intensity, v.wiper_active,
+        v.yaw_rate, v.steering_wheel_angle, v.steering_wheel_velocity,
+    )
+
+
+def _driver_columns(d: DriverStateSample) -> tuple:
+    """The columns raw_driver and driver_state share, timestamp_ms to self_reported."""
+    return (d.timestamp, d.valence, d.arousal, d.heart_rate_bpm, d.self_reported)
+
+
+def _environment_columns(e: EnvironmentSample) -> tuple:
+    """The columns raw_environment and environment share, timestamp_ms to cloudiness."""
+    return (
+        e.timestamp, e.validity_duration_s, e.area_center.lat, e.area_center.lon,
+        e.area_radius_m, e.temperature_c, e.precipitation_mm_h, e.wind_speed_ms,
+        e.wind_direction, e.illuminance_lux, e.visibility_m, e.pressure_hpa,
+        e.humidity_pct, e.cloudiness_pct,
+    )
 
 
 @dataclass(frozen=True)
@@ -55,6 +85,13 @@ class RawCam:
     cam: CamExtract
     reporter: StationId
     receive_time: int
+
+    record_kind: ClassVar[wire.RecordKind] = wire.RecordKind.CAM_EXTRACT
+
+    def columns(self) -> tuple:
+        m = self.cam
+        return (m.originator, m.generation_time, m.position.lat, m.position.lon, m.speed,
+                m.course, int(m.classification), self.reporter, self.receive_time)
 
 
 @dataclass(frozen=True)
@@ -65,6 +102,14 @@ class RawCpmDetection:
     reporter: StationId
     receive_time: int
 
+    record_kind: ClassVar[wire.RecordKind] = wire.RecordKind.CPM_DETECTION
+
+    def columns(self) -> tuple:
+        d = self.detection
+        return (self.originator, self.generation_time, d.object_id, int(d.classification),
+                d.position.lat, d.position.lon, d.speed, d.course,
+                self.reporter, self.receive_time)
+
 
 @dataclass(frozen=True)
 class RawSpat:
@@ -74,6 +119,14 @@ class RawSpat:
     reporter: StationId
     receive_time: int
 
+    record_kind: ClassVar[wire.RecordKind] = wire.RecordKind.SPAT
+
+    def columns(self) -> tuple:
+        s = self.spat
+        return (s.intersection_id, s.signal_group, int(s.phase), s.change_time,
+                self.generation_time, self.position.lat, self.position.lon,
+                self.reporter, self.receive_time)
+
 
 @dataclass(frozen=True)
 class RawVutSensor:
@@ -81,6 +134,11 @@ class RawVutSensor:
     extract: VutSensorExtract
     reporter: StationId
     receive_time: int
+
+    record_kind: ClassVar[wire.RecordKind] = wire.RecordKind.VUT_SENSOR
+
+    def columns(self) -> tuple:
+        return (self.station, *_vut_columns(self.extract), self.reporter, self.receive_time)
 
 
 @dataclass(frozen=True)
@@ -91,6 +149,12 @@ class RawDriverState:
     reporter: StationId
     receive_time: int
 
+    record_kind: ClassVar[wire.RecordKind] = wire.RecordKind.DRIVER_STATE
+
+    def columns(self) -> tuple:
+        return (self.station, *_driver_columns(self.sample), self.position.lat,
+                self.position.lon, self.reporter, self.receive_time)
+
 
 @dataclass(frozen=True)
 class RawEnvironment:
@@ -98,12 +162,25 @@ class RawEnvironment:
     reporter: StationId
     receive_time: int
 
+    record_kind: ClassVar[wire.RecordKind] = wire.RecordKind.ENVIRONMENT
+
+    def columns(self) -> tuple:
+        return (self.reporter, *_environment_columns(self.sample), self.reporter,
+                self.receive_time)
+
 
 @dataclass(frozen=True)
 class RawHazard:
     event: HazardEvent
     reporter: StationId
     receive_time: int
+
+    record_kind: ClassVar[wire.RecordKind] = wire.RecordKind.HAZARD
+
+    def columns(self) -> tuple:
+        h = self.event
+        return (h.source, int(h.kind), h.timestamp, h.position.lat, h.position.lon,
+                self.reporter, self.receive_time)
 
 
 RawRow = (
@@ -133,34 +210,6 @@ class RawSlice:
             + len(self.environment_rows)
             + len(self.hazard_rows)
         )
-
-
-def rows_from_envelope(env: wire.BatchEnvelope, receive_time: int) -> list[RawRow]:
-    """Materialize a decoded envelope into absolute, typed raw rows."""
-    rows: list[RawRow] = []
-    station = env.meta.station
-    for rec in wire.absolute_records(env):
-        t, pos = rec.time_ms, rec.position
-        if rec.kind is wire.RecordKind.CAM_EXTRACT:
-            rows.append(RawCam(wire.unpack_cam(rec.payload, t, pos), station, receive_time))
-        elif rec.kind is wire.RecordKind.CPM_DETECTION:
-            originator, det = wire.unpack_cpm_detection(rec.payload, pos)
-            rows.append(RawCpmDetection(originator, t, det, station, receive_time))
-        elif rec.kind is wire.RecordKind.SPAT:
-            rows.append(RawSpat(wire.unpack_spat(rec.payload), t, pos, station, receive_time))
-        elif rec.kind is wire.RecordKind.VUT_SENSOR:
-            rows.append(
-                RawVutSensor(station, wire.unpack_vut_sensor(rec.payload, t, pos), station, receive_time)
-            )
-        elif rec.kind is wire.RecordKind.DRIVER_STATE:
-            rows.append(
-                RawDriverState(station, wire.unpack_driver_state(rec.payload, t), pos, station, receive_time)
-            )
-        elif rec.kind is wire.RecordKind.ENVIRONMENT:
-            rows.append(RawEnvironment(wire.unpack_environment(rec.payload, t, pos), station, receive_time))
-        elif rec.kind is wire.RecordKind.HAZARD:
-            rows.append(RawHazard(wire.unpack_hazard(rec.payload, t, pos), station, receive_time))
-    return rows
 
 
 _SCHEMA = """
@@ -319,15 +368,21 @@ CREATE TABLE IF NOT EXISTS environment (
 );
 """
 
-RAW_TABLES = (
-    "raw_cam",
-    "raw_cpm_detection",
-    "raw_spat",
-    "raw_vut_sensor",
-    "raw_driver",
-    "raw_environment",
-    "raw_hazard",
-)
+# record kind -> (raw table, its column count); the insert statements derive from it
+RAW_TABLE = {
+    wire.RecordKind.CAM_EXTRACT: ("raw_cam", 9),
+    wire.RecordKind.CPM_DETECTION: ("raw_cpm_detection", 10),
+    wire.RecordKind.SPAT: ("raw_spat", 9),
+    wire.RecordKind.VUT_SENSOR: ("raw_vut_sensor", 24),
+    wire.RecordKind.DRIVER_STATE: ("raw_driver", 10),
+    wire.RecordKind.ENVIRONMENT: ("raw_environment", 17),
+    wire.RecordKind.HAZARD: ("raw_hazard", 7),
+}
+RAW_TABLES = tuple(table for table, _ in RAW_TABLE.values())
+_INSERT_RAW = {
+    kind: f"INSERT OR IGNORE INTO {table} VALUES ({', '.join('?' * width)})"
+    for kind, (table, width) in RAW_TABLE.items()
+}
 
 
 def _polyline_json(polyline: tuple[GeoPosition, ...]) -> str:
@@ -357,92 +412,32 @@ class SituationStore:
     # -- raw ingestion -----------------------------------------------------
 
     def insert_raw(self, rows) -> int:
-        """Append raw rows, skipping already-present message keys.
+        """Append typed raw rows, skipping already-present message keys.
 
         Returns the number of net-new rows.
         """
+        by_kind: dict[wire.RecordKind, list[tuple]] = {}
+        for row in rows:
+            if not isinstance(row, RawRow):
+                raise StorageFailure(f"unknown raw row type {type(row).__name__}")
+            by_kind.setdefault(row.record_kind, []).append(row.columns())
+        return self._insert_rows(by_kind)
+
+    def insert_envelope(self, env: wire.BatchEnvelope, receive_time: int) -> int:
+        """Append every record of a decoded envelope; returns the net-new rows."""
+        return self._insert_rows(wire.raw_rows(env, receive_time))
+
+    def _insert_rows(self, rows_by_kind) -> int:
+        """One transaction with one executemany per raw table."""
         with self._lock:
             before = self._conn.total_changes
             try:
                 with self._conn:
-                    for row in rows:
-                        self._insert_one_raw(row)
+                    for kind, rows in rows_by_kind.items():
+                        self._conn.executemany(_INSERT_RAW[kind], rows)
             except sqlite3.Error as e:
                 raise StorageFailure(str(e)) from e
             return self._conn.total_changes - before
-
-    def insert_envelope(self, env: wire.BatchEnvelope, receive_time: int) -> int:
-        return self.insert_raw(rows_from_envelope(env, receive_time))
-
-    def _insert_one_raw(self, row: RawRow) -> None:
-        c = self._conn
-        if isinstance(row, RawCam):
-            m = row.cam
-            c.execute(
-                "INSERT OR IGNORE INTO raw_cam VALUES (?,?,?,?,?,?,?,?,?)",
-                (m.originator, m.generation_time, m.position.lat, m.position.lon,
-                 m.speed, m.course, int(m.classification), row.reporter, row.receive_time),
-            )
-        elif isinstance(row, RawCpmDetection):
-            d = row.detection
-            c.execute(
-                "INSERT OR IGNORE INTO raw_cpm_detection VALUES (?,?,?,?,?,?,?,?,?,?)",
-                (row.originator, row.generation_time, d.object_id, int(d.classification),
-                 d.position.lat, d.position.lon, d.speed, d.course,
-                 row.reporter, row.receive_time),
-            )
-        elif isinstance(row, RawSpat):
-            s = row.spat
-            c.execute(
-                "INSERT OR IGNORE INTO raw_spat VALUES (?,?,?,?,?,?,?,?,?)",
-                (s.intersection_id, s.signal_group, int(s.phase), s.change_time,
-                 row.generation_time, row.position.lat, row.position.lon,
-                 row.reporter, row.receive_time),
-            )
-        elif isinstance(row, RawVutSensor):
-            v = row.extract
-            c.execute(
-                "INSERT OR IGNORE INTO raw_vut_sensor VALUES "
-                "(?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?)",
-                (row.station, v.timestamp, v.brake_actuated, v.abs_active, v.panic_braking,
-                 v.clutch_pressed, v.gear,
-                 int(v.door_positions[0]), int(v.door_positions[1]),
-                 int(v.door_positions[2]), int(v.door_positions[3]),
-                 int(v.exterior_lights),
-                 v.gnss.lat, v.gnss.lon, v.speed,
-                 v.accel_longitudinal, v.accel_lateral,
-                 v.rain_intensity, v.wiper_active,
-                 v.yaw_rate, v.steering_wheel_angle, v.steering_wheel_velocity,
-                 row.reporter, row.receive_time),
-            )
-        elif isinstance(row, RawDriverState):
-            d = row.sample
-            c.execute(
-                "INSERT OR IGNORE INTO raw_driver VALUES (?,?,?,?,?,?,?,?,?,?)",
-                (row.station, d.timestamp, d.valence, d.arousal, d.heart_rate_bpm,
-                 d.self_reported, row.position.lat, row.position.lon,
-                 row.reporter, row.receive_time),
-            )
-        elif isinstance(row, RawEnvironment):
-            e = row.sample
-            c.execute(
-                "INSERT OR IGNORE INTO raw_environment VALUES (?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?)",
-                (row.reporter, e.timestamp, e.validity_duration_s,
-                 e.area_center.lat, e.area_center.lon, e.area_radius_m,
-                 e.temperature_c, e.precipitation_mm_h, e.wind_speed_ms, e.wind_direction,
-                 e.illuminance_lux, e.visibility_m, e.pressure_hpa,
-                 e.humidity_pct, e.cloudiness_pct,
-                 row.reporter, row.receive_time),
-            )
-        elif isinstance(row, RawHazard):
-            h = row.event
-            c.execute(
-                "INSERT OR IGNORE INTO raw_hazard VALUES (?,?,?,?,?,?,?)",
-                (h.source, int(h.kind), h.timestamp, h.position.lat, h.position.lon,
-                 row.reporter, row.receive_time),
-            )
-        else:
-            raise StorageFailure(f"unknown raw row type {type(row).__name__}")
 
     # -- raw queries ---------------------------------------------------------
 
@@ -627,22 +622,13 @@ class SituationStore:
                      lane.ingress, int(lane.phase), _polyline_json(lane.polyline)),
                 )
         if s.vut_sensor is not None:
-            v = s.vut_sensor
             c.execute(
                 "INSERT INTO vut_sensor VALUES (?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?)",
-                (sid, v.timestamp, v.brake_actuated, v.abs_active, v.panic_braking,
-                 v.clutch_pressed, v.gear,
-                 int(v.door_positions[0]), int(v.door_positions[1]),
-                 int(v.door_positions[2]), int(v.door_positions[3]),
-                 int(v.exterior_lights), v.gnss.lat, v.gnss.lon, v.speed,
-                 v.accel_longitudinal, v.accel_lateral, v.rain_intensity, v.wiper_active,
-                 v.yaw_rate, v.steering_wheel_angle, v.steering_wheel_velocity),
+                (sid, *_vut_columns(s.vut_sensor)),
             )
         if s.driver is not None:
-            d = s.driver
             c.execute(
-                "INSERT INTO driver_state VALUES (?,?,?,?,?,?)",
-                (sid, d.timestamp, d.valence, d.arousal, d.heart_rate_bpm, d.self_reported),
+                "INSERT INTO driver_state VALUES (?,?,?,?,?,?)", (sid, *_driver_columns(s.driver))
             )
         for eseq, h in enumerate(s.hazards):
             c.execute(
@@ -650,14 +636,9 @@ class SituationStore:
                 (sid, eseq, int(h.kind), h.timestamp, h.position.lat, h.position.lon, h.source),
             )
         if s.environment is not None:
-            e = s.environment
             c.execute(
                 "INSERT INTO environment VALUES (?,?,?,?,?,?,?,?,?,?,?,?,?,?,?)",
-                (sid, e.timestamp, e.validity_duration_s,
-                 e.area_center.lat, e.area_center.lon, e.area_radius_m,
-                 e.temperature_c, e.precipitation_mm_h, e.wind_speed_ms, e.wind_direction,
-                 e.illuminance_lux, e.visibility_m, e.pressure_hpa,
-                 e.humidity_pct, e.cloudiness_pct),
+                (sid, *_environment_columns(s.environment)),
             )
 
     def load_situation(self, situation_id: int) -> SituationRecord | None:

@@ -45,12 +45,14 @@ Payload layouts (field: encoding):
     HAZARD         hazard_kind u8 | source u32
 
 The record's absolute time/position and its payload together reconstruct the
-original extract; per-kind pack/unpack helpers below do the mapping.  A batch
-with an unknown kind, a bad payload, a bad magic or missing bytes is rejected
-as a whole; silently skipping records would corrupt fusion statistics.
+original extract: per-kind ``pack_*`` helpers build payloads, and the codec
+table ``CODECS`` checks them and maps them to raw-table rows.  A batch with an
+unknown kind, a bad payload, a bad magic or missing bytes is rejected as a
+whole; silently skipping records would corrupt fusion statistics.
 
 `.ksb` files and the ingest socket carry a sequence of frames, each
-``u32 frame length | frame`` where the frame is one encoded envelope.
+``u32 frame length | frame`` where the frame is one encoded envelope of at
+most ``MAX_FRAME`` bytes.
 """
 
 from __future__ import annotations
@@ -58,16 +60,14 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass
-from typing import BinaryIO, Iterable, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .geo import GeoPosition
 from .messages import (
     CamExtract,
     CpmDetection,
-    DoorState,
     DriverStateSample,
     EnvironmentSample,
-    ExteriorLight,
     HazardEvent,
     HazardKind,
     ObjectClassification,
@@ -117,6 +117,10 @@ class DeltaOverflow(WireError):
     """A record does not fit the relative time/position ranges."""
 
 
+class FrameTooLarge(WireError):
+    """A frame length prefix exceeds the largest envelope the format allows."""
+
+
 class RecordKind(enum.IntEnum):
     CAM_EXTRACT = 1
     CPM_DETECTION = 2
@@ -134,16 +138,6 @@ _VUT = struct.Struct("<BbBBHhhBhhh")
 _DRIVER = struct.Struct("<BBHB")
 _ENV = struct.Struct("<HHhHHHIHHBB")
 _HAZARD = struct.Struct("<BI")
-
-PAYLOAD_SIZE = {
-    RecordKind.CAM_EXTRACT: _CAM.size,
-    RecordKind.CPM_DETECTION: _CPM.size,
-    RecordKind.SPAT: _SPAT.size,
-    RecordKind.VUT_SENSOR: _VUT.size,
-    RecordKind.DRIVER_STATE: _DRIVER.size,
-    RecordKind.ENVIRONMENT: _ENV.size,
-    RecordKind.HAZARD: _HAZARD.size,
-}
 
 
 @dataclass(frozen=True)
@@ -239,29 +233,11 @@ def _course_u16(course: float) -> int:
     return _check_u16(c, "course")
 
 
-def _unpack_course(raw: int) -> float:
-    if raw >= 3600:
-        raise BadPayload(f"course code out of range: {raw}")
-    return raw * 0.1
-
-
 # --- per-kind payload codecs ----------------------------------------------
 
 
 def pack_cam(c: CamExtract) -> bytes:
     return _CAM.pack(c.originator, _speed_u16(c.speed), _course_u16(c.course), int(c.classification))
-
-
-def unpack_cam(payload: bytes, generation_time: int, position: GeoPosition) -> CamExtract:
-    originator, speed, course, cls = _CAM.unpack(payload)
-    return CamExtract(
-        originator=originator,
-        generation_time=generation_time,
-        position=position,
-        speed=speed * 0.01,
-        course=_unpack_course(course),
-        classification=ObjectClassification.from_code(cls),
-    )
 
 
 def pack_cpm_detection(originator: StationId, d: CpmDetection) -> bytes:
@@ -270,32 +246,10 @@ def pack_cpm_detection(originator: StationId, d: CpmDetection) -> bytes:
     )
 
 
-def unpack_cpm_detection(payload: bytes, position: GeoPosition) -> tuple[StationId, CpmDetection]:
-    originator, object_id, speed, course, cls = _CPM.unpack(payload)
-    detection = CpmDetection(
-        object_id=object_id,
-        classification=ObjectClassification.from_code(cls),
-        position=position,
-        speed=speed * 0.01,
-        course=_unpack_course(course),
-    )
-    return originator, detection
-
-
 def pack_spat(s: SpatExtract) -> bytes:
     if not (0 <= s.change_time <= 0xFFFFFFFFFFFFFFFF):
         raise BadPayload(f"change_time out of u64 range: {s.change_time}")
     return _SPAT.pack(s.intersection_id, s.signal_group, int(s.phase), s.change_time)
-
-
-def unpack_spat(payload: bytes) -> SpatExtract:
-    intersection, group, phase, change = _SPAT.unpack(payload)
-    return SpatExtract(
-        intersection_id=intersection,
-        signal_group=group,
-        phase=SignalPhase(phase),
-        change_time=change,
-    )
 
 
 def pack_vut_sensor(v: VutSensorExtract) -> bytes:
@@ -324,47 +278,9 @@ def pack_vut_sensor(v: VutSensorExtract) -> bytes:
     )
 
 
-def unpack_vut_sensor(payload: bytes, timestamp: int, gnss: GeoPosition) -> VutSensorExtract:
-    (flags, gear, doors, lights, speed, alon, alat, rain, yaw, sangle, svel) = _VUT.unpack(payload)
-    try:
-        door_states = tuple(DoorState((doors >> (2 * i)) & 0x3) for i in range(4))
-    except ValueError as e:
-        raise BadPayload(str(e)) from None
-    return VutSensorExtract(
-        timestamp=timestamp,
-        brake_actuated=bool(flags & 1),
-        abs_active=bool(flags & 2),
-        panic_braking=bool(flags & 4),
-        clutch_pressed=bool(flags & 8),
-        gear=gear,
-        door_positions=door_states,
-        exterior_lights=ExteriorLight(lights & 0x3F),
-        gnss=gnss,
-        speed=speed * 0.01,
-        accel_longitudinal=alon * 0.01,
-        accel_lateral=alat * 0.01,
-        rain_intensity=rain,
-        wiper_active=bool(flags & 16),
-        yaw_rate=yaw * 0.1,
-        steering_wheel_angle=sangle * 0.1,
-        steering_wheel_velocity=svel * 0.1,
-    )
-
-
 def pack_driver_state(d: DriverStateSample) -> bytes:
     hr = d.heart_rate_bpm if d.heart_rate_bpm is not None else 0
     return _DRIVER.pack(d.valence, d.arousal, _check_u16(hr, "heart_rate"), 1 if d.self_reported else 0)
-
-
-def unpack_driver_state(payload: bytes, timestamp: int) -> DriverStateSample:
-    valence, arousal, hr, self_rep = _DRIVER.unpack(payload)
-    return DriverStateSample(
-        timestamp=timestamp,
-        valence=valence,
-        arousal=arousal,
-        heart_rate_bpm=hr if hr > 0 else None,
-        self_reported=bool(self_rep),
-    )
 
 
 def pack_environment(e: EnvironmentSample) -> bytes:
@@ -386,55 +302,142 @@ def pack_environment(e: EnvironmentSample) -> bytes:
     )
 
 
-def unpack_environment(payload: bytes, timestamp: int, area_center: GeoPosition) -> EnvironmentSample:
-    (validity, radius, temp, precip, wind, wdir, lux, vis, pres, hum, cloud) = _ENV.unpack(payload)
-    return EnvironmentSample(
-        timestamp=timestamp,
-        validity_duration_s=validity,
-        area_center=area_center,
-        area_radius_m=float(radius),
-        temperature_c=temp * 0.1,
-        precipitation_mm_h=precip * 0.1,
-        wind_speed_ms=wind * 0.1,
-        wind_direction=_unpack_course(wdir),
-        illuminance_lux=float(lux),
-        visibility_m=float(vis),
-        pressure_hpa=pres * 0.1,
-        humidity_pct=float(hum),
-        cloudiness_pct=float(cloud),
-    )
-
-
 def pack_hazard(h: HazardEvent) -> bytes:
     return _HAZARD.pack(int(h.kind), h.source)
 
 
-def unpack_hazard(payload: bytes, timestamp: int, position: GeoPosition) -> HazardEvent:
-    kind, source = _HAZARD.unpack(payload)
-    return HazardEvent(kind=HazardKind(kind), timestamp=timestamp, position=position, source=source)
+# --- per-kind codec table ---------------------------------------------------
+#
+# ``decode_batch`` checks every payload of a kind against that kind's rules,
+# and ``raw_rows`` builds its raw-table rows; both unpack a kind's payloads in
+# one ``iter_unpack`` pass over their joined bytes.  A row carries exactly the
+# values the typed extracts hold: codes outside an enum become its 0 member,
+# flags become 0/1, heart rate 0 becomes NULL, positions the 1e-7 degree float.
+
+_CLASSES = frozenset(ObjectClassification)
+_PHASES = frozenset(SignalPhase)
+_HAZARDS = frozenset(HazardKind)
+
+# (generation time, lat, lon) of each record
+Places = Iterable[tuple[int, float, float]]
 
 
-def validate_payload(kind: RecordKind, payload: bytes, time_ms: int, position: GeoPosition) -> None:
-    """Decode a payload purely for validation; raises BadPayload on anything off."""
-    try:
-        if kind is RecordKind.CAM_EXTRACT:
-            unpack_cam(payload, time_ms, position)
-        elif kind is RecordKind.CPM_DETECTION:
-            unpack_cpm_detection(payload, position)
-        elif kind is RecordKind.SPAT:
-            unpack_spat(payload)
-        elif kind is RecordKind.VUT_SENSOR:
-            unpack_vut_sensor(payload, time_ms, position)
-        elif kind is RecordKind.DRIVER_STATE:
-            unpack_driver_state(payload, time_ms)
-        elif kind is RecordKind.ENVIRONMENT:
-            unpack_environment(payload, time_ms, position)
-        elif kind is RecordKind.HAZARD:
-            unpack_hazard(payload, time_ms, position)
-    except BadPayload:
-        raise
-    except (struct.error, ValueError) as e:
-        raise BadPayload(str(e)) from None
+def _cam_rows(fields, places: Places, station: StationId, receive_time: int):
+    return (
+        (originator, t, lat, lon, speed * 0.01, course * 0.1,
+         cls if cls in _CLASSES else 0, station, receive_time)
+        for (originator, speed, course, cls), (t, lat, lon) in zip(fields, places)
+    )
+
+
+def _cpm_rows(fields, places: Places, station: StationId, receive_time: int):
+    return (
+        (originator, t, object_id, cls if cls in _CLASSES else 0, lat, lon,
+         speed * 0.01, course * 0.1, station, receive_time)
+        for (originator, object_id, speed, course, cls), (t, lat, lon) in zip(fields, places)
+    )
+
+
+def _spat_rows(fields, places: Places, station: StationId, receive_time: int):
+    return (
+        (intersection, group, phase if phase in _PHASES else 0, change, t, lat, lon,
+         station, receive_time)
+        for (intersection, group, phase, change), (t, lat, lon) in zip(fields, places)
+    )
+
+
+def _vut_rows(fields, places: Places, station: StationId, receive_time: int):
+    return (
+        (station, t, flags & 1, flags >> 1 & 1, flags >> 2 & 1, flags >> 3 & 1, gear,
+         doors & 3, doors >> 2 & 3, doors >> 4 & 3, doors >> 6, lights & 0x3F,
+         lat, lon, speed * 0.01, alon * 0.01, alat * 0.01, rain, flags >> 4 & 1,
+         yaw * 0.1, sangle * 0.1, svel * 0.1, station, receive_time)
+        for (flags, gear, doors, lights, speed, alon, alat, rain, yaw, sangle, svel), (t, lat, lon)
+        in zip(fields, places)
+    )
+
+
+def _driver_rows(fields, places: Places, station: StationId, receive_time: int):
+    return (
+        (station, t, valence, arousal, heart_rate or None, 1 if self_reported else 0,
+         lat, lon, station, receive_time)
+        for (valence, arousal, heart_rate, self_reported), (t, lat, lon) in zip(fields, places)
+    )
+
+
+def _environment_rows(fields, places: Places, station: StationId, receive_time: int):
+    return (
+        (station, t, validity, lat, lon, float(radius), temp * 0.1, precip * 0.1, wind * 0.1,
+         wdir * 0.1, float(lux), float(vis), pres * 0.1, float(hum), float(cloud),
+         station, receive_time)
+        for (validity, radius, temp, precip, wind, wdir, lux, vis, pres, hum, cloud), (t, lat, lon)
+        in zip(fields, places)
+    )
+
+
+def _hazard_rows(fields, places: Places, station: StationId, receive_time: int):
+    return (
+        (source, kind if kind in _HAZARDS else 0, t, lat, lon, station, receive_time)
+        for (kind, source), (t, lat, lon) in zip(fields, places)
+    )
+
+
+class KindCodec(NamedTuple):
+    """Payload layout, payload rules and raw-row builder of one record kind."""
+
+    layout: struct.Struct
+    # (rule, breaks): ``breaks`` is true for an unpacked payload that breaks the rule
+    rules: tuple[tuple[str, Callable[[tuple], bool]], ...]
+    # (unpacked payloads, places, station, receive time) -> raw-table rows
+    rows: Callable[[Iterator[tuple], Places, StationId, int], Iterator[tuple]]
+
+
+_COURSE_RULE = "course code below 3600"
+
+CODECS: dict[RecordKind, KindCodec] = {
+    RecordKind.CAM_EXTRACT: KindCodec(_CAM, ((_COURSE_RULE, lambda f: f[2] >= 3600),), _cam_rows),
+    RecordKind.CPM_DETECTION: KindCodec(_CPM, ((_COURSE_RULE, lambda f: f[3] >= 3600),), _cpm_rows),
+    RecordKind.SPAT: KindCodec(_SPAT, (), _spat_rows),
+    RecordKind.VUT_SENSOR: KindCodec(
+        _VUT,
+        (
+            ("no door in state 3", lambda f: f[2] & (f[2] >> 1) & 0b01010101),
+            ("rain intensity 0..7", lambda f: f[7] > 7),
+            ("gear -1 or above", lambda f: f[1] < -1),
+        ),
+        _vut_rows,
+    ),
+    RecordKind.DRIVER_STATE: KindCodec(
+        _DRIVER,
+        (
+            ("valence 1..5", lambda f: not 1 <= f[0] <= 5),
+            ("arousal 1..5", lambda f: not 1 <= f[1] <= 5),
+        ),
+        _driver_rows,
+    ),
+    RecordKind.ENVIRONMENT: KindCodec(
+        _ENV,
+        (
+            ("wind direction code below 3600", lambda f: f[5] >= 3600),
+            ("humidity 0..100", lambda f: f[9] > 100),
+            ("cloudiness 0..100", lambda f: f[10] > 100),
+        ),
+        _environment_rows,
+    ),
+    RecordKind.HAZARD: KindCodec(_HAZARD, (), _hazard_rows),
+}
+
+PAYLOAD_SIZE = {kind: codec.layout.size for kind, codec in CODECS.items()}
+_KIND_BY_CODE = {int(kind): kind for kind in RecordKind}
+
+
+def _check_payloads(kind: RecordKind, payloads: list[bytes]) -> None:
+    codec = CODECS[kind]
+    fields = list(codec.layout.iter_unpack(b"".join(payloads)))
+    for rule, breaks in codec.rules:
+        bad = next(filter(breaks, fields), None)
+        if bad is not None:
+            raise BadPayload(f"{kind.name} payload {bad} breaks the rule: {rule}")
 
 
 # --- envelope codec --------------------------------------------------------
@@ -444,13 +447,14 @@ def _abs_units(meta: MetaBlock) -> tuple[int, int]:
     return (round(meta.ref_position.lat * 1e7), round(meta.ref_position.lon * 1e7))
 
 
-def record_time(meta: MetaBlock, r: DeltaRecord) -> int:
-    return meta.ref_time + REL_TIME_UNIT_MS * r.rel_time
-
-
-def record_position(meta: MetaBlock, r: DeltaRecord) -> GeoPosition:
+def _places(meta: MetaBlock, records: Iterable[DeltaRecord]) -> Places:
+    """The absolute (time ms, lat, lon) of each record."""
     lat_u, lon_u = _abs_units(meta)
-    return GeoPosition((lat_u + 10 * r.rel_lat) / 1e7, (lon_u + 10 * r.rel_lon) / 1e7)
+    return (
+        (meta.ref_time + REL_TIME_UNIT_MS * r.rel_time,
+         (lat_u + 10 * r.rel_lat) / 1e7, (lon_u + 10 * r.rel_lon) / 1e7)
+        for r in records
+    )
 
 
 def encode_batch(e: BatchEnvelope) -> bytes:
@@ -469,14 +473,26 @@ def encode_batch(e: BatchEnvelope) -> bytes:
     return bytes(out)
 
 
+def _offset_bounds(ref_units: int, limit_units: int) -> tuple[int, int]:
+    """The relative offsets that keep ``ref_units + 10 * offset`` within ±limit_units."""
+    low = -((limit_units + ref_units) // 10)  # ceil((-limit_units - ref_units) / 10)
+    high = (limit_units - ref_units) // 10
+    return max(-MAX_REL_POS, low), min(MAX_REL_POS, high)
+
+
 def decode_batch(data: bytes) -> BatchEnvelope:
-    """Parse and fully validate an envelope; inverse of :func:`encode_batch`."""
-    view = memoryview(data)
-    if len(view) < HEADER.size:
-        if len(view) >= 4 and bytes(view[:4]) != MAGIC:
-            raise BadMagic(f"bad magic {bytes(view[:4])!r}")
-        raise Truncated(f"{len(view)} bytes is shorter than the {HEADER.size}-byte header")
-    magic, station, ref_time, lat_u, lon_u, count = HEADER.unpack_from(view, 0)
+    """Parse and fully validate an envelope; inverse of :func:`encode_batch`.
+
+    Record heads are walked one by one; the payloads are then checked kind by
+    kind against ``CODECS``, so a bad payload anywhere rejects the frame.
+    """
+    data = bytes(data)
+    size = len(data)
+    if size < HEADER.size:
+        if size >= 4 and data[:4] != MAGIC:
+            raise BadMagic(f"bad magic {data[:4]!r}")
+        raise Truncated(f"{size} bytes is shorter than the {HEADER.size}-byte header")
+    magic, station, ref_time, lat_u, lon_u, count = HEADER.unpack_from(data, 0)
     if magic != MAGIC:
         raise BadMagic(f"bad magic {magic!r}")
     try:
@@ -484,45 +500,63 @@ def decode_batch(data: bytes) -> BatchEnvelope:
     except ValueError as err:
         raise BadPayload(str(err)) from None
     meta = MetaBlock(station=station, ref_time=ref_time, ref_position=ref_pos, record_count=count)
+    # offsets in 1e-6 deg that keep a record on the globe (±90 / ±180 deg in 1e-7 deg)
+    lat_min, lat_max = _offset_bounds(lat_u, 900_000_000)
+    lon_min, lon_max = _offset_bounds(lon_u, 1_800_000_000)
 
     records = []
+    payloads: dict[RecordKind, list[bytes]] = {kind: [] for kind in CODECS}
+    head = RECORD_HEAD.unpack_from
     offset = HEADER.size
     for _ in range(count):
-        if len(view) - offset < RECORD_HEAD.size:
+        if size - offset < RECORD_HEAD.size:
             raise Truncated(f"record head missing at offset {offset}")
-        kind_code, rel_time, rel_lat, rel_lon, payload_len = RECORD_HEAD.unpack_from(view, offset)
+        kind_code, rel_time, rel_lat, rel_lon, payload_len = head(data, offset)
         offset += RECORD_HEAD.size
-        try:
-            kind = RecordKind(kind_code)
-        except ValueError:
-            raise UnknownKind(f"unknown record kind {kind_code}") from None
+        kind = _KIND_BY_CODE.get(kind_code)
+        if kind is None:
+            raise UnknownKind(f"unknown record kind {kind_code}")
         if payload_len != PAYLOAD_SIZE[kind]:
             raise BadPayload(
                 f"kind {kind.name} expects {PAYLOAD_SIZE[kind]} payload bytes, got {payload_len}"
             )
-        if len(view) - offset < payload_len:
+        if size - offset < payload_len:
             raise Truncated(f"payload missing at offset {offset}")
-        payload = bytes(view[offset : offset + payload_len])
+        if not (lat_min <= rel_lat <= lat_max and lon_min <= rel_lon <= lon_max):
+            raise BadPayload(f"record offset ({rel_lat}, {rel_lon}) out of range or off the globe")
+        payload = data[offset : offset + payload_len]
         offset += payload_len
-        if abs(rel_lat) > MAX_REL_POS or abs(rel_lon) > MAX_REL_POS:
-            raise BadPayload(f"relative offset out of range: ({rel_lat}, {rel_lon})")
-        record = DeltaRecord(kind, rel_time, rel_lat, rel_lon, payload)
-        try:
-            position = record_position(meta, record)
-        except ValueError as err:
-            raise BadPayload(str(err)) from None
-        validate_payload(kind, payload, record_time(meta, record), position)
-        records.append(record)
-    if offset != len(view):
-        raise TrailingData(f"{len(view) - offset} bytes after the last record")
+        payloads[kind].append(payload)
+        records.append(DeltaRecord(kind, rel_time, rel_lat, rel_lon, payload))
+    for kind, kind_payloads in payloads.items():
+        _check_payloads(kind, kind_payloads)
+    if offset != size:
+        raise TrailingData(f"{size - offset} bytes after the last record")
     return BatchEnvelope(meta=meta, records=tuple(records))
+
+
+def raw_rows(env: BatchEnvelope, receive_time: int) -> dict[RecordKind, Iterator[tuple]]:
+    """The envelope's records as raw-table rows, by kind and in record order.
+
+    Every row ends with the envelope's station as reporter and the receive
+    time; ``decode_batch`` must have accepted the envelope.
+    """
+    by_kind: dict[RecordKind, list[DeltaRecord]] = {}
+    for r in env.records:
+        by_kind.setdefault(r.kind, []).append(r)
+    out = {}
+    for kind, records in by_kind.items():
+        codec = CODECS[kind]
+        fields = codec.layout.iter_unpack(b"".join([r.payload for r in records]))
+        out[kind] = codec.rows(fields, _places(env.meta, records), env.meta.station, receive_time)
+    return out
 
 
 def absolute_records(e: BatchEnvelope) -> list[AbsoluteRecord]:
     """Reconstruct every record with absolute time and position."""
     return [
-        AbsoluteRecord(r.kind, record_time(e.meta, r), record_position(e.meta, r), r.payload)
-        for r in e.records
+        AbsoluteRecord(r.kind, t, GeoPosition(lat, lon), r.payload)
+        for r, (t, lat, lon) in zip(e.records, _places(e.meta, e.records))
     ]
 
 
@@ -581,6 +615,8 @@ def plan_batches(records: Sequence[AbsoluteRecord], station: StationId) -> list[
 # --- file and stream framing -----------------------------------------------
 
 _FRAME_LEN = struct.Struct("<I")
+# the largest envelope: a full record count of the largest payload kind
+MAX_FRAME = HEADER.size + MAX_RECORDS * (RECORD_HEAD.size + max(PAYLOAD_SIZE.values()))
 
 
 def write_frames(fp: BinaryIO, envelopes: Iterable[BatchEnvelope]) -> int:
@@ -604,6 +640,8 @@ def read_frames(fp: BinaryIO) -> list[BatchEnvelope]:
         if len(head) < _FRAME_LEN.size:
             raise Truncated("frame length prefix cut short")
         (length,) = _FRAME_LEN.unpack(head)
+        if length > MAX_FRAME:
+            raise FrameTooLarge(f"frame length {length} exceeds the format maximum {MAX_FRAME}")
         frame = fp.read(length)
         if len(frame) < length:
             raise Truncated(f"frame of {length} bytes cut short at {len(frame)}")

@@ -34,8 +34,9 @@ from situfuse.messages import (
     SpatExtract,
 )
 from situfuse import wire
-from situfuse.store import RawCam, rows_from_envelope
+from situfuse.store import RawCam
 from conftest import make_vut_extract
+from object_decode import rows_from_envelope
 
 T0 = 1_700_000_000_000
 HERE = GeoPosition(49.234, 6.98)

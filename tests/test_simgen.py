@@ -13,8 +13,9 @@ from situfuse.simgen import (
     generate,
     score,
 )
-from situfuse.store import SituationStore, rows_from_envelope
+from situfuse.store import SituationStore
 from situfuse import wire
+from object_decode import rows_from_envelope
 
 
 def quiet(cfg=None, **overrides):

@@ -1,4 +1,7 @@
 import random
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +29,7 @@ from situfuse.situation import (
 )
 from situfuse.messages import ObservationSource
 from situfuse.store import (
+    RAW_TABLES,
     RawCam,
     RawCpmDetection,
     RawDriverState,
@@ -35,10 +39,12 @@ from situfuse.store import (
     RawVutSensor,
     SituationStore,
     StorageFailure,
-    rows_from_envelope,
 )
+from situfuse import store as store_module
 from situfuse import wire
 from conftest import make_vut_extract
+from object_decode import rows_from_envelope
+from test_wire import random_envelope
 
 T0 = 1_700_000_000_000
 CENTER = GeoPosition(49.234, 6.98)
@@ -378,3 +384,77 @@ def test_rows_from_envelope_covers_all_kinds(store):
     assert store.insert_raw(rows) == 7
     stats = store.stats()
     assert sum(stats[t] for t in stats if t.startswith("raw_")) == 7
+
+
+def _normalised_sql(text: str) -> str:
+    return " ".join(re.sub(r"--[^\n]*", " ", text).split())
+
+
+def test_schema_document_matches_store_schema(store):
+    document = Path(__file__).resolve().parent.parent / "docs" / "schema.sql"
+    documented = document.read_text(encoding="utf-8")
+    assert _normalised_sql(documented) == _normalised_sql(store_module._SCHEMA)
+    for table, width in store_module.RAW_TABLE.values():
+        assert len(store._conn.execute(f"PRAGMA table_info({table})").fetchall()) == width, table
+
+
+def _with_odd_codes(rng, env: wire.BatchEnvelope) -> wire.BatchEnvelope:
+    """Overwrite payload bytes that the decoder must normalise, not reject:
+    enum codes outside their enum, flag and light bits above the defined ones,
+    self-report flags other than 0/1."""
+    K = wire.RecordKind
+    records = []
+    for r in env.records:
+        p = bytearray(r.payload)
+        if rng.random() < 0.5:
+            if r.kind in (K.CAM_EXTRACT, K.CPM_DETECTION):
+                p[-1] = rng.choice([9, 10, 12, 99, 255])  # classification
+            elif r.kind is K.SPAT:
+                p[6] = rng.randrange(5, 256)  # phase
+            elif r.kind is K.HAZARD:
+                p[0] = rng.randrange(3, 256)  # hazard kind
+            elif r.kind is K.VUT_SENSOR:
+                p[0] |= rng.randrange(1, 8) << 5  # undefined flag bits
+                p[3] |= rng.randrange(1, 4) << 6  # undefined light bits
+            elif r.kind is K.DRIVER_STATE:
+                p[4] = rng.randrange(2, 256)  # self-reported
+        records.append(replace(r, payload=bytes(p)))
+    return replace(env, records=tuple(records))
+
+
+def _table_contents(s: SituationStore) -> dict[str, list]:
+    return {
+        table: s._conn.execute(f"SELECT * FROM {table} ORDER BY rowid").fetchall()
+        for table in RAW_TABLES
+    }
+
+
+def test_insert_envelope_stores_what_the_typed_rows_store():
+    """Columnar ingest against the object-per-record reference, frame by frame."""
+    rng = random.Random(97)
+    columnar, typed = SituationStore(":memory:"), SituationStore(":memory:")
+    kinds, odd_codes = set(), 0
+    for k in range(240):
+        original = random_envelope(rng, max_records=10)
+        env = wire.decode_batch(wire.encode_batch(_with_odd_codes(rng, original)))
+        kinds |= {r.kind for r in env.records}
+        odd_codes += sum(a.payload != b.payload for a, b in zip(env.records, original.records))
+        n = columnar.insert_envelope(env, receive_time=k)
+        assert n == typed.insert_raw(rows_from_envelope(env, k)), f"frame {k}"
+        assert columnar.insert_envelope(env, receive_time=k + 1) == 0
+        assert typed.insert_raw(rows_from_envelope(env, k + 1)) == 0
+    got, expected = _table_contents(columnar), _table_contents(typed)
+    assert got == expected
+    assert kinds == set(wire.RecordKind)
+    assert odd_codes > 100
+    assert sum(len(rows) for rows in got.values()) > 1000
+    assert {row[6] for row in got["raw_cam"]} >= {0, 5}  # unknown classes stored as 0
+    assert {row[2] for row in got["raw_spat"]} >= {0, 3}
+    assert {row[1] for row in got["raw_hazard"]} == {0, 1, 2}
+    assert {row[4] is None for row in got["raw_driver"]} == {True, False}  # heart rate 0 -> NULL
+    assert {row[5] for row in got["raw_driver"]} == {0, 1}
+    assert {row[2] for row in got["raw_vut_sensor"]} == {0, 1}  # brake flag as 0/1
+    assert {row[18] for row in got["raw_vut_sensor"]} == {0, 1}  # wiper flag as 0/1
+    assert max(row[11] for row in got["raw_vut_sensor"]) <= 0x3F  # lights
+    columnar.close()
+    typed.close()

@@ -38,6 +38,7 @@ from situfuse.wire import (
     encode_batch,
     plan_batches,
 )
+import object_decode
 
 HEADER_SIZE = 26
 RECORD_HEAD_SIZE = 9
@@ -272,31 +273,29 @@ def test_payload_codecs_round_trip():
     rng = random.Random(13)
     t, pos = 123_456, GeoPosition(49.234, 6.98)
     for _ in range(200):
-        cam = wire.unpack_cam(random_payload(rng, RecordKind.CAM_EXTRACT), t, pos)
-        assert wire.unpack_cam(wire.pack_cam(cam), t, pos) == cam
+        cam = object_decode.unpack_cam(random_payload(rng, RecordKind.CAM_EXTRACT), t, pos)
+        assert object_decode.unpack_cam(wire.pack_cam(cam), t, pos) == cam
 
-        originator, det = wire.unpack_cpm_detection(
+        originator, det = object_decode.unpack_cpm_detection(
             random_payload(rng, RecordKind.CPM_DETECTION), pos
         )
-        assert wire.unpack_cpm_detection(wire.pack_cpm_detection(originator, det), pos) == (
-            originator,
-            det,
-        )
+        packed = wire.pack_cpm_detection(originator, det)
+        assert object_decode.unpack_cpm_detection(packed, pos) == (originator, det)
 
-        spat = wire.unpack_spat(random_payload(rng, RecordKind.SPAT))
-        assert wire.unpack_spat(wire.pack_spat(spat)) == spat
+        spat = object_decode.unpack_spat(random_payload(rng, RecordKind.SPAT))
+        assert object_decode.unpack_spat(wire.pack_spat(spat)) == spat
 
-        vut = wire.unpack_vut_sensor(random_payload(rng, RecordKind.VUT_SENSOR), t, pos)
-        assert wire.unpack_vut_sensor(wire.pack_vut_sensor(vut), t, pos) == vut
+        vut = object_decode.unpack_vut_sensor(random_payload(rng, RecordKind.VUT_SENSOR), t, pos)
+        assert object_decode.unpack_vut_sensor(wire.pack_vut_sensor(vut), t, pos) == vut
 
-        drv = wire.unpack_driver_state(random_payload(rng, RecordKind.DRIVER_STATE), t)
-        assert wire.unpack_driver_state(wire.pack_driver_state(drv), t) == drv
+        drv = object_decode.unpack_driver_state(random_payload(rng, RecordKind.DRIVER_STATE), t)
+        assert object_decode.unpack_driver_state(wire.pack_driver_state(drv), t) == drv
 
-        env = wire.unpack_environment(random_payload(rng, RecordKind.ENVIRONMENT), t, pos)
-        assert wire.unpack_environment(wire.pack_environment(env), t, pos) == env
+        env = object_decode.unpack_environment(random_payload(rng, RecordKind.ENVIRONMENT), t, pos)
+        assert object_decode.unpack_environment(wire.pack_environment(env), t, pos) == env
 
-        hz = wire.unpack_hazard(random_payload(rng, RecordKind.HAZARD), t, pos)
-        assert wire.unpack_hazard(wire.pack_hazard(hz), t, pos) == hz
+        hz = object_decode.unpack_hazard(random_payload(rng, RecordKind.HAZARD), t, pos)
+        assert object_decode.unpack_hazard(wire.pack_hazard(hz), t, pos) == hz
 
 
 def random_absolute_records(rng, n, t0=1_700_000_000_000, spread_s=60, spread_deg=0.06):
@@ -431,3 +430,165 @@ def test_frame_stream_truncation():
     data = buffer.getvalue()
     with pytest.raises(Truncated):
         wire.read_frames(io.BytesIO(data[:-3]))
+
+
+def test_frame_length_prefix_bound_is_derived_from_the_format():
+    assert wire.MAX_FRAME == 26 + 65_535 * (9 + 22) == 2_031_611
+
+
+class _ReadGuard(io.BytesIO):
+    """A stream that fails the test if asked for more than one frame's bytes."""
+
+    def read(self, size=-1):
+        assert 0 <= size <= wire.MAX_FRAME, f"read({size}) would buffer past the frame bound"
+        return super().read(size)
+
+
+@pytest.mark.parametrize("length", [wire.MAX_FRAME + 1, 0xFFFFFFFF])
+def test_read_frames_rejects_oversized_prefix_before_reading(length):
+    good = encode_batch(random_envelope(random.Random(59)))
+    data = struct.pack("<I", len(good)) + good + struct.pack("<I", length) + b"\x00" * 64
+    with pytest.raises(wire.FrameTooLarge):
+        wire.read_frames(_ReadGuard(data))
+
+
+def test_read_ksb_rejects_oversized_prefix(tmp_path):
+    path = tmp_path / "hostile.ksb"
+    wire.write_ksb(path, [random_envelope(random.Random(61))])
+    with open(path, "ab") as fp:
+        fp.write(b"\xff\xff\xff\xff" + b"KSB1")
+    with pytest.raises(wire.FrameTooLarge):
+        wire.read_ksb(path)
+
+
+def test_frame_of_exactly_the_maximum_size_decodes():
+    payload = random_payload(random.Random(67), RecordKind.ENVIRONMENT)
+    assert len(payload) == max(wire.PAYLOAD_SIZE.values())
+    env = BatchEnvelope(
+        meta=MetaBlock(7, 1000, GeoPosition(49.234, 6.98), wire.MAX_RECORDS),
+        records=(DeltaRecord(RecordKind.ENVIRONMENT, 0, 0, 0, payload),) * wire.MAX_RECORDS,
+    )
+    buffer = io.BytesIO()
+    wire.write_frames(buffer, [env])
+    assert len(buffer.getvalue()) == 4 + wire.MAX_FRAME
+    assert wire.read_frames(_ReadGuard(buffer.getvalue())) == [env]
+
+
+def _vut_payload(doors=0, rain=0, gear=1):
+    return struct.pack("<BbBBHhhBhhh", 0b10101, gear, doors, 3, 1200, -50, 20, rain, 15, -300, 40)
+
+
+def _driver_payload(valence=3, arousal=3):
+    return struct.pack("<BBHB", valence, arousal, 72, 1)
+
+
+def _environment_payload(wind_dir=2700, humidity=60, cloudiness=40):
+    return struct.pack(
+        "<HHhHHHIHHBB", 600, 500, 85, 0, 34, wind_dir, 20_000, 9000, 10_132, humidity, cloudiness
+    )
+
+
+# one case per payload rule: (kind, payload that breaks it)
+BAD_PAYLOADS = {
+    "cam course 3600": (RecordKind.CAM_EXTRACT, struct.pack("<IHHB", 1, 0, 3600, 5)),
+    "cpm course 3600": (RecordKind.CPM_DETECTION, struct.pack("<IIHHB", 1, 2, 0, 3600, 5)),
+    "wind direction 3600": (RecordKind.ENVIRONMENT, _environment_payload(wind_dir=3600)),
+    "front-left door 3": (RecordKind.VUT_SENSOR, _vut_payload(doors=0b00_00_00_11)),
+    "rear-right door 3": (RecordKind.VUT_SENSOR, _vut_payload(doors=0b11_00_00_00)),
+    "rain 8": (RecordKind.VUT_SENSOR, _vut_payload(rain=8)),
+    "gear -2": (RecordKind.VUT_SENSOR, _vut_payload(gear=-2)),
+    "valence 0": (RecordKind.DRIVER_STATE, _driver_payload(valence=0)),
+    "valence 6": (RecordKind.DRIVER_STATE, _driver_payload(valence=6)),
+    "arousal 0": (RecordKind.DRIVER_STATE, _driver_payload(arousal=0)),
+    "arousal 6": (RecordKind.DRIVER_STATE, _driver_payload(arousal=6)),
+    "humidity 101": (RecordKind.ENVIRONMENT, _environment_payload(humidity=101)),
+    "cloudiness 101": (RecordKind.ENVIRONMENT, _environment_payload(cloudiness=101)),
+}
+
+
+def _frame_ending_with(kind, payload, ref=GeoPosition(49.234, 6.98), rel_lat=0) -> bytes:
+    """A valid frame of every kind (door states 0..2 included) plus one last record."""
+    rng = random.Random(71)
+    good = [DeltaRecord(k, 5 * i, i, -i, random_payload(rng, k)) for i, k in enumerate(RecordKind)]
+    good += [
+        DeltaRecord(
+            RecordKind.VUT_SENSOR, 40, 0, 0, _vut_payload(doors=0b10_01_00_10, rain=7, gear=-1)
+        ),
+        DeltaRecord(RecordKind.DRIVER_STATE, 40, 0, 0, _driver_payload(valence=1, arousal=5)),
+        DeltaRecord(RecordKind.DRIVER_STATE, 45, 0, 0, _driver_payload(valence=5, arousal=1)),
+        DeltaRecord(RecordKind.ENVIRONMENT, 40, 0, 0, _environment_payload(3599, 100, 100)),
+        DeltaRecord(RecordKind.CAM_EXTRACT, 40, 0, 0, struct.pack("<IHHB", 9, 0, 3599, 5)),
+    ]
+    records = tuple(good) + (DeltaRecord(kind, 50, rel_lat, 0, payload),)
+    return encode_batch(BatchEnvelope(MetaBlock(7, 1000, ref, len(records)), records))
+
+
+def test_decode_accepts_payload_rule_boundaries():
+    """Doors 0..2, rain 7, gear -1, valence/arousal 1 and 5, course 3599, 100 %."""
+    env = decode_batch(_frame_ending_with(RecordKind.VUT_SENSOR, _vut_payload()))
+    assert len(env.records) == 13
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PAYLOADS))
+def test_decode_rejects_each_payload_rule_in_the_last_record(case):
+    kind, payload = BAD_PAYLOADS[case]
+    with pytest.raises(BadPayload):
+        decode_batch(_frame_ending_with(kind, payload))
+
+
+def test_decode_rejects_last_record_past_the_pole():
+    ref = GeoPosition(89.999, 6.98)  # 1000 offsets of 1e-6 deg below the pole
+    cam = random_payload(random.Random(73), RecordKind.CAM_EXTRACT)
+    at_pole = decode_batch(_frame_ending_with(RecordKind.CAM_EXTRACT, cam, ref, rel_lat=1000))
+    assert wire.absolute_records(at_pole)[-1].position.lat == 90.0
+    with pytest.raises(BadPayload):
+        decode_batch(_frame_ending_with(RecordKind.CAM_EXTRACT, cam, ref, rel_lat=1001))
+
+
+def test_decode_rejects_last_record_past_the_antimeridian():
+    ref = GeoPosition(49.234, -179.99)
+    cam = random_payload(random.Random(79), RecordKind.CAM_EXTRACT)
+    decode_batch(_frame_ending_with(RecordKind.CAM_EXTRACT, cam, ref, rel_lat=0))
+    data = bytearray(_frame_ending_with(RecordKind.CAM_EXTRACT, cam, ref))
+    struct.pack_into("<h", data, len(data) - len(cam) - 4, -10_001)  # rel_lon of the last record
+    with pytest.raises(BadPayload):
+        decode_batch(bytes(data))
+
+
+def test_decode_accepts_exactly_what_the_object_decoder_accepts():
+    """Valid payloads with one byte overwritten, and random bytes: the table's
+    rules reject a payload iff the typed decode does."""
+    rng = random.Random(83)
+    pos = GeoPosition(49.234, 6.98)
+    outcomes = set()
+    for _ in range(3000):
+        kind = rng.choice(list(RecordKind))
+        if rng.random() < 0.75:
+            payload = bytearray(random_payload(rng, kind))
+            payload[rng.randrange(len(payload))] = rng.randrange(256)
+            payload = bytes(payload)
+        else:
+            payload = rng.randbytes(wire.PAYLOAD_SIZE[kind])
+        try:
+            object_decode.rows_from_envelope(
+                BatchEnvelope(MetaBlock(7, 1000, pos, 1), (DeltaRecord(kind, 0, 0, 0, payload),)), 0
+            )
+            expected = "ok"
+        except (BadPayload, ValueError):
+            expected = "bad"
+        frame = _frame_ending_with(kind, payload)
+        try:
+            decode_batch(frame)
+            got = "ok"
+        except BadPayload:
+            got = "bad"
+        assert got == expected, (kind.name, payload.hex())
+        outcomes.add((kind, got))
+    assert {kind for kind, got in outcomes if got == "bad"} == {
+        RecordKind.CAM_EXTRACT,
+        RecordKind.CPM_DETECTION,
+        RecordKind.VUT_SENSOR,
+        RecordKind.DRIVER_STATE,
+        RecordKind.ENVIRONMENT,
+    }
+    assert {kind for kind, got in outcomes if got == "ok"} == set(RecordKind)
