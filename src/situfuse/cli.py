@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import socket
-import struct
 import sys
 import time
 from dataclasses import dataclass
@@ -26,8 +25,7 @@ from pathlib import Path
 
 from .config import AppConfig
 from .fusion import NoVutFix, fuse_situation
-from .messages import ObservationSource
-from .metrics import evaluate_situation, handover_summary, rows_to_csv
+from .metrics import evaluate_situation, handover_summary, is_vut_object, rows_to_csv
 from .simgen import ScenarioConfig, generate
 from .situation import SituationRecord
 from .store import SituationStore, StorageFailure
@@ -84,23 +82,14 @@ def send_frames(host: str, port: int, envelopes) -> int:
     """Client-side helper: push envelopes to a running ingest listener."""
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
         sock.connect((host, port))
-        n = 0
-        for env in envelopes:
-            frame = wire.encode_batch(env)
-            sock.sendall(struct.pack("<I", len(frame)) + frame)
-            n += 1
-        return n
+        with sock.makefile("wb") as stream:
+            return wire.write_frames(stream, envelopes)
 
 
 def situation_geojson(record: SituationRecord) -> str:
     """A situation as point/line features: objects, VUT, lanes, hazards."""
     features = []
     for obj in record.objects:
-        is_vut = any(
-            e.source is ObservationSource.VUT_LOCAL_SENSOR
-            or (e.source is ObservationSource.CAM_SELF_REPORT and e.object_id == record.vut)
-            for e in obj.provenance
-        )
         features.append(
             {
                 "type": "Feature",
@@ -115,7 +104,7 @@ def situation_geojson(record: SituationRecord) -> str:
                     "course": obj.course,
                     "lane_id": obj.lane_id,
                     "sources": len(obj.provenance),
-                    "vut": is_vut,
+                    "vut": is_vut_object(obj, record.vut),
                 },
             }
         )

@@ -6,7 +6,14 @@ import json
 from dataclasses import dataclass, field
 
 from .aggregators import DEFAULT_SCHEDULE_MS, TransmitSchedule
-from .fusion import SimilarityThresholds
+from .fusion import DEFAULT_MAX_LATERAL_M, DEFAULT_RADIUS_M, DEFAULT_WINDOW_MS, SimilarityThresholds
+from .metrics import (
+    HANDOVER_MIN_TTI_MS,
+    HANDOVER_NEAR_DISTANCE_M,
+    RU_CLOSING_FLOOR_MS,
+    TTI_SPEED_FLOOR_MS,
+)
+from .stressmap import DEFAULT_CAPACITY, DEFAULT_MAX_DEPTH
 
 
 @dataclass
@@ -15,27 +22,27 @@ class AppConfig:
     listen: str = "127.0.0.1:4715"
 
     # fusion window and thresholds
-    window_ms: int = 500
-    radius_m: float = 300.0
-    max_position_m: float = 2.5
-    max_course_deg: float = 15.0
-    max_speed_ms: float = 1.5
+    window_ms: int = DEFAULT_WINDOW_MS
+    radius_m: float = DEFAULT_RADIUS_M
+    max_position_m: float = SimilarityThresholds.max_position_m
+    max_course_deg: float = SimilarityThresholds.max_course_deg
+    max_speed_ms: float = SimilarityThresholds.max_speed_ms
     speed_floor_ms: float = 1.5  # deprecated and ignored; old configs still load
-    max_lateral_m: float = 2.0
+    max_lateral_m: float = DEFAULT_MAX_LATERAL_M
 
     # vehicle data aggregator schedule
     vda_schedule_ms: dict[str, int] = field(default_factory=lambda: dict(DEFAULT_SCHEDULE_MS))
 
     # metric floors and handover rule
-    tti_speed_floor_ms: float = 0.1
-    ru_closing_floor_ms: float = 0.05
-    handover_min_tti_ms: int = 3000
-    handover_near_distance_m: float = 25.0
+    tti_speed_floor_ms: float = TTI_SPEED_FLOOR_MS
+    ru_closing_floor_ms: float = RU_CLOSING_FLOOR_MS
+    handover_min_tti_ms: int = HANDOVER_MIN_TTI_MS
+    handover_near_distance_m: float = HANDOVER_NEAR_DISTANCE_M
 
     # stress map
     stress_matrix_path: str | None = None
-    stress_capacity: int = 16
-    stress_max_depth: int = 12
+    stress_capacity: int = DEFAULT_CAPACITY
+    stress_max_depth: int = DEFAULT_MAX_DEPTH
 
     def thresholds(self) -> SimilarityThresholds:
         return SimilarityThresholds(

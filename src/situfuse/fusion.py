@@ -58,6 +58,7 @@ from .store import RawSlice, RawSpat, SituationStore
 
 DEFAULT_WINDOW_MS = 500
 DEFAULT_RADIUS_M = 300.0
+DEFAULT_MAX_LATERAL_M = 2.0
 VUT_FIX_TOLERANCE_MS = 2000
 
 # Cell edge margin over the threshold chord; covers float rounding of the
@@ -401,7 +402,7 @@ def lane_distance_m(position: GeoPosition, polyline: Sequence[GeoPosition]) -> f
     )
 
 
-def link_lanes(objects, topology, max_lateral_m: float = 2.0):
+def link_lanes(objects, topology, max_lateral_m: float = DEFAULT_MAX_LATERAL_M):
     """Assign each object the nearest lane within the lateral tolerance."""
     if topology is None:
         return list(objects)
@@ -463,7 +464,7 @@ def fuse_situation(
     th: SimilarityThresholds | None = None,
     window_ms: int = DEFAULT_WINDOW_MS,
     radius_m: float = DEFAULT_RADIUS_M,
-    max_lateral_m: float = 2.0,
+    max_lateral_m: float = DEFAULT_MAX_LATERAL_M,
     persist: bool = True,
 ) -> SituationRecord:
     """Build (and normally persist) the situation for a VUT and timestamp.

@@ -46,6 +46,9 @@ RU_MAX = None
 TTI_SPEED_FLOOR_MS = 0.1
 RU_CLOSING_FLOOR_MS = 0.05
 
+HANDOVER_MIN_TTI_MS = 3000
+HANDOVER_NEAR_DISTANCE_M = 25.0
+
 CSV_HEADER = "ID,Classification,Lat,Lon,Speed,Course,Distance,TTI_OBJ,TTI_VUT,RU"
 
 _PARALLEL_EPS = 1e-9
@@ -232,8 +235,8 @@ def handover_summary(
     rows,
     driver: DriverStateSample | None = None,
     hazards: tuple[HazardEvent, ...] = (),
-    min_tti_threshold_ms: int = 3000,
-    near_distance_m: float = 25.0,
+    min_tti_threshold_ms: int = HANDOVER_MIN_TTI_MS,
+    near_distance_m: float = HANDOVER_NEAR_DISTANCE_M,
 ) -> HandoverSummary:
     """Condense a situation for the handover decision.
 

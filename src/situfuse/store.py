@@ -13,7 +13,7 @@ import json
 import sqlite3
 import threading
 from dataclasses import dataclass, field
-from typing import ClassVar
+from typing import Callable, ClassVar, NamedTuple
 
 from .geo import GeoPosition, haversine_distance
 from .messages import (
@@ -201,15 +201,7 @@ class RawSlice:
     hazard_rows: list[RawHazard] = field(default_factory=list)
 
     def __len__(self) -> int:
-        return (
-            len(self.cams)
-            + len(self.cpm_detections)
-            + len(self.spats)
-            + len(self.vut_rows)
-            + len(self.driver_rows)
-            + len(self.environment_rows)
-            + len(self.hazard_rows)
-        )
+        return sum(map(len, vars(self).values()))
 
 
 _SCHEMA = """
@@ -368,23 +360,6 @@ CREATE TABLE IF NOT EXISTS environment (
 );
 """
 
-# record kind -> (raw table, its column count); the insert statements derive from it
-RAW_TABLE = {
-    wire.RecordKind.CAM_EXTRACT: ("raw_cam", 9),
-    wire.RecordKind.CPM_DETECTION: ("raw_cpm_detection", 10),
-    wire.RecordKind.SPAT: ("raw_spat", 9),
-    wire.RecordKind.VUT_SENSOR: ("raw_vut_sensor", 24),
-    wire.RecordKind.DRIVER_STATE: ("raw_driver", 10),
-    wire.RecordKind.ENVIRONMENT: ("raw_environment", 17),
-    wire.RecordKind.HAZARD: ("raw_hazard", 7),
-}
-RAW_TABLES = tuple(table for table, _ in RAW_TABLE.values())
-_INSERT_RAW = {
-    kind: f"INSERT OR IGNORE INTO {table} VALUES ({', '.join('?' * width)})"
-    for kind, (table, width) in RAW_TABLE.items()
-}
-
-
 def _polyline_json(polyline: tuple[GeoPosition, ...]) -> str:
     return json.dumps([[p.lat, p.lon] for p in polyline])
 
@@ -460,63 +435,13 @@ class SituationStore:
 
         out = RawSlice()
         with self._lock:
-            c = self._conn
-            if wire.RecordKind.CAM_EXTRACT in kinds:
-                for r in c.execute(
-                    "SELECT * FROM raw_cam WHERE generation_time BETWEEN ? AND ?"
-                    " ORDER BY generation_time, originator",
-                    (t_min, t_max),
-                ):
-                    if in_area(r[2], r[3]):
-                        out.cams.append(_row_to_cam(r))
-            if wire.RecordKind.CPM_DETECTION in kinds:
-                for r in c.execute(
-                    "SELECT * FROM raw_cpm_detection WHERE generation_time BETWEEN ? AND ?"
-                    " ORDER BY generation_time, originator, object_id",
-                    (t_min, t_max),
-                ):
-                    if in_area(r[4], r[5]):
-                        out.cpm_detections.append(_row_to_cpm(r))
-            if wire.RecordKind.SPAT in kinds:
-                for r in c.execute(
-                    "SELECT * FROM raw_spat WHERE generation_time BETWEEN ? AND ?"
-                    " ORDER BY generation_time, intersection_id, signal_group",
-                    (t_min, t_max),
-                ):
-                    if in_area(r[5], r[6]):
-                        out.spats.append(_row_to_spat(r))
-            if wire.RecordKind.VUT_SENSOR in kinds:
-                for r in c.execute(
-                    "SELECT * FROM raw_vut_sensor WHERE timestamp_ms BETWEEN ? AND ?"
-                    " ORDER BY timestamp_ms, station",
-                    (t_min, t_max),
-                ):
-                    if in_area(r[12], r[13]):
-                        out.vut_rows.append(_row_to_vut(r))
-            if wire.RecordKind.DRIVER_STATE in kinds:
-                for r in c.execute(
-                    "SELECT * FROM raw_driver WHERE timestamp_ms BETWEEN ? AND ?"
-                    " ORDER BY timestamp_ms, station",
-                    (t_min, t_max),
-                ):
-                    if in_area(r[6], r[7]):
-                        out.driver_rows.append(_row_to_driver(r))
-            if wire.RecordKind.ENVIRONMENT in kinds:
-                for r in c.execute(
-                    "SELECT * FROM raw_environment WHERE timestamp_ms BETWEEN ? AND ?"
-                    " ORDER BY timestamp_ms, station",
-                    (t_min, t_max),
-                ):
-                    if in_area(r[3], r[4]):
-                        out.environment_rows.append(_row_to_environment(r))
-            if wire.RecordKind.HAZARD in kinds:
-                for r in c.execute(
-                    "SELECT * FROM raw_hazard WHERE timestamp_ms BETWEEN ? AND ?"
-                    " ORDER BY timestamp_ms, source",
-                    (t_min, t_max),
-                ):
-                    if in_area(r[3], r[4]):
-                        out.hazard_rows.append(_row_to_hazard(r))
+            for kind, raw in RAW_TABLE.items():
+                if kind not in kinds:
+                    continue
+                rows, lat = getattr(out, raw.slice_list), raw.lat_column
+                for r in self._conn.execute(_SELECT_WINDOW[kind], (t_min, t_max)):
+                    if in_area(r[lat], r[lat + 1]):
+                        rows.append(raw.from_row(r))
         return out
 
     def vut_fix_near(self, vut: StationId, t: int, tolerance_ms: int) -> RawVutSensor | None:
@@ -650,6 +575,15 @@ class SituationStore:
             if head is None:
                 return None
             sid, vut, timestamp, clat, clon, radius = head
+            provenance: dict[int, list[ProvenanceEntry]] = {}
+            for seq, src, reporter, obj_id in c.execute(
+                "SELECT seq, source, reporter, source_object_id FROM provenance"
+                " WHERE situation_id = ? ORDER BY seq, entry_seq",
+                (sid,),
+            ):
+                provenance.setdefault(seq, []).append(
+                    ProvenanceEntry(ObservationSource(src), reporter, obj_id)
+                )
             objects = []
             for row in c.execute(
                 "SELECT seq, fused_id, classification, lat, lon, speed, course, lane_id"
@@ -657,14 +591,7 @@ class SituationStore:
                 (sid,),
             ).fetchall():
                 seq, fused_id, cls, lat, lon, speed, course, lane_id = row
-                prov = tuple(
-                    ProvenanceEntry(ObservationSource(src), reporter, obj_id)
-                    for src, reporter, obj_id in c.execute(
-                        "SELECT source, reporter, source_object_id FROM provenance"
-                        " WHERE situation_id = ? AND seq = ? ORDER BY entry_seq",
-                        (sid, seq),
-                    )
-                )
+                prov = tuple(provenance.get(seq, ()))
                 objects.append(
                     FusedObject(
                         fused_id=fused_id,
@@ -885,3 +812,56 @@ def _row_to_hazard(r) -> RawHazard:
         reporter=r[5],
         receive_time=r[6],
     )
+
+
+# -- raw tables ---------------------------------------------------------------
+
+
+class RawTable(NamedTuple):
+    """One raw record kind's table; its insert and window statements derive from it."""
+
+    table: str
+    width: int  # column count
+    # the window's ORDER BY; its first column is the time the window bounds
+    order: tuple[str, ...]
+    lat_column: int  # index of the lat column; lon is the next one
+    from_row: Callable[[tuple], RawRow]
+    slice_list: str  # the RawSlice list a window fills
+
+
+RAW_TABLE: dict[wire.RecordKind, RawTable] = {
+    wire.RecordKind.CAM_EXTRACT: RawTable(
+        "raw_cam", 9, ("generation_time", "originator"), 2, _row_to_cam, "cams"
+    ),
+    wire.RecordKind.CPM_DETECTION: RawTable(
+        "raw_cpm_detection", 10, ("generation_time", "originator", "object_id"), 4,
+        _row_to_cpm, "cpm_detections",
+    ),
+    wire.RecordKind.SPAT: RawTable(
+        "raw_spat", 9, ("generation_time", "intersection_id", "signal_group"), 5,
+        _row_to_spat, "spats",
+    ),
+    wire.RecordKind.VUT_SENSOR: RawTable(
+        "raw_vut_sensor", 24, ("timestamp_ms", "station"), 12, _row_to_vut, "vut_rows"
+    ),
+    wire.RecordKind.DRIVER_STATE: RawTable(
+        "raw_driver", 10, ("timestamp_ms", "station"), 6, _row_to_driver, "driver_rows"
+    ),
+    wire.RecordKind.ENVIRONMENT: RawTable(
+        "raw_environment", 17, ("timestamp_ms", "station"), 3, _row_to_environment,
+        "environment_rows",
+    ),
+    wire.RecordKind.HAZARD: RawTable(
+        "raw_hazard", 7, ("timestamp_ms", "source"), 3, _row_to_hazard, "hazard_rows"
+    ),
+}
+RAW_TABLES = tuple(t.table for t in RAW_TABLE.values())
+_INSERT_RAW = {
+    kind: f"INSERT OR IGNORE INTO {t.table} VALUES ({', '.join('?' * t.width)})"
+    for kind, t in RAW_TABLE.items()
+}
+_SELECT_WINDOW = {
+    kind: f"SELECT * FROM {t.table} WHERE {t.order[0]} BETWEEN ? AND ?"
+    f" ORDER BY {', '.join(t.order)}"
+    for kind, t in RAW_TABLE.items()
+}

@@ -7,7 +7,7 @@ Envelope layout (all little-endian):
 
     magic    "KSB1"            4 bytes
     station  u32               aggregator client identity
-    ref_time u64               ms since epoch
+    ref_time u64               ms since epoch, at most MAX_TIME_MS
     ref_lat  i32               1e-7 degrees
     ref_lon  i32               1e-7 degrees
     count    u16               number of records
@@ -16,7 +16,8 @@ Envelope layout (all little-endian):
 Record layout:
 
     kind        u8             see RecordKind
-    rel_time    u16            10 ms units after ref_time
+    rel_time    u16            10 ms units after ref_time; the record time is
+                               at most MAX_TIME_MS
     rel_lat     i16            1e-6 degree offset from ref_lat
     rel_lon     i16            1e-6 degree offset from ref_lon
     payload_len u16
@@ -29,7 +30,7 @@ Payload layouts (field: encoding):
     CPM_DETECTION  originator u32 | object_id u32 | speed u16 | course u16
                    | classification u8
     SPAT           intersection u32 | signal_group u16 | phase u8
-                   | change_time u64 (ms)
+                   | change_time u64 (ms, at most MAX_TIME_MS)
     VUT_SENSOR     flags u8 (bit0 brake, 1 abs, 2 panic, 3 clutch, 4 wiper)
                    | gear i8 | doors u8 (2 bits each: FL FR RL RR)
                    | lights u8 | speed u16 | accel_lon i16 (0.01 m/s^2)
@@ -87,6 +88,8 @@ REL_TIME_UNIT_MS = 10
 MAX_REL_TIME = 0xFFFF
 MAX_REL_POS = 0x7FFF
 MAX_RECORDS = 0xFFFF
+# times are stored as sqlite INTEGER, which is signed 64-bit
+MAX_TIME_MS = 2**63 - 1
 
 
 class WireError(Exception):
@@ -152,8 +155,8 @@ class MetaBlock:
     def __post_init__(self):
         if not (0 <= self.station <= 0xFFFFFFFF):
             raise ValueError(f"station id out of u32 range: {self.station}")
-        if not (0 <= self.ref_time <= 0xFFFFFFFFFFFFFFFF):
-            raise ValueError(f"ref_time out of u64 range: {self.ref_time}")
+        if not (0 <= self.ref_time <= MAX_TIME_MS):
+            raise ValueError(f"ref_time out of range 0..MAX_TIME_MS: {self.ref_time}")
         if not (0 <= self.record_count <= MAX_RECORDS):
             raise ValueError(f"record count out of range: {self.record_count}")
         # The reference position is the wire boundary: it must sit exactly on
@@ -191,6 +194,12 @@ class BatchEnvelope:
             raise ValueError(
                 f"meta count {self.meta.record_count} != {len(self.records)} records"
             )
+        # only a reference this close to MAX_TIME_MS lets a record time pass it
+        if self.meta.ref_time > MAX_TIME_MS - REL_TIME_UNIT_MS * MAX_REL_TIME:
+            last_rel_time = max((r.rel_time for r in self.records), default=0)
+            last_time = self.meta.ref_time + REL_TIME_UNIT_MS * last_rel_time
+            if last_time > MAX_TIME_MS:
+                raise ValueError(f"record time {last_time} above MAX_TIME_MS")
 
 
 @dataclass(frozen=True)
@@ -247,8 +256,8 @@ def pack_cpm_detection(originator: StationId, d: CpmDetection) -> bytes:
 
 
 def pack_spat(s: SpatExtract) -> bytes:
-    if not (0 <= s.change_time <= 0xFFFFFFFFFFFFFFFF):
-        raise BadPayload(f"change_time out of u64 range: {s.change_time}")
+    if not (0 <= s.change_time <= MAX_TIME_MS):
+        raise BadPayload(f"change_time out of range 0..MAX_TIME_MS: {s.change_time}")
     return _SPAT.pack(s.intersection_id, s.signal_group, int(s.phase), s.change_time)
 
 
@@ -397,7 +406,9 @@ _COURSE_RULE = "course code below 3600"
 CODECS: dict[RecordKind, KindCodec] = {
     RecordKind.CAM_EXTRACT: KindCodec(_CAM, ((_COURSE_RULE, lambda f: f[2] >= 3600),), _cam_rows),
     RecordKind.CPM_DETECTION: KindCodec(_CPM, ((_COURSE_RULE, lambda f: f[3] >= 3600),), _cpm_rows),
-    RecordKind.SPAT: KindCodec(_SPAT, (), _spat_rows),
+    RecordKind.SPAT: KindCodec(
+        _SPAT, (("change time at most MAX_TIME_MS", lambda f: f[3] > MAX_TIME_MS),), _spat_rows
+    ),
     RecordKind.VUT_SENSOR: KindCodec(
         _VUT,
         (
@@ -499,7 +510,6 @@ def decode_batch(data: bytes) -> BatchEnvelope:
         ref_pos = GeoPosition(lat_u / 1e7, lon_u / 1e7)
     except ValueError as err:
         raise BadPayload(str(err)) from None
-    meta = MetaBlock(station=station, ref_time=ref_time, ref_position=ref_pos, record_count=count)
     # offsets in 1e-6 deg that keep a record on the globe (±90 / ±180 deg in 1e-7 deg)
     lat_min, lat_max = _offset_bounds(lat_u, 900_000_000)
     lon_min, lon_max = _offset_bounds(lon_u, 1_800_000_000)
@@ -532,7 +542,11 @@ def decode_batch(data: bytes) -> BatchEnvelope:
         _check_payloads(kind, kind_payloads)
     if offset != size:
         raise TrailingData(f"{size - offset} bytes after the last record")
-    return BatchEnvelope(meta=meta, records=tuple(records))
+    try:  # MetaBlock and BatchEnvelope refuse times above MAX_TIME_MS
+        meta = MetaBlock(station=station, ref_time=ref_time, ref_position=ref_pos, record_count=count)
+        return BatchEnvelope(meta=meta, records=tuple(records))
+    except ValueError as err:
+        raise BadPayload(str(err)) from None
 
 
 def raw_rows(env: BatchEnvelope, receive_time: int) -> dict[RecordKind, Iterator[tuple]]:

@@ -81,6 +81,8 @@ def unpack_cpm_detection(payload: bytes, position: GeoPosition) -> tuple[Station
 
 def unpack_spat(payload: bytes) -> SpatExtract:
     intersection, group, phase, change = _SPAT.unpack(payload)
+    if change >= 2**63:
+        raise BadPayload(f"change time above the signed 64-bit range: {change}")
     return SpatExtract(
         intersection_id=intersection,
         signal_group=group,

@@ -1,3 +1,4 @@
+import inspect
 import json
 import socket
 import threading
@@ -12,10 +13,11 @@ from situfuse.cli import (
     serve_ingest,
     situation_geojson,
 )
-from situfuse.fusion import fuse_situation
+from situfuse.config import AppConfig
+from situfuse.fusion import SimilarityThresholds, fuse_situation
 from situfuse.simgen import ScenarioConfig, generate
 from situfuse.store import SituationStore
-from situfuse import wire
+from situfuse import fusion, metrics, stressmap, wire
 from conftest import REFERENCE_T0, REFERENCE_VUT, reference_raw_rows
 
 from test_stressmap import validate_geojson
@@ -104,6 +106,37 @@ def test_bad_config_is_user_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"no_such_key": 1}))
     assert run("--config", str(bad), "stats") == EXIT_USER
+
+
+def _default(function, parameter):
+    return inspect.signature(function).parameters[parameter].default
+
+
+def test_app_config_defaults_are_the_library_defaults():
+    config = AppConfig()
+    assert config.thresholds() == SimilarityThresholds()
+    assert (config.window_ms, config.radius_m, config.max_lateral_m) == (
+        fusion.DEFAULT_WINDOW_MS, fusion.DEFAULT_RADIUS_M, fusion.DEFAULT_MAX_LATERAL_M
+    )
+    assert (config.tti_speed_floor_ms, config.ru_closing_floor_ms) == (
+        metrics.TTI_SPEED_FLOOR_MS, metrics.RU_CLOSING_FLOOR_MS
+    )
+    assert (config.handover_min_tti_ms, config.handover_near_distance_m) == (
+        metrics.HANDOVER_MIN_TTI_MS, metrics.HANDOVER_NEAR_DISTANCE_M
+    )
+    assert (config.stress_capacity, config.stress_max_depth) == (
+        stressmap.DEFAULT_CAPACITY, stressmap.DEFAULT_MAX_DEPTH
+    )
+    # the calls the commands make with a default config equal the bare library calls
+    for name in ("window_ms", "radius_m", "max_lateral_m"):
+        assert _default(fuse_situation, name) == getattr(config, name), name
+    assert _default(fusion.link_lanes, "max_lateral_m") == config.max_lateral_m
+    assert _default(metrics.evaluate_situation, "tti_speed_floor_ms") == config.tti_speed_floor_ms
+    assert _default(metrics.evaluate_situation, "ru_closing_floor_ms") == config.ru_closing_floor_ms
+    assert _default(metrics.handover_summary, "min_tti_threshold_ms") == config.handover_min_tti_ms
+    assert _default(metrics.handover_summary, "near_distance_m") == config.handover_near_distance_m
+    assert _default(stressmap.tree_from_samples, "capacity") == config.stress_capacity
+    assert _default(stressmap.tree_from_samples, "max_depth") == config.stress_max_depth
 
 
 def test_deprecated_speed_floor_key_still_fuses(workdir, capsys):

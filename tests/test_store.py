@@ -1,7 +1,6 @@
 import random
-import re
+import struct
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
@@ -44,7 +43,7 @@ from situfuse import store as store_module
 from situfuse import wire
 from conftest import make_vut_extract
 from object_decode import rows_from_envelope
-from test_wire import random_envelope
+from test_wire import CAM_PAYLOAD, random_envelope, random_payload, raw_frame
 
 T0 = 1_700_000_000_000
 CENTER = GeoPosition(49.234, 6.98)
@@ -162,6 +161,83 @@ def test_query_raw_matches_full_scan_oracle(store):
             and haversine_distance(CENTER, r.cam.position) <= radius
         }
         assert {r.cam.originator for r in got.cams} == expected
+
+
+def _window_facts(row) -> tuple[str, int, GeoPosition, tuple]:
+    """(RawSlice list, time, position, documented window order) of a typed raw row."""
+    if isinstance(row, RawCam):
+        c = row.cam
+        return "cams", c.generation_time, c.position, (c.generation_time, c.originator)
+    if isinstance(row, RawCpmDetection):
+        key = (row.generation_time, row.originator, row.detection.object_id)
+        return "cpm_detections", row.generation_time, row.detection.position, key
+    if isinstance(row, RawSpat):
+        key = (row.generation_time, row.spat.intersection_id, row.spat.signal_group)
+        return "spats", row.generation_time, row.position, key
+    if isinstance(row, RawVutSensor):
+        t = row.extract.timestamp
+        return "vut_rows", t, row.extract.gnss, (t, row.station)
+    if isinstance(row, RawDriverState):
+        t = row.sample.timestamp
+        return "driver_rows", t, row.position, (t, row.station)
+    if isinstance(row, RawEnvironment):
+        t = row.sample.timestamp  # the station column holds the reporter
+        return "environment_rows", t, row.sample.area_center, (t, row.reporter)
+    h = row.event
+    return "hazard_rows", h.timestamp, h.position, (h.timestamp, h.source)
+
+
+def test_query_raw_every_kind_matches_full_scan_oracle(store):
+    """Every RawSlice list equals a full scan: time inclusive, haversine within
+    the radius, in the kind's documented order; kinds left out stay empty."""
+    rng = random.Random(41)
+    rows = []
+    for k in range(420):
+        kind = list(wire.RecordKind)[k % len(wire.RecordKind)]
+        record = wire.DeltaRecord(
+            kind, 0, rng.randrange(-6000, 6001), rng.randrange(-9000, 9001),
+            random_payload(rng, kind),
+        )
+        meta = wire.MetaBlock(k + 1, T0 + 100 * rng.randrange(100), CENTER, 1)
+        env = wire.BatchEnvelope(meta, (record,))
+        assert store.insert_envelope(env, receive_time=k) == 1
+        rows += rows_from_envelope(env, receive_time=k)
+    names = {_window_facts(r)[0] for r in rows}
+    seen = dict.fromkeys(names, 0)
+    for w in range(30):
+        t_min = T0 + 100 * rng.randrange(100)
+        t_max = t_min + 100 * rng.randrange(30)
+        radius = rng.uniform(50.0, 800.0)
+        kinds = None if w % 3 else set(rng.sample(list(wire.RecordKind), rng.randrange(0, 8)))
+        got = store.query_raw(t_min, t_max, CENTER, radius, kinds=kinds)
+        expected = {name: [] for name in names}
+        for r in rows:
+            name, t, position, order = _window_facts(r)
+            if (
+                (kinds is None or r.record_kind in kinds)
+                and t_min <= t <= t_max
+                and haversine_distance(CENTER, position) <= radius
+            ):
+                expected[name].append((order, r))
+        for name, hits in expected.items():
+            assert getattr(got, name) == [r for _, r in sorted(hits, key=lambda h: h[0])], (w, name)
+            seen[name] += len(hits)
+        assert len(got) == sum(map(len, expected.values()))
+    assert min(seen.values()) > 20
+
+
+def test_frame_whose_last_time_is_the_largest_sqlite_integer_stores(store):
+    last = 2**63 - 1
+    spat = struct.pack("<IHBQ", 4, 2, 3, last)
+    frame = raw_frame(
+        last - 50, [(wire.RecordKind.CAM_EXTRACT, 0, CAM_PAYLOAD), (wire.RecordKind.SPAT, 5, spat)]
+    )
+    env = wire.decode_batch(frame)
+    assert wire.encode_batch(env) == frame
+    assert store.insert_envelope(env, receive_time=1) == 2
+    window = store.query_raw(last - 50, last, CENTER, 1.0)
+    assert [r.cam.generation_time for r in window.cams] == [last - 50]
+    assert [(r.generation_time, r.spat.change_time) for r in window.spats] == [(last, last)]
 
 
 def test_vut_fix_near(store):
@@ -386,16 +462,18 @@ def test_rows_from_envelope_covers_all_kinds(store):
     assert sum(stats[t] for t in stats if t.startswith("raw_")) == 7
 
 
-def _normalised_sql(text: str) -> str:
-    return " ".join(re.sub(r"--[^\n]*", " ", text).split())
-
-
-def test_schema_document_matches_store_schema(store):
-    document = Path(__file__).resolve().parent.parent / "docs" / "schema.sql"
-    documented = document.read_text(encoding="utf-8")
-    assert _normalised_sql(documented) == _normalised_sql(store_module._SCHEMA)
-    for table, width in store_module.RAW_TABLE.values():
-        assert len(store._conn.execute(f"PRAGMA table_info({table})").fetchall()) == width, table
+def test_raw_table_entries_match_created_schema(store):
+    """Each RAW_TABLE entry names a created table of its width that holds the
+    window's order columns (time first) and its lat/lon column pair."""
+    for raw in store_module.RAW_TABLE.values():
+        info = store._conn.execute(f"PRAGMA table_info({raw.table})").fetchall()
+        types = {name: kind for _, name, kind, *_ in info}
+        columns = list(types)
+        assert len(columns) == raw.width, raw.table
+        assert set(raw.order) <= set(columns), raw.table
+        assert types[raw.order[0]] == "INTEGER", raw.table
+        lat, lon = columns[raw.lat_column : raw.lat_column + 2]
+        assert (lat, lon) in {("lat", "lon"), ("center_lat", "center_lon")}, raw.table
 
 
 def _with_odd_codes(rng, env: wire.BatchEnvelope) -> wire.BatchEnvelope:

@@ -503,6 +503,7 @@ BAD_PAYLOADS = {
     "arousal 6": (RecordKind.DRIVER_STATE, _driver_payload(arousal=6)),
     "humidity 101": (RecordKind.ENVIRONMENT, _environment_payload(humidity=101)),
     "cloudiness 101": (RecordKind.ENVIRONMENT, _environment_payload(cloudiness=101)),
+    "spat change time 2**63": (RecordKind.SPAT, struct.pack("<IHBQ", 4, 2, 3, 2**63)),
 }
 
 
@@ -534,6 +535,40 @@ def test_decode_rejects_each_payload_rule_in_the_last_record(case):
     kind, payload = BAD_PAYLOADS[case]
     with pytest.raises(BadPayload):
         decode_batch(_frame_ending_with(kind, payload))
+
+
+def raw_frame(ref_time: int, records) -> bytes:
+    """A frame at (49.234, 6.98) packed byte by byte, past the checks of
+    MetaBlock and BatchEnvelope; records are (kind, rel_time, payload)."""
+    out = wire.HEADER.pack(wire.MAGIC, 7, ref_time, 492_340_000, 69_800_000, len(records))
+    for kind, rel_time, payload in records:
+        out += wire.RECORD_HEAD.pack(int(kind), rel_time, 0, 0, len(payload)) + payload
+    return out
+
+
+CAM_PAYLOAD = struct.pack("<IHHB", 1, 0, 0, 5)
+
+
+@pytest.mark.parametrize(
+    "ref_time, rel_times",
+    [(2**63, [0]), (2**63 - 6, [0, 1])],
+    ids=["ref_time 2**63", "record after ref_time 2**63-6"],
+)
+def test_decode_rejects_record_times_above_the_signed_64_bit_range(ref_time, rel_times):
+    frame = raw_frame(ref_time, [(RecordKind.CAM_EXTRACT, t, CAM_PAYLOAD) for t in rel_times])
+    with pytest.raises(BadPayload):
+        decode_batch(frame)
+
+
+def test_encoders_refuse_times_above_the_signed_64_bit_range():
+    pos = GeoPosition(49.234, 6.98)
+    with pytest.raises(ValueError):
+        MetaBlock(7, 2**63, pos, 0)
+    late = DeltaRecord(RecordKind.CAM_EXTRACT, 1, 0, 0, CAM_PAYLOAD)
+    with pytest.raises(ValueError):
+        BatchEnvelope(MetaBlock(7, 2**63 - 6, pos, 1), (late,))
+    with pytest.raises(BadPayload):
+        wire.pack_spat(SpatExtract(4, 2, SignalPhase.GREEN, 2**63))
 
 
 def test_decode_rejects_last_record_past_the_pole():
@@ -587,6 +622,7 @@ def test_decode_accepts_exactly_what_the_object_decoder_accepts():
     assert {kind for kind, got in outcomes if got == "bad"} == {
         RecordKind.CAM_EXTRACT,
         RecordKind.CPM_DETECTION,
+        RecordKind.SPAT,
         RecordKind.VUT_SENSOR,
         RecordKind.DRIVER_STATE,
         RecordKind.ENVIRONMENT,
