@@ -55,6 +55,7 @@ from .situation import (
 )
 from .aggregators import backend_dedup, environment_for
 from .store import RawSlice, RawSpat, SituationStore
+from .wire import MAX_TIME_MS
 
 DEFAULT_WINDOW_MS = 500
 DEFAULT_RADIUS_M = 300.0
@@ -470,8 +471,11 @@ def fuse_situation(
     """Build (and normally persist) the situation for a VUT and timestamp.
 
     Rerunning on identical store content produces an identical record except
-    for the situation identifier.
+    for the situation identifier.  Raises ValueError for a t outside
+    0..MAX_TIME_MS, the times a record can carry.
     """
+    if not 0 <= t <= MAX_TIME_MS:
+        raise ValueError(f"t out of range 0..MAX_TIME_MS: {t}")
     fix = store.vut_fix_near(vut, t, VUT_FIX_TOLERANCE_MS)
     if fix is None:
         raise NoVutFix(f"no GNSS fix of VUT {vut} within {VUT_FIX_TOLERANCE_MS} ms of {t}")

@@ -1,10 +1,13 @@
 """Situation storage on an embedded relational engine (sqlite).
 
 Raw aggregated data and fused situations live in separate table families.
-Raw tables are append-only; re-ingesting a message that is already present
-(same message key) is silently skipped, so ingestion is idempotent.  A
-situation is written in a single transaction: either all of its child rows
-land or none do.
+Raw tables are append-only: nothing here deletes or updates a raw row, and
+re-ingesting a message that is already present (same message key) is silently
+skipped, so ingestion is idempotent.  Window reads depend on it: a new row gets
+a rowid above every existing one, so the store summarises each table's times
+per block of rowids once and a window reads only the blocks its time range
+meets.  A situation is written in a single transaction: either all of its
+child rows land or none do.
 """
 
 from __future__ import annotations
@@ -368,11 +371,30 @@ def _polyline_from_json(text: str) -> tuple[GeoPosition, ...]:
     return tuple(GeoPosition(lat, lon) for lat, lon in json.loads(text))
 
 
+# sqlite binds signed 64-bit integers only
+_SQL_INT_MIN, _SQL_INT_MAX = -(2**63), 2**63 - 1
+
+
+def _sql_range(t_min: int, t_max: int) -> tuple[int, int] | None:
+    """[t_min, t_max] cut to the integers sqlite can bind; None if nothing is left."""
+    lo, hi = max(t_min, _SQL_INT_MIN), min(t_max, _SQL_INT_MAX)
+    return (lo, hi) if lo <= hi else None
+
+
+def _sql_int(t: int) -> int:
+    return min(max(t, _SQL_INT_MIN), _SQL_INT_MAX)
+
+
 class SituationStore:
     """Single-writer storage; all access is serialized through one lock."""
 
     def __init__(self, path: str = ":memory:"):
         self._lock = threading.RLock()
+        # per raw kind: rowid block -> (min, max) of its window time, and the
+        # highest rowid summarised; valid while data_version is unchanged
+        self._blocks: dict[wire.RecordKind, dict[int, tuple[int, int]]] = {}
+        self._summarised: dict[wire.RecordKind, int] = {}
+        self._data_version: int | None = None
         try:
             self._conn = sqlite3.connect(path, check_same_thread=False)
             self._conn.executescript(_SCHEMA)
@@ -434,15 +456,50 @@ class SituationStore:
             return haversine_distance(center, GeoPosition(lat, lon)) <= radius_m
 
         out = RawSlice()
-        with self._lock:
+        bounds = _sql_range(t_min, t_max)
+        if bounds is None:
+            return out
+        # one read transaction: the summary and the windows see one snapshot
+        with self._lock, self._conn:
+            self._conn.execute("BEGIN")
+            (version,) = self._conn.execute("PRAGMA data_version").fetchone()
+            if version != self._data_version:  # another connection committed
+                self._blocks.clear()
+                self._summarised.clear()
+                self._data_version = version
             for kind, raw in RAW_TABLE.items():
                 if kind not in kinds:
                     continue
+                rowids = self._window_rowids(kind, *bounds)
+                if rowids is None:
+                    continue
                 rows, lat = getattr(out, raw.slice_list), raw.lat_column
-                for r in self._conn.execute(_SELECT_WINDOW[kind], (t_min, t_max)):
+                for r in self._conn.execute(_SELECT_WINDOW[kind], (*rowids, *bounds)):
                     if in_area(r[lat], r[lat + 1]):
                         rows.append(raw.from_row(r))
         return out
+
+    def _window_rowids(self, kind: wire.RecordKind, t_min: int, t_max: int) -> tuple[int, int] | None:
+        """The rowids from the first to the last block whose times meet
+        [t_min, t_max], after summarising the rows added since the last call;
+        None if no block meets it."""
+        blocks = self._blocks.setdefault(kind, {})
+        done = self._summarised.get(kind, 0)
+        while True:
+            lo, hi, top = self._conn.execute(_SUMMARISE[kind], (done,)).fetchone()
+            if top is None:
+                break
+            block = top >> _BLOCK_BITS
+            if block in blocks:  # the block was partly summarised before
+                old_lo, old_hi = blocks[block]
+                lo, hi = min(lo, old_lo), max(hi, old_hi)
+            blocks[block] = (lo, hi)
+            done = top
+        self._summarised[kind] = done
+        hits = [block for block, (lo, hi) in blocks.items() if lo <= t_max and hi >= t_min]
+        if not hits:
+            return None
+        return min(hits) << _BLOCK_BITS, ((max(hits) + 1) << _BLOCK_BITS) - 1
 
     def vut_fix_near(self, vut: StationId, t: int, tolerance_ms: int) -> RawVutSensor | None:
         """The VUT sensor row closest to t within the tolerance, or None."""
@@ -451,16 +508,19 @@ class SituationStore:
                 "SELECT * FROM raw_vut_sensor WHERE station = ?"
                 " AND timestamp_ms BETWEEN ? AND ?"
                 " ORDER BY ABS(timestamp_ms - ?), timestamp_ms LIMIT 1",
-                (vut, t - tolerance_ms, t + tolerance_ms, t),
+                (vut, _sql_int(t - tolerance_ms), _sql_int(t + tolerance_ms), _sql_int(t)),
             ).fetchone()
         return _row_to_vut(row) if row else None
 
     def vut_fixes(self, vut: StationId, t_min: int, t_max: int) -> list[RawVutSensor]:
+        bounds = _sql_range(t_min, t_max)
+        if bounds is None:
+            return []
         with self._lock:
             rows = self._conn.execute(
                 "SELECT * FROM raw_vut_sensor WHERE station = ?"
                 " AND timestamp_ms BETWEEN ? AND ? ORDER BY timestamp_ms",
-                (vut, t_min, t_max),
+                (vut, *bounds),
             ).fetchall()
         return [_row_to_vut(r) for r in rows]
 
@@ -470,7 +530,7 @@ class SituationStore:
             rows = self._conn.execute(
                 "SELECT * FROM raw_environment WHERE timestamp_ms <= ?"
                 " AND timestamp_ms + validity_s * 1000 >= ? ORDER BY timestamp_ms, station",
-                (t, t),
+                (_sql_int(t), _sql_int(t)),
             ).fetchall()
         return [_row_to_environment(r).sample for r in rows]
 
@@ -860,8 +920,20 @@ _INSERT_RAW = {
     kind: f"INSERT OR IGNORE INTO {t.table} VALUES ({', '.join('?' * t.width)})"
     for kind, t in RAW_TABLE.items()
 }
+# Window reads rely on the raw tables being append-only (module docstring):
+# a window reads the rowid range of the blocks of 2**_BLOCK_BITS rowids
+# whose window times meet it.  _SUMMARISE gives the time range and the last
+# rowid of the rows from the first rowid above ? to the end of its block; one
+# statement per block needs no sort, where a GROUP BY over the table would.
+_BLOCK_BITS = 10
+_SUMMARISE = {
+    kind: f"WITH f(r) AS (SELECT min(rowid) FROM {t.table} WHERE rowid > ?)"
+    f" SELECT min({t.order[0]}), max({t.order[0]}), max(rowid) FROM f, {t.table}"
+    f" WHERE {t.table}.rowid BETWEEN f.r AND f.r | {2**_BLOCK_BITS - 1}"
+    for kind, t in RAW_TABLE.items()
+}
 _SELECT_WINDOW = {
-    kind: f"SELECT * FROM {t.table} WHERE {t.order[0]} BETWEEN ? AND ?"
-    f" ORDER BY {', '.join(t.order)}"
+    kind: f"SELECT * FROM {t.table} WHERE rowid BETWEEN ? AND ?"
+    f" AND {t.order[0]} BETWEEN ? AND ? ORDER BY {', '.join(t.order)}"
     for kind, t in RAW_TABLE.items()
 }

@@ -97,6 +97,13 @@ def test_fuse_unknown_vut_is_user_error(workdir, capsys):
     assert "NoVutFix" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("at, error", [(9223372036854775000, "NoVutFix"), (2**63, "ValueError")])
+def test_fuse_at_the_end_of_the_time_range_is_user_error(workdir, capsys, at, error):
+    _, config, _, _ = workdir
+    assert run("--config", config, "fuse", "--vut", "12345", "--at", str(at)) == EXIT_USER
+    assert error in capsys.readouterr().err
+
+
 def test_eval_unknown_situation_is_user_error(workdir, capsys):
     _, config, _, _ = workdir
     assert run("--config", config, "eval", "--situation", "99") == EXIT_USER

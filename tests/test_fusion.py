@@ -41,6 +41,7 @@ from situfuse.fusion import (
     query_window,
 )
 from situfuse.store import RawCam, RawSpat, RawVutSensor, SituationStore
+from situfuse.wire import MAX_TIME_MS
 from conftest import (
     REFERENCE_T0,
     REFERENCE_VUT,
@@ -570,6 +571,22 @@ def test_fuse_situation_missing_vut():
     store = SituationStore(":memory:")
     with pytest.raises(NoVutFix):
         fuse_situation(100, T0, store)
+    store.close()
+
+
+def test_fuse_situation_at_the_ends_of_the_time_range():
+    store = SituationStore(":memory:")
+    with pytest.raises(NoVutFix):
+        fuse_situation(100, 2**63 - 1000, store)
+    for t in (-1, 2**63):
+        with pytest.raises(ValueError):
+            fuse_situation(100, t, store)
+    store.insert_raw([RawVutSensor(100, make_vut_extract(MAX_TIME_MS - 10, CENTER), 100, 1)])
+    record = fuse_situation(100, MAX_TIME_MS, store)
+    assert record.timestamp == MAX_TIME_MS
+    assert record.vut_sensor.timestamp == MAX_TIME_MS - 10
+    assert len(record.objects) == 1  # the VUT itself
+    assert store.load_situation(record.situation_id) == record
     store.close()
 
 

@@ -1,4 +1,5 @@
 import random
+import sqlite3
 import struct
 from dataclasses import replace
 
@@ -187,43 +188,178 @@ def _window_facts(row) -> tuple[str, int, GeoPosition, tuple]:
     return "hazard_rows", h.timestamp, h.position, (h.timestamp, h.source)
 
 
-def test_query_raw_every_kind_matches_full_scan_oracle(store):
+def _window_oracle(facts, t_min, t_max, radius, kinds=None) -> dict[str, list]:
+    """The full-scan window: per RawSlice list, the typed rows with time in
+    [t_min, t_max] and haversine within the radius, in the documented order."""
+    expected = {name: [] for name in vars(store_module.RawSlice())}
+    for r in facts:
+        name, t, position, order = _window_facts(r)
+        if (
+            (kinds is None or r.record_kind in kinds)
+            and t_min <= t <= t_max
+            and haversine_distance(CENTER, position) <= radius
+        ):
+            expected[name].append((order, r))
+    return {name: [r for _, r in sorted(hits, key=lambda h: h[0])] for name, hits in expected.items()}
+
+
+def _assert_window(store, facts, t_min, t_max, radius, kinds=None) -> dict[str, list]:
+    got = store.query_raw(t_min, t_max, CENTER, radius, kinds=kinds)
+    expected = _window_oracle(facts, t_min, t_max, radius, kinds)
+    for name, rows in expected.items():
+        assert getattr(got, name) == rows, (t_min, t_max, radius, kinds, name)
+    assert len(got) == sum(map(len, expected.values()))
+    return expected
+
+
+EPOCH_MS = 20_000  # an epoch's rows lie in its first 8 s
+
+
+def test_query_raw_every_kind_matches_full_scan_oracle(tmp_path):
     """Every RawSlice list equals a full scan: time inclusive, haversine within
-    the radius, in the kind's documented order; kinds left out stay empty."""
+    the radius, in the kind's documented order; kinds left out stay empty.
+    Each kind spans three 1024-rowid blocks: epochs go in out of time order
+    with windows between the inserts, then the store is reopened."""
     rng = random.Random(41)
-    rows = []
-    for k in range(420):
-        kind = list(wire.RecordKind)[k % len(wire.RecordKind)]
-        record = wire.DeltaRecord(
-            kind, 0, rng.randrange(-6000, 6001), rng.randrange(-9000, 9001),
-            random_payload(rng, kind),
-        )
-        meta = wire.MetaBlock(k + 1, T0 + 100 * rng.randrange(100), CENTER, 1)
-        env = wire.BatchEnvelope(meta, (record,))
-        assert store.insert_envelope(env, receive_time=k) == 1
-        rows += rows_from_envelope(env, receive_time=k)
-    names = {_window_facts(r)[0] for r in rows}
-    seen = dict.fromkeys(names, 0)
-    for w in range(30):
-        t_min = T0 + 100 * rng.randrange(100)
-        t_max = t_min + 100 * rng.randrange(30)
+    path = str(tmp_path / "window.db")
+    store = SituationStore(path)
+    epochs = [1, 0, 2, 5, 3, 4, 7, 6]  # mostly in time order, as arrivals are
+    facts, station = [], 0
+    seen = dict.fromkeys(vars(store_module.RawSlice()), 0)
+
+    def check_random_window(w):
+        t_min = T0 - 5000 + rng.randrange(9 * EPOCH_MS)
+        t_max = t_min + rng.randrange(30_000)
         radius = rng.uniform(50.0, 800.0)
         kinds = None if w % 3 else set(rng.sample(list(wire.RecordKind), rng.randrange(0, 8)))
-        got = store.query_raw(t_min, t_max, CENTER, radius, kinds=kinds)
-        expected = {name: [] for name in names}
-        for r in rows:
-            name, t, position, order = _window_facts(r)
-            if (
-                (kinds is None or r.record_kind in kinds)
-                and t_min <= t <= t_max
-                and haversine_distance(CENTER, position) <= radius
-            ):
-                expected[name].append((order, r))
-        for name, hits in expected.items():
-            assert getattr(got, name) == [r for _, r in sorted(hits, key=lambda h: h[0])], (w, name)
-            seen[name] += len(hits)
-        assert len(got) == sum(map(len, expected.values()))
+        for name, rows in _assert_window(store, facts, t_min, t_max, radius, kinds).items():
+            seen[name] += len(rows)
+
+    for epoch in epochs:
+        for kind in wire.RecordKind:
+            records = tuple(
+                wire.DeltaRecord(
+                    kind, rel, rng.randrange(-6000, 6001), rng.randrange(-9000, 9001),
+                    random_payload(rng, kind),
+                )
+                for rel in rng.sample(range(800), 300)
+            )
+            station += 1
+            env = wire.BatchEnvelope(
+                wire.MetaBlock(station, T0 + EPOCH_MS * epoch, CENTER, len(records)), records
+            )
+            assert store.insert_envelope(env, receive_time=station) == len(records)
+            facts += rows_from_envelope(env, receive_time=station)
+        for w in range(4):
+            check_random_window(w)
+    assert {store.stats()[table] for table in RAW_TABLES} == {2400}  # 3 blocks per kind
+
+    last = max(_window_facts(r)[1] for r in facts)
+    for t_min, t_max in [(T0 - 10_000, T0 - 1), (last + 1, last + 60_000)]:  # meet no block
+        assert not any(_assert_window(store, facts, t_min, t_max, 1e6).values())
+    for r in rng.sample(facts, 20):  # single instants
+        t = _window_facts(r)[1]
+        _assert_window(store, facts, t, t, 1e6)
+    _assert_window(store, facts, T0 + 8000, T0 + EPOCH_MS - 1, 1e6)  # between two epochs
+    _assert_window(store, facts, T0, last, 300.0)
+
+    store.close()
+    store = SituationStore(path)  # the summary starts again from no block
+    _assert_window(store, facts, T0 + 3 * EPOCH_MS, T0 + 3 * EPOCH_MS + 5000, 600.0)
+    for w in range(12):
+        check_random_window(w)
+    _assert_window(store, facts, T0, last, 1e6)
+    store.close()
     assert min(seen.values()) > 20
+
+
+def test_query_raw_windows_on_block_edges(tmp_path):
+    """Rows in time order, so each rowid block holds its own time span: a
+    window on the first or last row of a block, or on a row added after the
+    last summary, meets that block at its edge."""
+    store = SituationStore(str(tmp_path / "edges.db"))
+    rows = [cam_row(n, T0 + 10 * n) for n in range(1, 3001)]  # the n-th row has rowid n
+    store.insert_raw(rows[:2047])
+    _assert_window(store, rows[:2047], T0, T0 + 10 * 2047, 10.0)
+    store.insert_raw(rows[2047:2048])  # alone past the summary, first of its block
+    _assert_window(store, rows[:2048], T0 + 10 * 2048, T0 + 10 * 2048, 10.0)
+    store.insert_raw(rows[2048:])
+    for n in (1, 1023, 1024, 2047, 2048, 2500, 3000):
+        _assert_window(store, rows, T0 + 10 * n, T0 + 10 * n, 10.0)
+    _assert_window(store, rows, T0 + 10 * 1023, T0 + 10 * 1024, 10.0)
+    store.close()
+
+
+def _cam_epoch(rng, epoch, n, first_originator):
+    return [
+        cam_row(
+            first_originator + i, T0 + EPOCH_MS * epoch + rng.randrange(8000),
+            rng.uniform(-400, 400), rng.uniform(-400, 400),
+        )
+        for i in range(n)
+    ]
+
+
+def test_query_raw_includes_rows_another_store_appends(tmp_path):
+    rng = random.Random(43)
+    path = str(tmp_path / "shared.db")
+    first, second = SituationStore(path), SituationStore(path)
+    rows = _cam_epoch(rng, 0, 1500, 1)
+    first.insert_raw(rows)
+    _assert_window(first, rows, T0, T0 + 4 * EPOCH_MS, 300.0)
+    more = _cam_epoch(rng, 1, 1500, 5000)  # into the partly summarised block and past it
+    second.insert_raw(more)
+    for epoch in (0, 1):
+        _assert_window(first, rows + more, T0 + EPOCH_MS * epoch, T0 + EPOCH_MS * epoch + 3000, 300.0)
+    _assert_window(first, rows + more, T0, T0 + 4 * EPOCH_MS, 300.0)
+    first.close()
+    second.close()
+
+
+def test_query_raw_exact_after_foreign_delete_vacuum_insert(tmp_path):
+    """A raw connection deletes rows, vacuums and appends rows that reuse the
+    freed rowids at new times; the next window still equals the full scan."""
+    rng = random.Random(44)
+    path = str(tmp_path / "foreign.db")
+    store = SituationStore(path)
+    rows = [r for epoch in range(3) for r in _cam_epoch(rng, epoch, 1000, 1000 * epoch + 1)]
+    store.insert_raw(rows)
+    for epoch in range(4):
+        _assert_window(store, rows, T0 + EPOCH_MS * epoch, T0 + EPOCH_MS * epoch + 8000, 500.0)
+
+    conn = sqlite3.connect(path)
+    conn.execute("DELETE FROM raw_cam WHERE rowid > 2000 OR rowid % 5 = 0")
+    conn.commit()
+    conn.execute("VACUUM")
+    new = _cam_epoch(rng, 3, 800, 10_000)
+    conn.executemany(store_module._INSERT_RAW[wire.RecordKind.CAM_EXTRACT], [r.columns() for r in new])
+    conn.commit()
+    conn.close()
+
+    kept = [r for rowid, r in enumerate(rows, 1) if rowid <= 2000 and rowid % 5] + new
+    assert store.stats()["raw_cam"] == len(kept)
+    for epoch in range(4):
+        _assert_window(store, kept, T0 + EPOCH_MS * epoch, T0 + EPOCH_MS * epoch + 8000, 500.0)
+    _assert_window(store, kept, T0, T0 + 4 * EPOCH_MS, 500.0)
+    store.close()
+
+
+def test_time_bounds_beyond_sqlite_integers_are_clamped(store):
+    """Bounds past the signed 64-bit range are cut to it: nothing overflows,
+    and a window wholly outside the stored times stays empty."""
+    top = 2**63 - 1
+    store.insert_raw([
+        cam_row(1, top - 5), RawVutSensor(100, make_vut_extract(top - 10, CENTER), 100, 1),
+    ])
+    assert [r.cam.generation_time for r in store.query_raw(top - 5, top + 10**6, CENTER, 10.0).cams] == [top - 5]
+    assert len(store.query_raw(top + 1, 2**64, CENTER, 10.0)) == 0
+    assert len(store.query_raw(-(2**64), -(2**63) - 1, CENTER, 10.0)) == 0
+    assert store.vut_fix_near(100, top + 5, tolerance_ms=20).extract.timestamp == top - 10
+    assert store.vut_fix_near(100, top + 5, tolerance_ms=10) is None
+    assert [f.extract.timestamp for f in store.vut_fixes(100, top - 10, 2**64)] == [top - 10]
+    assert store.vut_fixes(100, 2**63, 2**64) == []
+    assert store.environment_candidates(2**64) == []
+    assert store.environment_candidates(-(2**64)) == []
 
 
 def test_frame_whose_last_time_is_the_largest_sqlite_integer_stores(store):
