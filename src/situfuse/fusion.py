@@ -29,23 +29,25 @@ from .geo import (
     EARTH_RADIUS_M,
     GeoPosition,
     LocalPoint,
+    angular_difference,
     from_local_enu,
     haversine_distance,
+    haversine_distances,
     initial_bearing,
     normalize_course,
-    to_local_enu,
+    to_local_enu_arrays,
 )
 from .messages import (
-    CpmExtract,
     MapTopology,
     ObjectClassification,
+    ObservationColumns,
     ObservationSource,
     SignalPhase,
     StationId,
     TrafficObjectObservation,
-    observation_from_cam,
-    observations_from_cpm,
 )
+# Not used here: perfbench/trace.py wraps these fusion globals by name.
+from .messages import observation_from_cam, observations_from_cpm  # noqa: F401
 from .situation import (
     FusedObject,
     ProvenanceEntry,
@@ -54,7 +56,7 @@ from .situation import (
     SituationRecord,
 )
 from .aggregators import backend_dedup, environment_for
-from .store import RawSlice, RawSpat, SituationStore
+from .store import RawColumns, RawSpat, SituationStore
 from .wire import MAX_TIME_MS
 
 DEFAULT_WINDOW_MS = 500
@@ -116,8 +118,7 @@ def is_similar(
     th = th or SimilarityThresholds()
     if abs(a.speed - b.speed) > th.max_speed_ms:
         return False
-    d = abs(a.course - b.course) % 360.0
-    if min(d, 360.0 - d) > th.max_course_deg:
+    if angular_difference(a.course, b.course) > th.max_course_deg:
         return False
     if (
         a.classification != b.classification
@@ -128,61 +129,42 @@ def is_similar(
     return haversine_distance(a.position, b.position) <= th.max_position_m
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
-def _observation_arrays(obs: Sequence[TrafficObjectObservation]):
-    lat = np.array([o.position.lat for o in obs])
-    lon = np.array([o.position.lon for o in obs])
-    course = np.array([o.course for o in obs])
-    speed = np.array([o.speed for o in obs])
-    cls = np.array([int(o.classification) for o in obs])
-    return lat, lon, course, speed, cls
-
-
-def _similar_pairs_mask(idx_i, idx_j, arrays, th: SimilarityThresholds):
+def _similar_pairs_mask(idx_i, idx_j, c: ObservationColumns, th: SimilarityThresholds):
     """Vectorized is_similar over index pairs; same formulas as the scalar path."""
-    lat, lon, course, speed, cls = arrays
-    ok = np.abs(speed[idx_i] - speed[idx_j]) <= th.max_speed_ms
+    ok = np.abs(c.speed[idx_i] - c.speed[idx_j]) <= th.max_speed_ms
 
-    d = np.abs(course[idx_i] - course[idx_j]) % 360.0
+    d = np.abs(c.course[idx_i] - c.course[idx_j]) % 360.0
     ok &= np.minimum(d, 360.0 - d) <= th.max_course_deg
 
-    unknown = int(ObjectClassification.UNKNOWN)
-    ok &= (
-        (cls[idx_i] == cls[idx_j]) | (cls[idx_i] == unknown) | (cls[idx_j] == unknown)
-    )
+    cls, unknown = c.classification, int(ObjectClassification.UNKNOWN)
+    ok &= (cls[idx_i] == cls[idx_j]) | (cls[idx_i] == unknown) | (cls[idx_j] == unknown)
 
     # Haversine only where everything else already matches.
     sub = np.nonzero(ok)[0]
-    if sub.size:
-        i, j = idx_i[sub], idx_j[sub]
-        phi1 = np.radians(lat[i])
-        phi2 = np.radians(lat[j])
-        dphi = np.radians(lat[j] - lat[i])
-        dlam = np.radians(lon[j] - lon[i])
-        h = np.sin(dphi / 2.0) ** 2 + np.cos(phi1) * np.cos(phi2) * np.sin(dlam / 2.0) ** 2
-        dist = 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(h)))
-        keep = dist <= th.max_position_m
-        mask = np.zeros(len(idx_i), dtype=bool)
-        mask[sub[keep]] = True
-        return mask
-    return np.zeros(len(idx_i), dtype=bool)
+    i, j = idx_i[sub], idx_j[sub]
+    mask = np.zeros(len(idx_i), dtype=bool)
+    mask[sub[haversine_distances(c.lat[i], c.lon[i], c.lat[j], c.lon[j]) <= th.max_position_m]] = True
+    return mask
+
+
+def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each point's connected component under the edges (a, b), labelled by
+    its smallest index.  Labels never exceed their index: each round hooks
+    the larger root of every edge whose ends differ onto the smallest root
+    proposed for it, then points every label at its root."""
+    labels = np.arange(n)
+    while True:
+        la, lb = labels[a], labels[b]
+        apart = la != lb
+        if not apart.any():
+            return labels
+        a, b, la, lb = a[apart], b[apart], la[apart], lb[apart]
+        np.minimum.at(labels, np.maximum(la, lb), np.minimum(la, lb))
+        while True:
+            roots = labels[labels]
+            if np.array_equal(roots, labels):
+                break
+            labels = roots
 
 
 def _grid_candidate_pairs(lat: np.ndarray, lon: np.ndarray, max_position_m: float):
@@ -232,7 +214,7 @@ def _grid_candidate_pairs(lat: np.ndarray, lon: np.ndarray, max_position_m: floa
 
 
 def dedup(
-    obs: Sequence[TrafficObjectObservation],
+    obs: Sequence[TrafficObjectObservation] | ObservationColumns,
     th: SimilarityThresholds | None = None,
     cfg: object = None,
     stats: DedupStats | None = None,
@@ -245,25 +227,17 @@ def dedup(
     ignored; it once held the course-bucketing widths.
     """
     th = th or SimilarityThresholds()
-    arrays = _observation_arrays(obs)
-    idx_i, idx_j = _grid_candidate_pairs(arrays[0], arrays[1], th.max_position_m)
-    similar = _similar_pairs_mask(idx_i, idx_j, arrays, th)
-
-    uf = _UnionFind(len(obs))
-    for a, b in zip(idx_i[similar].tolist(), idx_j[similar].tolist()):
-        uf.union(a, b)
-
-    groups: dict[int, list[TrafficObjectObservation]] = {}
-    for k, o in enumerate(obs):
-        groups.setdefault(uf.find(k), []).append(o)
+    c = obs if isinstance(obs, ObservationColumns) else ObservationColumns.of(obs)
+    idx_i, idx_j = _grid_candidate_pairs(c.lat, c.lon, th.max_position_m)
+    similar = _similar_pairs_mask(idx_i, idx_j, c, th)
+    fused = _merge_groups(c, _components(len(c.lat), idx_i[similar], idx_j[similar]))
 
     if stats is not None:
-        stats.observations = len(obs)
+        stats.observations = len(c.lat)
         stats.comparisons = int(len(idx_i))
         stats.similar_pairs = int(similar.sum())
-        stats.groups = len(groups)
+        stats.groups = len(fused)
 
-    fused = [merge_group(g) for g in groups.values()]
     fused.sort(key=lambda f: (f.position.lat, f.position.lon, f.course))
     return fused
 
@@ -277,76 +251,74 @@ def merge_group(group: Sequence[TrafficObjectObservation]) -> FusedObject:
     """
     if not group:
         raise EmptyGroup("cannot merge an empty group")
-    members = sorted(
-        group, key=lambda o: (o.timestamp, int(o.source), o.reporter, o.object_id)
+    return _merge_groups(ObservationColumns.of(group), np.zeros(len(group), dtype=np.int64))[0]
+
+
+# A group's winner comes from its highest-ranked source; rank 0 never wins.
+_WINNER_RANK = np.zeros(max(ObservationSource) + 1, dtype=np.int64)
+_WINNER_RANK[[ObservationSource.VUT_LOCAL_SENSOR, ObservationSource.CAM_SELF_REPORT]] = 1, 2
+_SOURCE = {int(s): s for s in ObservationSource}
+_NO_CLASS = np.iinfo(np.int64).max
+
+
+def _merge_groups(c: ObservationColumns, labels: np.ndarray) -> list[FusedObject]:
+    """merge_group on each set of equal labels, in label order.
+
+    Members are in (timestamp, source, reporter, object_id) order; a winner
+    is its source's newest member, of equal times the lowest reporter, then
+    object_id, then input position.  Averages keep the scalar arithmetic and
+    sum in member order, so they are the same floats.
+    """
+    n = len(labels)
+    if n == 0:
+        return []
+    order = np.lexsort((c.object_id, c.reporter, c.source, c.timestamp, labels))
+    starts = np.flatnonzero(np.r_[True, np.diff(labels[order]) != 0])
+    ends = np.r_[starts[1:], n]
+    sizes = ends - starts
+    rank = _WINNER_RANK[c.source]
+    best = np.lexsort((-np.arange(n), -c.object_id, -c.reporter, c.timestamp, rank, labels))[ends - 1]
+    averaged = (rank[best] == 0) & (sizes > 1)  # else the best member (or the only one) wins
+    codes = np.where(c.classification == 0, _NO_CLASS, c.classification)[order]
+    codes = np.minimum.reduceat(codes, starts)
+    codes = np.where(codes == _NO_CLASS, 0, codes).tolist()
+    entries = np.lexsort((c.object_id, c.reporter, c.source, labels))
+    provenance = list(map(
+        ProvenanceEntry, map(_SOURCE.__getitem__, c.source[entries].tolist()),
+        c.reporter[entries].tolist(), c.object_id[entries].tolist(),
+    ))
+    # member positions on the plane at their group's first member (at their
+    # own position outside averaged groups, where nothing is projected)
+    origin = np.where(np.repeat(averaged, sizes), np.repeat(order[starts], sizes), order)
+    east, north = (
+        a.tolist() for a in to_local_enu_arrays(c.lat[origin], c.lon[origin], c.lat[order], c.lon[order])
     )
-    if len(members) == 1:
-        only = members[0]
-        return FusedObject(
-            fused_id=only.object_id,
-            classification=only.classification,
-            position=only.position,
-            speed=only.speed,
-            course=only.course,
-            provenance=(ProvenanceEntry(only.source, only.reporter, only.object_id),),
-        )
-
-    def newest(source: ObservationSource):
-        candidates = [o for o in members if o.source is source]
-        if not candidates:
-            return None
-        return max(candidates, key=lambda o: (o.timestamp, -o.reporter, -o.object_id))
-
-    winner = newest(ObservationSource.CAM_SELF_REPORT) or newest(ObservationSource.VUT_LOCAL_SENSOR)
-    if winner is not None:
-        position, speed, course = winner.position, winner.speed, winner.course
-        rep_id = winner.object_id
-    else:
-        origin = members[0].position
-        pts = [to_local_enu(origin, o.position) for o in members]
-        east = sum(p.east for p in pts) / len(pts)
-        north = sum(p.north for p in pts) / len(pts)
-        position = from_local_enu(origin, LocalPoint(east, north))
-        speed = sum(o.speed for o in members) / len(members)
-        sin_sum = sum(math.sin(math.radians(o.course)) for o in members)
-        cos_sum = sum(math.cos(math.radians(o.course)) for o in members)
-        course = normalize_course(math.degrees(math.atan2(sin_sum, cos_sum)))
-        rep_id = min(o.object_id for o in members)
-
-    non_unknown = {o.classification for o in members} - {ObjectClassification.UNKNOWN}
-    classification = min(non_unknown) if non_unknown else ObjectClassification.UNKNOWN
-
-    provenance = tuple(
-        sorted(
-            ProvenanceEntry(o.source, o.reporter, o.object_id)
-            for o in members
-        )
+    lat, lon, speed, rad, object_id = (
+        a[order].tolist() for a in (c.lat, c.lon, c.speed, np.radians(c.course), c.object_id)
     )
-    return FusedObject(
-        fused_id=rep_id,
-        classification=classification,
-        position=position,
-        speed=speed,
-        course=course,
-        provenance=provenance,
+    w_lat, w_lon, w_speed, w_course, w_id = (
+        a[best].tolist() for a in (c.lat, c.lon, c.speed, c.course, c.object_id)
     )
+    fused = []
+    for g, (a, b, avg) in enumerate(zip(starts.tolist(), ends.tolist(), averaged.tolist())):
+        if avg:
+            k = b - a
+            position = from_local_enu(
+                GeoPosition(lat[a], lon[a]), LocalPoint(sum(east[a:b]) / k, sum(north[a:b]) / k)
+            )
+            course = math.degrees(math.atan2(sum(map(math.sin, rad[a:b])), sum(map(math.cos, rad[a:b]))))
+            merged = (min(object_id[a:b]), position, sum(speed[a:b]) / k, normalize_course(course))
+        else:
+            merged = (w_id[g], GeoPosition(w_lat[g], w_lon[g]), w_speed[g], w_course[g])
+        fused_id, position, fused_speed, fused_course = merged
+        fused.append(FusedObject(
+            fused_id, ObjectClassification(codes[g]), position, fused_speed, fused_course,
+            tuple(provenance[a:b]),
+        ))
+    return fused
 
 
-# --- window query and linking -----------------------------------------------
-
-
-def query_window(
-    vut: StationId,
-    t: int,
-    store: SituationStore,
-    window_ms: int = DEFAULT_WINDOW_MS,
-    radius_m: float = DEFAULT_RADIUS_M,
-) -> RawSlice:
-    """All raw data around the VUT at time t; fails without a nearby VUT fix."""
-    fix = store.vut_fix_near(vut, t, VUT_FIX_TOLERANCE_MS)
-    if fix is None:
-        raise NoVutFix(f"no GNSS fix of VUT {vut} within {VUT_FIX_TOLERANCE_MS} ms of {t}")
-    return store.query_raw(t - window_ms, t + window_ms, fix.extract.gnss, radius_m)
+# --- linking ------------------------------------------------------------------
 
 
 def join_topology(
@@ -380,42 +352,39 @@ def join_topology(
     return SignalizedTopology(intersection_id=topo.intersection_id, lanes=lanes)
 
 
-def _point_segment_distance(p, a, b) -> float:
-    ax, ay = a
-    bx, by = b
-    px, py = p
-    dx, dy = bx - ax, by - ay
-    seg2 = dx * dx + dy * dy
-    if seg2 == 0.0:
-        return math.hypot(px - ax, py - ay)
-    u = ((px - ax) * dx + (py - ay) * dy) / seg2
-    u = min(1.0, max(0.0, u))
-    return math.hypot(px - (ax + u * dx), py - (ay + u * dy))
-
-
-def lane_distance_m(position: GeoPosition, polyline: Sequence[GeoPosition]) -> float:
-    """Minimum distance from a position to a lane centerline."""
+def _lane_distances(lat: np.ndarray, lon: np.ndarray, polyline: Sequence[GeoPosition]) -> np.ndarray:
+    """Minimum distance from each position to a lane centerline, on the local
+    plane at the polyline's first point."""
     origin = polyline[0]
-    p = to_local_enu(origin, position)
-    pts = [to_local_enu(origin, q) for q in polyline]
-    return min(
-        _point_segment_distance(p, pts[k], pts[k + 1]) for k in range(len(pts) - 1)
+    px, py = to_local_enu_arrays(origin.lat, origin.lon, lat, lon)
+    qx, qy = to_local_enu_arrays(
+        origin.lat, origin.lon, [q.lat for q in polyline], [q.lon for q in polyline]
     )
+    # segments down the rows, positions along the columns
+    ax, ay = qx[:-1, None], qy[:-1, None]
+    dx, dy = np.diff(qx)[:, None], np.diff(qy)[:, None]
+    seg2 = dx * dx + dy * dy
+    num = (px - ax) * dx + (py - ay) * dy
+    u = np.clip(np.divide(num, seg2, out=np.zeros_like(num), where=seg2 > 0.0), 0.0, 1.0)
+    return np.hypot(px - (ax + u * dx), py - (ay + u * dy)).min(axis=0)
 
 
 def link_lanes(objects, topology, max_lateral_m: float = DEFAULT_MAX_LATERAL_M):
-    """Assign each object the nearest lane within the lateral tolerance."""
-    if topology is None:
-        return list(objects)
-    linked = []
-    for obj in objects:
-        best = None
-        for lane in topology.lanes:
-            d = lane_distance_m(obj.position, lane.polyline)
-            if d <= max_lateral_m and (best is None or (d, lane.lane_id) < best):
-                best = (d, lane.lane_id)
-        linked.append(replace(obj, lane_id=best[1]) if best else obj)
-    return linked
+    """Assign each object the nearest lane within the lateral tolerance; of
+    equally near lanes, the lowest lane id."""
+    objects = list(objects)
+    if topology is None or not topology.lanes:
+        return objects
+    lanes = sorted(topology.lanes, key=lambda lane: lane.lane_id)
+    lat = np.array([o.position.lat for o in objects])
+    lon = np.array([o.position.lon for o in objects])
+    d = np.array([_lane_distances(lat, lon, lane.polyline) for lane in lanes])
+    within = d <= max_lateral_m
+    nearest = np.where(within, d, np.inf).argmin(axis=0)
+    return [
+        replace(obj, lane_id=lanes[k].lane_id) if linked else obj
+        for obj, k, linked in zip(objects, nearest.tolist(), within.any(axis=0).tolist())
+    ]
 
 
 # --- situation assembly -------------------------------------------------------
@@ -447,6 +416,22 @@ def _vut_observation(store: SituationStore, vut: StationId, fix) -> TrafficObjec
     )
 
 
+def _window_observations(cams: RawColumns, cpms: RawColumns) -> tuple[ObservationColumns, ...]:
+    """CAM and CPM window rows as observations (see observation_from_cam and
+    observations_from_cpm); rows are unique per message key, in backend_dedup order."""
+
+    def observations(rows: RawColumns, source: ObservationSource, object_id: str):
+        return ObservationColumns.checked(
+            *map(rows.column, ("lat", "lon", "speed", "course", "classification", "generation_time")),
+            source, rows.column("originator"), rows.column(object_id),
+        )
+
+    return (
+        observations(cams, ObservationSource.CAM_SELF_REPORT, "originator"),
+        observations(cpms, ObservationSource.CPM_DETECTION, "object_id"),
+    )
+
+
 def _nearest_topology(store: SituationStore, center: GeoPosition, radius_m: float):
     best = None
     for topo in store.topologies():
@@ -472,7 +457,8 @@ def fuse_situation(
 
     Rerunning on identical store content produces an identical record except
     for the situation identifier.  Raises ValueError for a t outside
-    0..MAX_TIME_MS, the times a record can carry.
+    0..MAX_TIME_MS, the times a record can carry, and for a window row that
+    fails the checks of its typed record.
     """
     if not 0 <= t <= MAX_TIME_MS:
         raise ValueError(f"t out of range 0..MAX_TIME_MS: {t}")
@@ -482,23 +468,11 @@ def fuse_situation(
     center = fix.extract.gnss
 
     window = store.query_raw(t - window_ms, t + window_ms, center, radius_m)
-
-    unique_cams = backend_dedup(window.cams)
-    unique_cpms = backend_dedup(window.cpm_detections)
-
-    observations: list[TrafficObjectObservation] = []
-    for raw in unique_cams:
-        observations.append(observation_from_cam(raw.cam))
-    for raw in unique_cpms:
-        extract = CpmExtract(
-            originator=raw.originator,
-            generation_time=raw.generation_time,
-            detections=(raw.detection,),
-        )
-        observations.extend(observations_from_cpm(extract))
-    observations.append(_vut_observation(store, vut, fix))
-
-    objects = dedup(observations, th)
+    blocks = (
+        *_window_observations(window.cams, window.cpm_detections),
+        ObservationColumns.of([_vut_observation(store, vut, fix)]),
+    )
+    objects = dedup(ObservationColumns(*map(np.concatenate, zip(*blocks))), th)
 
     topo = _nearest_topology(store, center, radius_m)
     topology = join_topology(topo, backend_dedup(window.spats), t) if topo else None

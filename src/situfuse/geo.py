@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 EARTH_RADIUS_M = 6_371_008.8
 
 # Projection validity limit for the local tangent plane.
@@ -56,6 +58,16 @@ def haversine_distance(a: GeoPosition, b: GeoPosition) -> float:
     return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(h)))
 
 
+def haversine_distances(lat1, lon1, lat2, lon2) -> np.ndarray:
+    """:func:`haversine_distance` over arrays of degrees, broadcast elementwise."""
+    phi1 = np.radians(lat1)
+    phi2 = np.radians(lat2)
+    dphi = np.radians(lat2 - lat1)
+    dlam = np.radians(lon2 - lon1)
+    h = np.sin(dphi / 2.0) ** 2 + np.cos(phi1) * np.cos(phi2) * np.sin(dlam / 2.0) ** 2
+    return 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(h)))
+
+
 def to_local_enu(origin: GeoPosition, p: GeoPosition) -> LocalPoint:
     """Project ``p`` onto the tangent plane at ``origin``.
 
@@ -73,6 +85,24 @@ def to_local_enu(origin: GeoPosition, p: GeoPosition) -> LocalPoint:
     if east * east + north * north >= MAX_LOCAL_RANGE_M * MAX_LOCAL_RANGE_M:
         raise RangeExceeded(f"point {p} is beyond {MAX_LOCAL_RANGE_M} m from origin {origin}")
     return LocalPoint(east, north)
+
+
+def to_local_enu_arrays(origin_lat, origin_lon, lat, lon) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`to_local_enu` elementwise over broadcast arrays of degrees: the
+    scalar arithmetic (``math.cos`` included), so the same floats and, for the
+    first point out of range, the same RangeExceeded."""
+    origin_lat, origin_lon, lat, lon = np.broadcast_arrays(origin_lat, origin_lon, lat, lon)
+    dlon = lon - origin_lon
+    dlon = np.where(dlon >= 180.0, dlon - 360.0, np.where(dlon < -180.0, dlon + 360.0, dlon))
+    north = EARTH_RADIUS_M * np.radians(lat - origin_lat)
+    cos_lat = np.array(list(map(math.cos, np.radians(origin_lat).ravel().tolist())))
+    east = EARTH_RADIUS_M * np.radians(dlon) * cos_lat.reshape(origin_lat.shape)
+    far = east * east + north * north >= MAX_LOCAL_RANGE_M * MAX_LOCAL_RANGE_M
+    if far.any():
+        k = np.unravel_index(far.argmax(), far.shape)
+        o, p = (GeoPosition(float(a[k]), float(b[k])) for a, b in ((origin_lat, origin_lon), (lat, lon)))
+        to_local_enu(o, p)  # raises RangeExceeded
+    return east, north
 
 
 def from_local_enu(origin: GeoPosition, lp: LocalPoint) -> GeoPosition:

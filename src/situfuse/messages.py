@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .geo import GeoPosition
 
@@ -96,6 +99,11 @@ def _check_speed(speed: float) -> None:
         raise ValueError(f"negative speed: {speed}")
 
 
+def _check_timestamp(timestamp: int) -> None:
+    if timestamp <= 0:
+        raise ValueError(f"timestamp must be positive: {timestamp}")
+
+
 @dataclass(frozen=True)
 class TrafficObjectObservation:
     """One detected or self-reported road user in the common format."""
@@ -112,8 +120,57 @@ class TrafficObjectObservation:
     def __post_init__(self):
         _check_speed(self.speed)
         _check_course(self.course)
-        if self.timestamp <= 0:
-            raise ValueError(f"timestamp must be positive: {self.timestamp}")
+        _check_timestamp(self.timestamp)
+
+
+_CLASS_CODES = np.array([int(c) for c in ObjectClassification])
+
+
+class ObservationColumns(NamedTuple):
+    """Traffic object observations as parallel numpy columns.
+
+    Made by :meth:`checked` or :meth:`of`, every entry has passed the checks
+    of :class:`TrafficObjectObservation`, and class codes outside
+    :class:`ObjectClassification` read UNKNOWN.
+    """
+
+    lat: np.ndarray
+    lon: np.ndarray
+    speed: np.ndarray
+    course: np.ndarray
+    classification: np.ndarray  # ObjectClassification codes
+    timestamp: np.ndarray
+    source: np.ndarray  # ObservationSource codes
+    reporter: np.ndarray
+    object_id: np.ndarray
+
+    @classmethod
+    def checked(cls, lat, lon, speed, course, classification, timestamp, source, reporter, object_id):
+        """Columns from array-likes, ``source`` a scalar or one per entry;
+        raises TrafficObjectObservation's ValueError for the first bad entry."""
+        lat, lon, speed, course = (np.asarray(a, dtype=float) for a in (lat, lon, speed, course))
+        codes, timestamp, reporter, object_id = (
+            np.asarray(a, dtype=np.int64) for a in (classification, timestamp, reporter, object_id)
+        )
+        for bad, check, values in (
+            (speed < 0.0, _check_speed, speed),
+            (~((course >= 0.0) & (course < 360.0)), _check_course, course),
+            (timestamp <= 0, _check_timestamp, timestamp),
+        ):
+            if bad.any():
+                check(values[bad.argmax()].item())
+        codes = np.where(np.isin(codes, _CLASS_CODES), codes, int(ObjectClassification.UNKNOWN))
+        source = np.broadcast_to(np.asarray(source, dtype=np.int64), lat.shape)
+        return cls(lat, lon, speed, course, codes, timestamp, source, reporter, object_id)
+
+    @classmethod
+    def of(cls, obs: Sequence["TrafficObjectObservation"]) -> "ObservationColumns":
+        rows = [
+            (o.position.lat, o.position.lon, o.speed, o.course, o.classification, o.timestamp,
+             o.source, o.reporter, o.object_id)
+            for o in obs
+        ]
+        return cls.checked(*(zip(*rows) if rows else [()] * len(cls._fields)))
 
 
 @dataclass(frozen=True)
@@ -276,14 +333,8 @@ class EnvironmentSample:
 def observation_from_cam(c: CamExtract) -> TrafficObjectObservation:
     """A CAM is the originator's own report of its state."""
     return TrafficObjectObservation(
-        object_id=c.originator,
-        classification=c.classification,
-        position=c.position,
-        speed=c.speed,
-        course=c.course,
-        timestamp=c.generation_time,
-        source=ObservationSource.CAM_SELF_REPORT,
-        reporter=c.originator,
+        c.originator, c.classification, c.position, c.speed, c.course, c.generation_time,
+        ObservationSource.CAM_SELF_REPORT, c.originator,
     )
 
 
@@ -291,14 +342,8 @@ def observations_from_cpm(c: CpmExtract) -> list[TrafficObjectObservation]:
     """One observation per detection, attributed to the sensing station."""
     return [
         TrafficObjectObservation(
-            object_id=d.object_id,
-            classification=d.classification,
-            position=d.position,
-            speed=d.speed,
-            course=d.course,
-            timestamp=c.generation_time,
-            source=ObservationSource.CPM_DETECTION,
-            reporter=c.originator,
+            d.object_id, d.classification, d.position, d.speed, d.course, c.generation_time,
+            ObservationSource.CPM_DETECTION, c.originator,
         )
         for d in c.detections
     ]

@@ -15,10 +15,15 @@ from __future__ import annotations
 import json
 import sqlite3
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import compress
 from typing import Callable, ClassVar, NamedTuple
 
-from .geo import GeoPosition, haversine_distance
+import numpy as np
+
+from .geo import GeoPosition, haversine_distances
 from .messages import (
     CamExtract,
     CpmDetection,
@@ -191,17 +196,47 @@ RawRow = (
 )
 
 
+class RawColumns(Sequence):
+    """One raw kind's window rows in window order: typed rows (built on first
+    use) as a sequence, equal to any sequence of the same rows, and numpy
+    columns by name, which build no row object."""
+
+    def __init__(self, from_row: Callable[[tuple], RawRow], names: list[str], rows: list[tuple]):
+        self.from_row, self.names, self.rows = from_row, names, rows
+
+    @cached_property
+    def typed(self) -> list[RawRow]:
+        return list(map(self.from_row, self.rows))
+
+    def column(self, name: str) -> np.ndarray:
+        k = self.names.index(name)
+        return np.array([r[k] for r in self.rows])
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        return self.typed[index]
+
+    def __eq__(self, other):
+        return self.typed == list(other) if isinstance(other, Sequence) else NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(self.typed)
+
+
 @dataclass
 class RawSlice:
-    """Everything the store returned for one time window and area."""
+    """Everything the store returned for one time window and area; a kind
+    that was read is a :class:`RawColumns`."""
 
-    cams: list[RawCam] = field(default_factory=list)
-    cpm_detections: list[RawCpmDetection] = field(default_factory=list)
-    spats: list[RawSpat] = field(default_factory=list)
-    vut_rows: list[RawVutSensor] = field(default_factory=list)
-    driver_rows: list[RawDriverState] = field(default_factory=list)
-    environment_rows: list[RawEnvironment] = field(default_factory=list)
-    hazard_rows: list[RawHazard] = field(default_factory=list)
+    cams: Sequence[RawCam] = field(default_factory=list)
+    cpm_detections: Sequence[RawCpmDetection] = field(default_factory=list)
+    spats: Sequence[RawSpat] = field(default_factory=list)
+    vut_rows: Sequence[RawVutSensor] = field(default_factory=list)
+    driver_rows: Sequence[RawDriverState] = field(default_factory=list)
+    environment_rows: Sequence[RawEnvironment] = field(default_factory=list)
+    hazard_rows: Sequence[RawHazard] = field(default_factory=list)
 
     def __len__(self) -> int:
         return sum(map(len, vars(self).values()))
@@ -446,15 +481,12 @@ class SituationStore:
         radius_m: float,
         kinds: set[wire.RecordKind] | None = None,
     ) -> RawSlice:
-        """All raw rows inside [t_min, t_max] (inclusive) and the given circle."""
+        """All raw rows inside [t_min, t_max] (inclusive) and the given circle;
+        a fetched row's position out of range raises GeoPosition's ValueError."""
         if t_min > t_max:
             raise ValueError(f"t_min {t_min} > t_max {t_max}")
         if kinds is None:
             kinds = set(wire.RecordKind)
-
-        def in_area(lat: float, lon: float) -> bool:
-            return haversine_distance(center, GeoPosition(lat, lon)) <= radius_m
-
         out = RawSlice()
         bounds = _sql_range(t_min, t_max)
         if bounds is None:
@@ -470,13 +502,11 @@ class SituationStore:
             for kind, raw in RAW_TABLE.items():
                 if kind not in kinds:
                     continue
-                rowids = self._window_rowids(kind, *bounds)
-                if rowids is None:
-                    continue
-                rows, lat = getattr(out, raw.slice_list), raw.lat_column
-                for r in self._conn.execute(_SELECT_WINDOW[kind], (*rowids, *bounds)):
-                    if in_area(r[lat], r[lat + 1]):
-                        rows.append(raw.from_row(r))
+                rowids = self._window_rowids(kind, *bounds) or (1, 0)  # (1, 0): no rowid
+                cur = self._conn.execute(_SELECT_WINDOW[kind], (*rowids, *bounds))
+                rows = _in_area(cur.fetchall(), raw.lat_column, center, radius_m)
+                names = [d[0] for d in cur.description]
+                setattr(out, raw.slice_list, RawColumns(raw.from_row, names, rows))
         return out
 
     def _window_rowids(self, kind: wire.RecordKind, t_min: int, t_max: int) -> tuple[int, int] | None:
@@ -587,44 +617,36 @@ class SituationStore:
             return sid
 
     def _insert_situation_children(self, sid: int, s: SituationRecord) -> None:
-        c = self._conn
-        for seq, obj in enumerate(s.objects):
-            c.execute(
-                "INSERT INTO fused_object VALUES (?,?,?,?,?,?,?,?,?)",
-                (sid, seq, obj.fused_id, int(obj.classification),
-                 obj.position.lat, obj.position.lon, obj.speed, obj.course, obj.lane_id),
-            )
-            for eseq, entry in enumerate(obj.provenance):
-                c.execute(
-                    "INSERT INTO provenance VALUES (?,?,?,?,?,?)",
-                    (sid, seq, eseq, int(entry.source), entry.reporter, entry.object_id),
+        """One executemany per child table."""
+        lanes = s.topology.lanes if s.topology is not None else ()
+        for table, rows in (
+            ("fused_object", [
+                (sid, seq, o.fused_id, int(o.classification), o.position.lat, o.position.lon,
+                 o.speed, o.course, o.lane_id)
+                for seq, o in enumerate(s.objects)
+            ]),
+            ("provenance", [
+                (sid, seq, eseq, int(e.source), e.reporter, e.object_id)
+                for seq, o in enumerate(s.objects) for eseq, e in enumerate(o.provenance)
+            ]),
+            ("topology_lane", [
+                (sid, s.topology.intersection_id, lane.lane_id, lane.signal_group, lane.ingress,
+                 int(lane.phase), _polyline_json(lane.polyline))
+                for lane in lanes
+            ]),
+            ("vut_sensor", [(sid, *_vut_columns(s.vut_sensor))] if s.vut_sensor is not None else []),
+            ("driver_state", [(sid, *_driver_columns(s.driver))] if s.driver is not None else []),
+            ("hazard", [
+                (sid, eseq, int(h.kind), h.timestamp, h.position.lat, h.position.lon, h.source)
+                for eseq, h in enumerate(s.hazards)
+            ]),
+            ("environment",
+             [(sid, *_environment_columns(s.environment))] if s.environment is not None else []),
+        ):
+            if rows:
+                self._conn.executemany(
+                    f"INSERT INTO {table} VALUES ({', '.join('?' * len(rows[0]))})", rows
                 )
-        if s.topology is not None:
-            for lane in s.topology.lanes:
-                c.execute(
-                    "INSERT INTO topology_lane VALUES (?,?,?,?,?,?,?)",
-                    (sid, s.topology.intersection_id, lane.lane_id, lane.signal_group,
-                     lane.ingress, int(lane.phase), _polyline_json(lane.polyline)),
-                )
-        if s.vut_sensor is not None:
-            c.execute(
-                "INSERT INTO vut_sensor VALUES (?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?)",
-                (sid, *_vut_columns(s.vut_sensor)),
-            )
-        if s.driver is not None:
-            c.execute(
-                "INSERT INTO driver_state VALUES (?,?,?,?,?,?)", (sid, *_driver_columns(s.driver))
-            )
-        for eseq, h in enumerate(s.hazards):
-            c.execute(
-                "INSERT INTO hazard VALUES (?,?,?,?,?,?,?)",
-                (sid, eseq, int(h.kind), h.timestamp, h.position.lat, h.position.lon, h.source),
-            )
-        if s.environment is not None:
-            c.execute(
-                "INSERT INTO environment VALUES (?,?,?,?,?,?,?,?,?,?,?,?,?,?,?)",
-                (sid, *_environment_columns(s.environment)),
-            )
 
     def load_situation(self, situation_id: int) -> SituationRecord | None:
         with self._lock:
@@ -644,62 +666,36 @@ class SituationStore:
                 provenance.setdefault(seq, []).append(
                     ProvenanceEntry(ObservationSource(src), reporter, obj_id)
                 )
-            objects = []
-            for row in c.execute(
-                "SELECT seq, fused_id, classification, lat, lon, speed, course, lane_id"
-                " FROM fused_object WHERE situation_id = ? ORDER BY seq",
-                (sid,),
-            ).fetchall():
-                seq, fused_id, cls, lat, lon, speed, course, lane_id = row
-                prov = tuple(provenance.get(seq, ()))
-                objects.append(
-                    FusedObject(
-                        fused_id=fused_id,
-                        classification=ObjectClassification.from_code(cls),
-                        position=GeoPosition(lat, lon),
-                        speed=speed,
-                        course=course,
-                        provenance=prov,
-                        lane_id=lane_id,
-                    )
+            objects = tuple(
+                FusedObject(
+                    fused_id, ObjectClassification.from_code(cls), GeoPosition(lat, lon), speed,
+                    course, tuple(provenance.get(seq, ())), lane_id,
                 )
+                for seq, fused_id, cls, lat, lon, speed, course, lane_id in c.execute(
+                    "SELECT seq, fused_id, classification, lat, lon, speed, course, lane_id"
+                    " FROM fused_object WHERE situation_id = ? ORDER BY seq",
+                    (sid,),
+                ).fetchall()
+            )
             lanes = c.execute(
                 "SELECT intersection_id, lane_id, signal_group, ingress, phase, polyline"
                 " FROM topology_lane WHERE situation_id = ? ORDER BY lane_id",
                 (sid,),
             ).fetchall()
-            topology = None
-            if lanes:
-                topology = SignalizedTopology(
-                    intersection_id=lanes[0][0],
-                    lanes=tuple(
-                        SignalizedLane(
-                            lane_id=lane_id,
-                            signal_group=group,
-                            polyline=_polyline_from_json(polyline),
-                            ingress=bool(ingress),
-                            phase=SignalPhase(phase),
-                        )
-                        for _, lane_id, group, ingress, phase, polyline in lanes
-                    ),
+            topology = SignalizedTopology(lanes[0][0], tuple(
+                SignalizedLane(
+                    lane_id, group, _polyline_from_json(polyline), bool(ingress), SignalPhase(phase)
                 )
+                for _, lane_id, group, ingress, phase, polyline in lanes
+            )) if lanes else None
             vrow = c.execute(
                 "SELECT * FROM vut_sensor WHERE situation_id = ?", (sid,)
             ).fetchone()
-            vut_sensor = _row_to_vut_extract(vrow[1:]) if vrow else None
             drow = c.execute(
                 "SELECT timestamp_ms, valence, arousal, heart_rate, self_reported"
                 " FROM driver_state WHERE situation_id = ?",
                 (sid,),
             ).fetchone()
-            driver = (
-                DriverStateSample(
-                    timestamp=drow[0], valence=drow[1], arousal=drow[2],
-                    heart_rate_bpm=drow[3], self_reported=bool(drow[4]),
-                )
-                if drow
-                else None
-            )
             hazards = tuple(
                 HazardEvent(HazardKind(kind), ts, GeoPosition(lat, lon), source)
                 for kind, ts, lat, lon, source in c.execute(
@@ -711,19 +707,18 @@ class SituationStore:
             erow = c.execute(
                 "SELECT * FROM environment WHERE situation_id = ?", (sid,)
             ).fetchone()
-            environment = _environment_from_columns(erow[1:]) if erow else None
         return SituationRecord(
             situation_id=sid,
             center=GeoPosition(clat, clon),
             radius_m=radius,
             timestamp=timestamp,
             vut=vut,
-            objects=tuple(objects),
+            objects=objects,
             topology=topology,
-            vut_sensor=vut_sensor,
-            driver=driver,
+            vut_sensor=_row_to_vut_extract(vrow[1:]) if vrow else None,
+            driver=_driver_from_columns(drow) if drow else None,
             hazards=hazards,
-            environment=environment,
+            environment=_environment_from_columns(erow[1:]) if erow else None,
         )
 
     def list_situations(
@@ -762,116 +757,71 @@ class SituationStore:
         return out
 
 
+def _in_area(rows: list[tuple], lat: int, center: GeoPosition, radius_m: float) -> list[tuple]:
+    """The rows whose position (columns lat, lat + 1) lies within radius_m of
+    center; every row's position is range-checked first."""
+    lats = np.array([r[lat] for r in rows], dtype=float)
+    lons = np.array([r[lat + 1] for r in rows], dtype=float)
+    bad = ~((lats >= -90.0) & (lats <= 90.0) & (lons >= -180.0) & (lons <= 180.0))
+    if bad.any():  # GeoPosition raises its ValueError
+        GeoPosition(*rows[bad.argmax()][lat : lat + 2])
+    keep = haversine_distances(center.lat, center.lon, lats, lons) <= radius_m
+    return list(compress(rows, keep.tolist()))
+
+
 # -- row mappers ------------------------------------------------------------
 
 
+# Each mapper is the inverse of its type's columns(): positional, in column order.
+
+
 def _row_to_cam(r) -> RawCam:
-    return RawCam(
-        cam=CamExtract(
-            originator=r[0], generation_time=r[1], position=GeoPosition(r[2], r[3]),
-            speed=r[4], course=r[5], classification=ObjectClassification.from_code(r[6]),
-        ),
-        reporter=r[7],
-        receive_time=r[8],
-    )
+    cls = ObjectClassification.from_code(r[6])
+    return RawCam(CamExtract(r[0], r[1], GeoPosition(r[2], r[3]), r[4], r[5], cls), r[7], r[8])
 
 
 def _row_to_cpm(r) -> RawCpmDetection:
+    cls = ObjectClassification.from_code(r[3])
     return RawCpmDetection(
-        originator=r[0],
-        generation_time=r[1],
-        detection=CpmDetection(
-            object_id=r[2], classification=ObjectClassification.from_code(r[3]),
-            position=GeoPosition(r[4], r[5]), speed=r[6], course=r[7],
-        ),
-        reporter=r[8],
-        receive_time=r[9],
+        r[0], r[1], CpmDetection(r[2], cls, GeoPosition(r[4], r[5]), r[6], r[7]), r[8], r[9]
     )
 
 
 def _row_to_spat(r) -> RawSpat:
-    return RawSpat(
-        spat=SpatExtract(
-            intersection_id=r[0], signal_group=r[1], phase=SignalPhase(r[2]), change_time=r[3],
-        ),
-        generation_time=r[4],
-        position=GeoPosition(r[5], r[6]),
-        reporter=r[7],
-        receive_time=r[8],
-    )
+    spat = SpatExtract(r[0], r[1], SignalPhase(r[2]), r[3])
+    return RawSpat(spat, r[4], GeoPosition(r[5], r[6]), r[7], r[8])
 
 
 def _row_to_vut_extract(cols) -> VutSensorExtract:
     return VutSensorExtract(
-        timestamp=cols[0],
-        brake_actuated=bool(cols[1]),
-        abs_active=bool(cols[2]),
-        panic_braking=bool(cols[3]),
-        clutch_pressed=bool(cols[4]),
-        gear=cols[5],
-        door_positions=tuple(DoorState(cols[6 + i]) for i in range(4)),
-        exterior_lights=ExteriorLight(cols[10]),
-        gnss=GeoPosition(cols[11], cols[12]),
-        speed=cols[13],
-        accel_longitudinal=cols[14],
-        accel_lateral=cols[15],
-        rain_intensity=cols[16],
-        wiper_active=bool(cols[17]),
-        yaw_rate=cols[18],
-        steering_wheel_angle=cols[19],
-        steering_wheel_velocity=cols[20],
+        cols[0], *map(bool, cols[1:5]), cols[5], tuple(map(DoorState, cols[6:10])),
+        ExteriorLight(cols[10]), GeoPosition(cols[11], cols[12]), *cols[13:17], bool(cols[17]),
+        *cols[18:21],
     )
 
 
 def _row_to_vut(r) -> RawVutSensor:
-    return RawVutSensor(
-        station=r[0], extract=_row_to_vut_extract(r[1:22]), reporter=r[22], receive_time=r[23]
-    )
+    return RawVutSensor(r[0], _row_to_vut_extract(r[1:22]), r[22], r[23])
+
+
+def _driver_from_columns(cols) -> DriverStateSample:
+    return DriverStateSample(*cols[:4], bool(cols[4]))
 
 
 def _row_to_driver(r) -> RawDriverState:
-    return RawDriverState(
-        station=r[0],
-        sample=DriverStateSample(
-            timestamp=r[1], valence=r[2], arousal=r[3],
-            heart_rate_bpm=r[4], self_reported=bool(r[5]),
-        ),
-        position=GeoPosition(r[6], r[7]),
-        reporter=r[8],
-        receive_time=r[9],
-    )
+    return RawDriverState(r[0], _driver_from_columns(r[1:6]), GeoPosition(r[6], r[7]), r[8], r[9])
 
 
 def _environment_from_columns(cols) -> EnvironmentSample:
-    return EnvironmentSample(
-        timestamp=cols[0],
-        validity_duration_s=cols[1],
-        area_center=GeoPosition(cols[2], cols[3]),
-        area_radius_m=cols[4],
-        temperature_c=cols[5],
-        precipitation_mm_h=cols[6],
-        wind_speed_ms=cols[7],
-        wind_direction=cols[8],
-        illuminance_lux=cols[9],
-        visibility_m=cols[10],
-        pressure_hpa=cols[11],
-        humidity_pct=cols[12],
-        cloudiness_pct=cols[13],
-    )
+    return EnvironmentSample(cols[0], cols[1], GeoPosition(cols[2], cols[3]), *cols[4:14])
 
 
 def _row_to_environment(r) -> RawEnvironment:
-    return RawEnvironment(sample=_environment_from_columns(r[1:15]), reporter=r[15], receive_time=r[16])
+    return RawEnvironment(_environment_from_columns(r[1:15]), r[15], r[16])
 
 
 def _row_to_hazard(r) -> RawHazard:
-    return RawHazard(
-        event=HazardEvent(
-            kind=HazardKind(r[1]), timestamp=r[2], position=GeoPosition(r[3], r[4]), source=r[0],
-        ),
-        reporter=r[5],
-        receive_time=r[6],
-    )
+    return RawHazard(HazardEvent(HazardKind(r[1]), r[2], GeoPosition(r[3], r[4]), r[0]), r[5], r[6])
 
 
 # -- raw tables ---------------------------------------------------------------

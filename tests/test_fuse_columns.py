@@ -1,0 +1,207 @@
+"""The column fuse path against the typed reference path (tests/typed_fuse.py).
+
+``fuse_situation`` takes the window's CAM and CPM rows as numpy columns to
+dedup, merges groups from columns and links lanes in numpy; every record it
+builds must equal the one the object-per-row path builds.  Rows that reach
+the store without the decoder's checks must still fail or normalise as the
+typed objects make them.
+"""
+
+import random
+import sqlite3
+from dataclasses import replace
+
+import pytest
+
+from situfuse import store as store_module
+from situfuse import wire
+from situfuse.fusion import dedup, fuse_situation, join_topology, link_lanes, merge_group
+from situfuse.geo import LocalPoint, from_local_enu
+from situfuse.messages import (
+    MapLane,
+    MapTopology,
+    ObjectClassification,
+    ObservationSource,
+)
+from situfuse.simgen import MessageRates, ScenarioConfig, generate
+from situfuse.store import RawVutSensor, SituationStore
+
+from conftest import make_vut_extract, oracle_components
+from test_fusion import CENTER, T0, obs, random_instance
+from typed_fuse import fuse_situation_typed, link_lanes_scalar, merge_group_scalar
+
+
+def _scene(seed: int, hz: float, **kwargs):
+    cfg = ScenarioConfig(
+        seed=seed, vehicle_count=12, pedestrian_count=4,
+        rates=MessageRates(cam_hz=hz, cpm_hz=hz, vut_hz=10.0, driver_hz=1.0), **kwargs,
+    )
+    truth, envelopes = generate(cfg)
+    store = SituationStore(":memory:")
+    for k, env in enumerate(envelopes):
+        store.insert_envelope(env, receive_time=k)
+    return cfg, truth, store
+
+
+def _assert_same_record(cfg, store, t):
+    expected = fuse_situation_typed(cfg.vut_station, t, store)
+    got = fuse_situation(cfg.vut_station, t, store)
+    assert replace(got, situation_id=0) == expected
+    assert store.load_situation(got.situation_id) == got
+    return got
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+@pytest.mark.parametrize("hz", [1.0, 10.0])
+def test_fuse_situation_equals_typed_path(seed, hz):
+    """Every offset {0, +100, +500} ms from an emission instant."""
+    cfg, _, store = _scene(seed, hz)
+    for offset in (0, 100, 500):
+        record = _assert_same_record(cfg, store, cfg.start_time_ms + 5000 + offset)
+        sources = {e.source for o in record.objects for e in o.provenance}
+        assert sources == set(ObservationSource)
+    store.close()
+
+
+def _lanes_along(truth, t) -> MapTopology:
+    """A lane under each moving truth object, and a second lane with a
+    higher id on the first one's polyline."""
+    lanes = []
+    for o in truth.objects:
+        position, speed, course = o.state_at(t)
+        if speed < 1.0 or len(lanes) == 6:
+            continue
+        back, ahead = (o.state_at(t + dt)[0] for dt in (-3000, 3000))
+        middle = from_local_enu(position, LocalPoint(0.3, -0.2))  # a kink off the path
+        lanes.append(MapLane(len(lanes) + 1, len(lanes) % 3, (back, middle, ahead), True))
+    lanes.append(replace(lanes[0], lane_id=99))
+    return MapTopology(intersection_id=3, lanes=tuple(lanes))
+
+
+def test_fuse_situation_links_lanes_like_typed_path():
+    cfg, truth, store = _scene(42, 10.0)
+    t = cfg.start_time_ms + 5000
+    store.put_topology(_lanes_along(truth, t))
+    record = _assert_same_record(cfg, store, t + 40)
+    linked = [o.lane_id for o in record.objects if o.lane_id is not None]
+    assert len(linked) >= 4 and 99 not in linked
+    store.close()
+
+
+def test_dedup_equals_scalar_merge_of_oracle_components():
+    rng = random.Random(61)
+    for _ in range(30):
+        sample = random_instance(rng, rng.randrange(1, 300))
+        for k, o in enumerate(sample):  # every source, clashing times
+            source = rng.choice(list(ObservationSource))
+            sample[k] = replace(
+                o, source=source, reporter=rng.randrange(3), timestamp=T0 + rng.randrange(3)
+            )
+        components = oracle_components(sample)
+        expected = [merge_group_scalar([sample[i] for i in sorted(c)]) for c in components]
+        expected.sort(key=lambda f: (f.position.lat, f.position.lon, f.course))
+        assert dedup(sample) == expected
+
+
+def test_merge_group_equals_scalar_merge():
+    rng = random.Random(62)
+    for _ in range(300):
+        group = [
+            obs(
+                rng.randrange(4), east=rng.uniform(-3, 3), north=rng.uniform(-3, 3),
+                speed=rng.uniform(0, 20), course=rng.uniform(0, 359.99),
+                cls=rng.choice(list(ObjectClassification)),
+                source=rng.choice(list(ObservationSource)), reporter=rng.randrange(3),
+                t=T0 + rng.randrange(3),
+            )
+            for _ in range(rng.randrange(1, 7))
+        ]
+        assert merge_group(group) == merge_group_scalar(group)
+
+
+def test_link_lanes_equals_scalar_linking():
+    """Random lanes, among them one polyline under two ids, and objects on
+    its points: at distance 0 from both lanes, the lower id wins."""
+    rng = random.Random(63)
+    for _ in range(40):
+        points = [
+            [LocalPoint(rng.uniform(-60, 60), rng.uniform(-60, 60))
+             for _ in range(rng.randrange(2, 5))]
+            for _ in range(rng.randrange(1, 6))
+        ]
+        lanes = [
+            MapLane(rng.randrange(1, 9), 1, tuple(from_local_enu(CENTER, p) for p in line), True)
+            for line in points
+        ]
+        lanes.append(replace(lanes[0], lane_id=rng.randrange(1, 9)))
+        topology = join_topology(MapTopology(1, tuple(lanes)), [], T0)
+        objects = [
+            merge_group([obs(k, east=rng.uniform(-60, 60), north=rng.uniform(-60, 60))])
+            for k in range(rng.randrange(0, 40))
+        ]
+        objects += [
+            merge_group([obs(100 + k, east=p.east, north=p.north)]) for k, p in enumerate(points[0])
+        ]
+        assert link_lanes(objects, topology, 5.0) == link_lanes_scalar(objects, topology, 5.0)
+        assert link_lanes(objects, None) == objects
+
+
+# --- rows written around the decoder ------------------------------------------
+
+TW = 100  # fuse time; the window reaches back to time 0
+
+
+def _raw_store(tmp_path, rows) -> SituationStore:
+    """A store with a VUT fix at TW and raw rows written by a plain sqlite
+    connection, so that no decoder or typed object checks them."""
+    path = str(tmp_path / "raw.db")
+    store = SituationStore(path)
+    store.insert_raw([RawVutSensor(100, make_vut_extract(TW, CENTER), 100, 1)])
+    conn = sqlite3.connect(path)
+    for kind, columns in rows:
+        conn.execute(store_module._INSERT_RAW[kind], columns)
+    conn.commit()
+    conn.close()
+    return store
+
+
+def _cam(originator=1, t=TW, lat=None, lon=None, speed=5.0, course=90.0, code=5, east=20.0):
+    p = from_local_enu(CENTER, LocalPoint(east, 0.0))
+    columns = (originator, t, p.lat if lat is None else lat, p.lon if lon is None else lon,
+               speed, course, code, originator, 1)
+    return wire.RecordKind.CAM_EXTRACT, columns
+
+
+def _cpm(object_id=7, t=TW, lat=None, lon=None, speed=5.0, course=90.0, code=1, east=-20.0):
+    p = from_local_enu(CENTER, LocalPoint(east, 0.0))
+    columns = (500, t, object_id, code, p.lat if lat is None else lat,
+               p.lon if lon is None else lon, speed, course, 500, 1)
+    return wire.RecordKind.CPM_DETECTION, columns
+
+
+@pytest.mark.parametrize("row", [_cam, _cpm])
+@pytest.mark.parametrize(
+    "fault",
+    [dict(speed=-1.0), dict(course=360.0), dict(lat=91.0), dict(t=0)],
+    ids=["speed", "course", "lat", "time"],
+)
+def test_stored_row_faults_raise_value_error(tmp_path, row, fault):
+    """A latitude of 91 lies outside every circle, and still raises."""
+    store = _raw_store(tmp_path, [_cam(originator=2, east=40.0), row(**fault)])
+    with pytest.raises(ValueError):
+        fuse_situation(100, TW, store)
+    store.close()
+
+
+def test_stored_unknown_class_code_reads_unknown(tmp_path):
+    """Code 9 is no classification: alone it fuses as UNKNOWN, and it merges
+    with a car's self-report like UNKNOWN does."""
+    store = _raw_store(tmp_path, [_cpm(code=9), _cam(code=5), _cpm(object_id=8, code=9, east=20.0)])
+    record = fuse_situation(100, TW, store)
+    by_source = {frozenset((e.source, e.object_id) for e in o.provenance): o for o in record.objects}
+    alone = by_source[frozenset({(ObservationSource.CPM_DETECTION, 7)})]
+    assert alone.classification is ObjectClassification.UNKNOWN
+    pair = {(ObservationSource.CPM_DETECTION, 8), (ObservationSource.CAM_SELF_REPORT, 1)}
+    merged = by_source[frozenset(pair)]
+    assert merged.classification is ObjectClassification.PASSENGER_CAR
+    store.close()

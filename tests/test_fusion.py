@@ -35,13 +35,13 @@ from situfuse.fusion import (
     fuse_situation,
     is_similar,
     join_topology,
-    lane_distance_m,
+    _lane_distances,
     link_lanes,
     merge_group,
-    query_window,
 )
 from situfuse.store import RawCam, RawSpat, RawVutSensor, SituationStore
 from situfuse.wire import MAX_TIME_MS
+from typed_fuse import query_window
 from conftest import (
     REFERENCE_T0,
     REFERENCE_VUT,
@@ -544,7 +544,7 @@ def test_link_lane_tie_breaks_to_lower_id():
 def test_lane_distance_perpendicular():
     polyline = (CENTER, from_local_enu(CENTER, LocalPoint(100.0, 0.0)))
     p = from_local_enu(CENTER, LocalPoint(50.0, 7.0))
-    assert lane_distance_m(p, polyline) == pytest.approx(7.0, abs=0.01)
+    assert _lane_distances([p.lat], [p.lon], polyline)[0] == pytest.approx(7.0, abs=0.01)
 
 
 # --- situation assembly ------------------------------------------------------------

@@ -1,0 +1,182 @@
+"""Reference fusion path: one typed object per window row.
+
+This is the path that ``fuse_situation`` replaced with numpy columns from
+the window to dedup: typed ``query_raw`` rows -> ``backend_dedup`` ->
+``observation_from_cam``/``observations_from_cpm`` -> ``dedup`` on the
+observation list -> per-object, per-lane ``link_lanes``.  It also keeps the
+scalar ``merge_group`` and the window query the package no longer needs.
+The tests use them as the oracles the column path must match exactly.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import replace
+from typing import Sequence
+
+from situfuse import fusion
+from situfuse.aggregators import backend_dedup, environment_for
+from situfuse.geo import GeoPosition, LocalPoint, from_local_enu, normalize_course, to_local_enu
+from situfuse.messages import (
+    CpmExtract,
+    ObjectClassification,
+    ObservationSource,
+    StationId,
+    TrafficObjectObservation,
+    observation_from_cam,
+    observations_from_cpm,
+)
+from situfuse.situation import FusedObject, ProvenanceEntry, SituationRecord
+from situfuse.store import RawSlice, SituationStore
+
+
+def query_window(
+    vut: StationId,
+    t: int,
+    store: SituationStore,
+    window_ms: int = fusion.DEFAULT_WINDOW_MS,
+    radius_m: float = fusion.DEFAULT_RADIUS_M,
+) -> RawSlice:
+    """All raw data around the VUT at time t; fails without a nearby VUT fix."""
+    fix = store.vut_fix_near(vut, t, fusion.VUT_FIX_TOLERANCE_MS)
+    if fix is None:
+        raise fusion.NoVutFix(f"no GNSS fix of VUT {vut} near {t}")
+    return store.query_raw(t - window_ms, t + window_ms, fix.extract.gnss, radius_m)
+
+
+def merge_group_scalar(group: Sequence[TrafficObjectObservation]) -> FusedObject:
+    """merge_group one observation object at a time."""
+    members = sorted(group, key=lambda o: (o.timestamp, int(o.source), o.reporter, o.object_id))
+    if len(members) == 1:
+        only = members[0]
+        return FusedObject(
+            fused_id=only.object_id,
+            classification=only.classification,
+            position=only.position,
+            speed=only.speed,
+            course=only.course,
+            provenance=(ProvenanceEntry(only.source, only.reporter, only.object_id),),
+        )
+
+    def newest(source: ObservationSource):
+        candidates = [o for o in members if o.source is source]
+        if not candidates:
+            return None
+        return max(candidates, key=lambda o: (o.timestamp, -o.reporter, -o.object_id))
+
+    winner = newest(ObservationSource.CAM_SELF_REPORT) or newest(ObservationSource.VUT_LOCAL_SENSOR)
+    if winner is not None:
+        position, speed, course = winner.position, winner.speed, winner.course
+        rep_id = winner.object_id
+    else:
+        origin = members[0].position
+        pts = [to_local_enu(origin, o.position) for o in members]
+        east = sum(p.east for p in pts) / len(pts)
+        north = sum(p.north for p in pts) / len(pts)
+        position = from_local_enu(origin, LocalPoint(east, north))
+        speed = sum(o.speed for o in members) / len(members)
+        sin_sum = sum(math.sin(math.radians(o.course)) for o in members)
+        cos_sum = sum(math.cos(math.radians(o.course)) for o in members)
+        course = normalize_course(math.degrees(math.atan2(sin_sum, cos_sum)))
+        rep_id = min(o.object_id for o in members)
+
+    non_unknown = {o.classification for o in members} - {ObjectClassification.UNKNOWN}
+    classification = min(non_unknown) if non_unknown else ObjectClassification.UNKNOWN
+    provenance = tuple(sorted(ProvenanceEntry(o.source, o.reporter, o.object_id) for o in members))
+    return FusedObject(
+        fused_id=rep_id,
+        classification=classification,
+        position=position,
+        speed=speed,
+        course=course,
+        provenance=provenance,
+    )
+
+
+def _point_segment_distance(p, a, b) -> float:
+    ax, ay = a
+    bx, by = b
+    px, py = p
+    dx, dy = bx - ax, by - ay
+    seg2 = dx * dx + dy * dy
+    if seg2 == 0.0:
+        return math.hypot(px - ax, py - ay)
+    u = ((px - ax) * dx + (py - ay) * dy) / seg2
+    u = min(1.0, max(0.0, u))
+    return math.hypot(px - (ax + u * dx), py - (ay + u * dy))
+
+
+def lane_distance_scalar(position: GeoPosition, polyline: Sequence[GeoPosition]) -> float:
+    origin = polyline[0]
+    p = to_local_enu(origin, position)
+    pts = [to_local_enu(origin, q) for q in polyline]
+    return min(_point_segment_distance(p, pts[k], pts[k + 1]) for k in range(len(pts) - 1))
+
+
+def link_lanes_scalar(objects, topology, max_lateral_m: float = fusion.DEFAULT_MAX_LATERAL_M):
+    """link_lanes, re-projecting every lane once per object."""
+    if topology is None:
+        return list(objects)
+    linked = []
+    for obj in objects:
+        best = None
+        for lane in topology.lanes:
+            d = lane_distance_scalar(obj.position, lane.polyline)
+            if d <= max_lateral_m and (best is None or (d, lane.lane_id) < best):
+                best = (d, lane.lane_id)
+        linked.append(replace(obj, lane_id=best[1]) if best else obj)
+    return linked
+
+
+def fuse_situation_typed(
+    vut: StationId,
+    t: int,
+    store: SituationStore,
+    window_ms: int = fusion.DEFAULT_WINDOW_MS,
+    radius_m: float = fusion.DEFAULT_RADIUS_M,
+    max_lateral_m: float = fusion.DEFAULT_MAX_LATERAL_M,
+) -> SituationRecord:
+    """fuse_situation (not persisted) with one typed object per window row."""
+    fix = store.vut_fix_near(vut, t, fusion.VUT_FIX_TOLERANCE_MS)
+    if fix is None:
+        raise fusion.NoVutFix(f"no GNSS fix of VUT {vut} near {t}")
+    center = fix.extract.gnss
+    window = store.query_raw(t - window_ms, t + window_ms, center, radius_m)
+
+    observations: list[TrafficObjectObservation] = []
+    for raw in backend_dedup(list(window.cams)):
+        observations.append(observation_from_cam(raw.cam))
+    for raw in backend_dedup(list(window.cpm_detections)):
+        extract = CpmExtract(raw.originator, raw.generation_time, (raw.detection,))
+        observations.extend(observations_from_cpm(extract))
+    observations.append(fusion._vut_observation(store, vut, fix))
+    objects = fusion.dedup(observations)
+
+    topo = fusion._nearest_topology(store, center, radius_m)
+    topology = fusion.join_topology(topo, backend_dedup(window.spats), t) if topo else None
+    objects = link_lanes_scalar(objects, topology, max_lateral_m)
+
+    driver = None
+    driver_rows = [r for r in window.driver_rows if r.station == vut]
+    if driver_rows:
+        nearest = min(driver_rows, key=lambda r: (abs(r.sample.timestamp - t), -r.sample.timestamp))
+        driver = nearest.sample
+    hazards = tuple(
+        sorted(
+            (r.event for r in backend_dedup(window.hazard_rows)),
+            key=lambda h: (h.timestamp, h.source, int(h.kind)),
+        )
+    )
+    return SituationRecord(
+        situation_id=0,
+        center=center,
+        radius_m=radius_m,
+        timestamp=t,
+        vut=vut,
+        objects=tuple(objects),
+        topology=topology,
+        vut_sensor=fix.extract,
+        driver=driver,
+        hazards=hazards,
+        environment=environment_for(t, center, store.environment_candidates(t)),
+    )
