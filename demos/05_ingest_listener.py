@@ -2,8 +2,9 @@
 
 One thread runs the framed-envelope listener, the main thread plays a
 vehicle whose local store is flushed over a flaky link.  Lost
-acknowledgments cause retransmission; the backend's key-based duplicate
-filter keeps the stored data exactly-once anyway.
+acknowledgments cause retransmission; the store's UNIQUE message keys ignore
+the re-sent rows, so the stored data stays exactly-once anyway
+(backend_dedup is the reference filter for those keys).
 """
 
 import random

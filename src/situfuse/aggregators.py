@@ -1,12 +1,12 @@
-"""Client-side data aggregators and the backend duplicate filter.
+"""Client-side data aggregators and the reference duplicate filter.
 
 Every remote station runs some of these collectors: the traffic data
 aggregator client queues received V2X extracts, the vehicle data aggregator
 samples the CAN extract on per-group schedules, the driver and environment
 collectors queue their samples.  Everything lands in a local store that is
 flushed in delta batches over an acknowledged transport; the local store only
-forgets what the far side has acknowledged, so delivery is at-least-once and
-the backend's key-based duplicate filter turns that into exactly-once.
+forgets what the far side has acknowledged, so delivery is at-least-once, and
+the backend store's UNIQUE message keys make storage exactly-once.
 """
 
 from __future__ import annotations

@@ -163,9 +163,8 @@ def cmd_simulate(config: AppConfig, args) -> int:
 
 
 def cmd_ingest(config: AppConfig, args) -> int:
-    store = SituationStore(config.store_path)
     report = IngestReport()
-    try:
+    with SituationStore(config.store_path) as store:
         for path in args.files:
             _ingest_envelopes(store, wire.read_ksb(path), report)
         if args.listen is not None:
@@ -175,8 +174,6 @@ def cmd_ingest(config: AppConfig, args) -> int:
             report.batches += listen_report.batches
             report.records += listen_report.records
             report.inserted += listen_report.inserted
-    finally:
-        store.close()
     print(
         f"ingested {report.batches} batches, {report.records} records,"
         f" {report.duplicates_skipped} duplicates skipped"
@@ -185,8 +182,7 @@ def cmd_ingest(config: AppConfig, args) -> int:
 
 
 def cmd_fuse(config: AppConfig, args) -> int:
-    store = SituationStore(config.store_path)
-    try:
+    with SituationStore(config.store_path) as store:
         record = fuse_situation(
             args.vut,
             args.at,
@@ -196,8 +192,6 @@ def cmd_fuse(config: AppConfig, args) -> int:
             radius_m=config.radius_m,
             max_lateral_m=config.max_lateral_m,
         )
-    finally:
-        store.close()
     linked = [
         name
         for name, present in (
@@ -217,11 +211,8 @@ def cmd_fuse(config: AppConfig, args) -> int:
 
 
 def _load_situation(config: AppConfig, situation_id: int) -> SituationRecord:
-    store = SituationStore(config.store_path)
-    try:
+    with SituationStore(config.store_path) as store:
         record = store.load_situation(situation_id)
-    finally:
-        store.close()
     if record is None:
         raise LookupError(f"no situation {situation_id}")
     return record
@@ -264,11 +255,8 @@ def cmd_export(config: AppConfig, args) -> int:
 
 
 def cmd_stressmap(config: AppConfig, args) -> int:
-    store = SituationStore(config.store_path)
-    try:
+    with SituationStore(config.store_path) as store:
         rows = store.driver_samples(args.vut)
-    finally:
-        store.close()
     if not rows:
         raise LookupError(f"no driver samples of station {args.vut}")
     samples = [
@@ -295,11 +283,8 @@ def cmd_stressmap(config: AppConfig, args) -> int:
 
 
 def cmd_stats(config: AppConfig, args) -> int:
-    store = SituationStore(config.store_path)
-    try:
+    with SituationStore(config.store_path) as store:
         stats = store.stats()
-    finally:
-        store.close()
     for table, count in stats.items():
         print(f"{table:20s} {count}")
     return EXIT_OK

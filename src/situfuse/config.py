@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .aggregators import DEFAULT_SCHEDULE_MS, TransmitSchedule
+from .aggregators import DEFAULT_SCHEDULE_MS
 from .fusion import DEFAULT_MAX_LATERAL_M, DEFAULT_RADIUS_M, DEFAULT_WINDOW_MS, SimilarityThresholds
 from .metrics import (
     HANDOVER_MIN_TTI_MS,
@@ -30,7 +30,7 @@ class AppConfig:
     speed_floor_ms: float = 1.5  # deprecated and ignored; old configs still load
     max_lateral_m: float = DEFAULT_MAX_LATERAL_M
 
-    # vehicle data aggregator schedule
+    # vehicle data aggregator schedule; no command reads it, old configs still load
     vda_schedule_ms: dict[str, int] = field(default_factory=lambda: dict(DEFAULT_SCHEDULE_MS))
 
     # metric floors and handover rule
@@ -50,9 +50,6 @@ class AppConfig:
             max_course_deg=self.max_course_deg,
             max_speed_ms=self.max_speed_ms,
         )
-
-    def schedule(self) -> TransmitSchedule:
-        return TransmitSchedule(periods_ms=dict(self.vda_schedule_ms))
 
     @classmethod
     def from_dict(cls, data: dict) -> "AppConfig":

@@ -47,6 +47,7 @@ from .messages import (
     TrafficObjectObservation,
 )
 # Not used here: perfbench/trace.py wraps these fusion globals by name.
+from .aggregators import backend_dedup  # noqa: F401
 from .messages import observation_from_cam, observations_from_cpm  # noqa: F401
 from .situation import (
     FusedObject,
@@ -55,14 +56,16 @@ from .situation import (
     SignalizedTopology,
     SituationRecord,
 )
-from .aggregators import backend_dedup, environment_for
+from .aggregators import environment_for
 from .store import RawColumns, RawSpat, SituationStore
-from .wire import MAX_TIME_MS
+from .wire import MAX_TIME_MS, RecordKind
 
 DEFAULT_WINDOW_MS = 500
 DEFAULT_RADIUS_M = 300.0
 DEFAULT_MAX_LATERAL_M = 2.0
 VUT_FIX_TOLERANCE_MS = 2000
+# The window kinds a situation fuses; VUT fixes and weather have their own queries.
+_FUSED_KINDS = frozenset(RecordKind) - {RecordKind.VUT_SENSOR, RecordKind.ENVIRONMENT}
 
 # Cell edge margin over the threshold chord; covers float rounding of the
 # coordinates (~1e-9 m at Earth radius) many times over.
@@ -418,7 +421,7 @@ def _vut_observation(store: SituationStore, vut: StationId, fix) -> TrafficObjec
 
 def _window_observations(cams: RawColumns, cpms: RawColumns) -> tuple[ObservationColumns, ...]:
     """CAM and CPM window rows as observations (see observation_from_cam and
-    observations_from_cpm); rows are unique per message key, in backend_dedup order."""
+    observations_from_cpm); rows are unique per message key, in message key order."""
 
     def observations(rows: RawColumns, source: ObservationSource, object_id: str):
         return ObservationColumns.checked(
@@ -451,9 +454,8 @@ def fuse_situation(
     window_ms: int = DEFAULT_WINDOW_MS,
     radius_m: float = DEFAULT_RADIUS_M,
     max_lateral_m: float = DEFAULT_MAX_LATERAL_M,
-    persist: bool = True,
 ) -> SituationRecord:
-    """Build (and normally persist) the situation for a VUT and timestamp.
+    """Build and persist the situation for a VUT and timestamp.
 
     Rerunning on identical store content produces an identical record except
     for the situation identifier.  Raises ValueError for a t outside
@@ -467,7 +469,7 @@ def fuse_situation(
         raise NoVutFix(f"no GNSS fix of VUT {vut} within {VUT_FIX_TOLERANCE_MS} ms of {t}")
     center = fix.extract.gnss
 
-    window = store.query_raw(t - window_ms, t + window_ms, center, radius_m)
+    window = store.query_raw(t - window_ms, t + window_ms, center, radius_m, _FUSED_KINDS)
     blocks = (
         *_window_observations(window.cams, window.cpm_detections),
         ObservationColumns.of([_vut_observation(store, vut, fix)]),
@@ -475,7 +477,7 @@ def fuse_situation(
     objects = dedup(ObservationColumns(*map(np.concatenate, zip(*blocks))), th)
 
     topo = _nearest_topology(store, center, radius_m)
-    topology = join_topology(topo, backend_dedup(window.spats), t) if topo else None
+    topology = join_topology(topo, window.spats, t) if topo else None
     objects = link_lanes(objects, topology, max_lateral_m)
 
     driver = None
@@ -484,12 +486,7 @@ def fuse_situation(
         nearest = min(driver_rows, key=lambda r: (abs(r.sample.timestamp - t), -r.sample.timestamp))
         driver = nearest.sample
 
-    hazards = tuple(
-        sorted(
-            (r.event for r in backend_dedup(window.hazard_rows)),
-            key=lambda h: (h.timestamp, h.source, int(h.kind)),
-        )
-    )
+    hazards = tuple(r.event for r in window.hazard_rows)
 
     environment = environment_for(t, center, store.environment_candidates(t))
 
@@ -506,7 +503,5 @@ def fuse_situation(
         hazards=hazards,
         environment=environment,
     )
-    if persist:
-        sid = store.persist_situation(record)
-        record = replace(record, situation_id=sid)
-    return record
+    sid = store.persist_situation(record)
+    return replace(record, situation_id=sid)

@@ -3,9 +3,11 @@
 A scenario plants constant-velocity road users around an intersection,
 then renders the message streams a real deployment would produce: awareness
 self-reports from cooperative vehicles, camera detections of everything in
-range, sensor and driver records from the vehicle under test.  All emission
-clocks are aligned to the scenario start, all noise comes from one seeded
-generator, so a config maps to byte-identical batches every time.
+range, sensor and driver records from the vehicle under test.  Each station
+queues its records through the station aggregators into its own local store,
+and its batches are planned from that queue.  All emission clocks are aligned
+to the scenario start, all noise comes from one seeded generator, so a config
+maps to byte-identical batches every time.
 
 Scoring compares a fused situation against the ground truth by greedy
 nearest-neighbour matching at the situation timestamp.  Greedy is adequate
@@ -28,9 +30,11 @@ from .geo import (
     haversine_distance,
     normalize_course,
 )
+from .aggregators import LocalStore, TransmitSchedule, dda_ingest, tdac_ingest, vda_tick
 from .messages import (
     CamExtract,
     CpmDetection,
+    CpmExtract,
     DoorState,
     DriverStateSample,
     ExteriorLight,
@@ -222,9 +226,9 @@ class GroundTruth:
         )
 
 
-def _emission_instants(start_ms: int, duration_ms: int, rate_hz: float) -> list[int]:
+def _emission_instants(start_ms: int, duration_ms: int, rate_hz: float) -> range:
     period = max(1, round(1000.0 / rate_hz))
-    return list(range(start_ms, start_ms + duration_ms + 1, period))
+    return range(start_ms, start_ms + duration_ms + 1, period)
 
 
 def _noisy_state(rng, pos: GeoPosition, speed: float, course: float, noise: NoiseSpec):
@@ -332,10 +336,10 @@ def generate(cfg: ScenarioConfig) -> tuple[GroundTruth, list[wire.BatchEnvelope]
         objects=tuple(objects),
     )
 
-    per_station: dict[int, list[wire.AbsoluteRecord]] = {}
-
-    def emit(station: int, record: wire.AbsoluteRecord) -> None:
-        per_station.setdefault(station, []).append(record)
+    stations = {
+        station: LocalStore(station)
+        for station in (CAMERA_STATION, *(obj.station for obj in objects if obj.cooperative))
+    }
 
     # Cooperative self-reports, the VUT included.
     for t in _emission_instants(cfg.start_time_ms, duration_ms, cfg.rates.cam_hz):
@@ -352,40 +356,35 @@ def generate(cfg: ScenarioConfig) -> tuple[GroundTruth, list[wire.BatchEnvelope]
                 course=ncourse,
                 classification=obj.classification,
             )
-            emit(obj.station, wire.AbsoluteRecord(
-                wire.RecordKind.CAM_EXTRACT, t, npos, wire.pack_cam(cam)
-            ))
+            tdac_ingest(cam, obj.station, stations[obj.station])
 
-    # Camera detections of everything in range.
+    # Camera detections of everything in range, one CPM per instant.
     for t in _emission_instants(cfg.start_time_ms, duration_ms, cfg.rates.cpm_hz):
+        detections = []
         for obj in objects:
             pos, speed, course = obj.state_at(t)
             if haversine_distance(cfg.center, pos) > cfg.camera_radius_m:
                 continue
             npos, nspeed, ncourse = _noisy_state(rng, pos, speed, course, cfg.cpm_noise)
-            detection = CpmDetection(
+            detections.append(CpmDetection(
                 object_id=CAMERA_TRACK_OFFSET + obj.object_id,
                 classification=obj.classification,
                 position=npos,
                 speed=nspeed,
                 course=ncourse,
-            )
-            emit(CAMERA_STATION, wire.AbsoluteRecord(
-                wire.RecordKind.CPM_DETECTION,
-                t,
-                npos,
-                wire.pack_cpm_detection(CAMERA_STATION, detection),
             ))
+        if detections:
+            cpm = CpmExtract(CAMERA_STATION, t, tuple(detections))
+            tdac_ingest(cpm, CAMERA_STATION, stations[CAMERA_STATION])
 
-    # VUT sensor extracts.
+    # VUT sensor extracts: one schedule group at the VUT period, one per instant.
     vut = objects[0]
-    for t in _emission_instants(cfg.start_time_ms, duration_ms, cfg.rates.vut_hz):
+    instants = _emission_instants(cfg.start_time_ms, duration_ms, cfg.rates.vut_hz)
+    schedule = TransmitSchedule({"vut": instants.step})
+    for t in instants:
         pos, speed, course = vut.state_at(t)
         npos, nspeed, _ = _noisy_state(rng, pos, speed, course, cfg.vut_noise)
-        extract = _default_vut_extract(t, npos, nspeed)
-        emit(cfg.vut_station, wire.AbsoluteRecord(
-            wire.RecordKind.VUT_SENSOR, t, npos, wire.pack_vut_sensor(extract)
-        ))
+        vda_tick(t, _default_vut_extract(t, npos, nspeed), schedule, stations[cfg.vut_station])
 
     # Driver samples, georeferenced at the VUT.
     for t in _emission_instants(cfg.start_time_ms, duration_ms, cfg.rates.driver_hz):
@@ -397,14 +396,11 @@ def generate(cfg: ScenarioConfig) -> tuple[GroundTruth, list[wire.BatchEnvelope]
             heart_rate_bpm=int(rng.integers(55, 100)),
             self_reported=False,
         )
-        emit(cfg.vut_station, wire.AbsoluteRecord(
-            wire.RecordKind.DRIVER_STATE, t, pos, wire.pack_driver_state(sample)
-        ))
+        dda_ingest(sample, pos, stations[cfg.vut_station])
 
     envelopes: list[wire.BatchEnvelope] = []
-    for station in sorted(per_station):
-        records = sorted(per_station[station], key=lambda r: r.time_ms)
-        envelopes.extend(wire.plan_batches(records, station))
+    for station in sorted(stations):
+        envelopes.extend(wire.plan_batches(stations[station].pending, station))
     return truth, envelopes
 
 

@@ -441,6 +441,12 @@ class SituationStore:
         with self._lock:
             self._conn.close()
 
+    def __enter__(self) -> "SituationStore":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
     # -- raw ingestion -----------------------------------------------------
 
     def insert_raw(self, rows) -> int:
@@ -832,7 +838,8 @@ class RawTable(NamedTuple):
 
     table: str
     width: int  # column count
-    # the window's ORDER BY; its first column is the time the window bounds
+    # the window's ORDER BY: the time the window bounds, then the rest of the
+    # table's UNIQUE key, so windows are in one total order
     order: tuple[str, ...]
     lat_column: int  # index of the lat column; lon is the next one
     from_row: Callable[[tuple], RawRow]
@@ -862,7 +869,7 @@ RAW_TABLE: dict[wire.RecordKind, RawTable] = {
         "environment_rows",
     ),
     wire.RecordKind.HAZARD: RawTable(
-        "raw_hazard", 7, ("timestamp_ms", "source"), 3, _row_to_hazard, "hazard_rows"
+        "raw_hazard", 7, ("timestamp_ms", "source", "kind"), 3, _row_to_hazard, "hazard_rows"
     ),
 }
 RAW_TABLES = tuple(t.table for t in RAW_TABLE.values())

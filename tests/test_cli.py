@@ -1,6 +1,7 @@
 import inspect
 import json
 import socket
+import sqlite3
 import threading
 
 import pytest
@@ -17,7 +18,7 @@ from situfuse.config import AppConfig
 from situfuse.fusion import SimilarityThresholds, fuse_situation
 from situfuse.simgen import ScenarioConfig, generate
 from situfuse.store import SituationStore
-from situfuse import fusion, metrics, stressmap, wire
+from situfuse import cli, fusion, metrics, stressmap, wire
 from conftest import REFERENCE_T0, REFERENCE_VUT, reference_raw_rows
 
 from test_stressmap import validate_geojson
@@ -102,6 +103,30 @@ def test_fuse_at_the_end_of_the_time_range_is_user_error(workdir, capsys, at, er
     _, config, _, _ = workdir
     assert run("--config", config, "fuse", "--vut", "12345", "--at", str(at)) == EXIT_USER
     assert error in capsys.readouterr().err
+
+
+def test_store_closes_when_the_with_body_raises(workdir, monkeypatch):
+    """A store used as a context manager is closed on the way out of a body
+    that raises, also in a command that fails inside it."""
+    tmp_path, config, _, _ = workdir
+    with pytest.raises(RuntimeError):
+        with SituationStore(str(tmp_path / "direct.db")) as store:
+            raise RuntimeError("inside the body")
+    with pytest.raises(sqlite3.ProgrammingError):
+        store.stats()
+
+    opened = []
+
+    class RecordingStore(SituationStore):
+        def __init__(self, path):
+            super().__init__(path)
+            opened.append(self)
+
+    monkeypatch.setattr(cli, "SituationStore", RecordingStore)
+    assert run("--config", config, "fuse", "--vut", "12345", "--at", "1700000000000") == EXIT_USER
+    (store,) = opened
+    with pytest.raises(sqlite3.ProgrammingError):
+        store.stats()
 
 
 def test_eval_unknown_situation_is_user_error(workdir, capsys):

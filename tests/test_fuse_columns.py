@@ -18,13 +18,17 @@ from situfuse import wire
 from situfuse.fusion import dedup, fuse_situation, join_topology, link_lanes, merge_group
 from situfuse.geo import LocalPoint, from_local_enu
 from situfuse.messages import (
+    HazardEvent,
+    HazardKind,
     MapLane,
     MapTopology,
     ObjectClassification,
     ObservationSource,
+    SignalPhase,
+    SpatExtract,
 )
-from situfuse.simgen import MessageRates, ScenarioConfig, generate
-from situfuse.store import RawVutSensor, SituationStore
+from situfuse.simgen import VUT_OBJECT_ID, MessageRates, ScenarioConfig, generate
+from situfuse.store import RawHazard, RawSpat, RawVutSensor, SituationStore
 
 from conftest import make_vut_extract, oracle_components
 from test_fusion import CENTER, T0, obs, random_instance
@@ -85,6 +89,36 @@ def test_fuse_situation_links_lanes_like_typed_path():
     record = _assert_same_record(cfg, store, t + 40)
     linked = [o.lane_id for o in record.objects if o.lane_id is not None]
     assert len(linked) >= 4 and 99 not in linked
+    store.close()
+
+
+def test_fuse_situation_trusts_the_store_keys_for_spat_and_hazards():
+    """SPaT and hazard rows, each heard by two receivers and the later copy
+    stored first, and hazards that tie on (timestamp, source): the store's
+    keys and window order give the record that backend_dedup and a sort give
+    the typed path."""
+    rng = random.Random(64)
+    cfg, truth, store = _scene(42, 1.0)
+    t = cfg.start_time_ms + 5000
+    store.put_topology(_lanes_along(truth, t))
+    here = truth.object_by_id(VUT_OBJECT_ID).state_at(t)[0]
+    phases = [p for p in SignalPhase if p is not SignalPhase.UNKNOWN]
+    rows = [
+        RawSpat(SpatExtract(3, group, rng.choice(phases), t + 9000), t + dt, here, 0, 0)
+        for group in range(3) for dt in (-300, -60, 60, 400)  # +-60 tie on |time - t|
+    ]
+    rows += [
+        RawHazard(HazardEvent(kind, t + dt, here, source), 0, 0)
+        for dt in (-200, 0, 300) for source in (7, 8) for kind in HazardKind
+    ]
+    rng.shuffle(rows)
+    for row in rows:
+        store.insert_raw([replace(row, reporter=901, receive_time=20)])
+        store.insert_raw([replace(row, reporter=902, receive_time=10)])
+    record = _assert_same_record(cfg, store, t)
+    assert len(record.hazards) == 18
+    assert [h.kind for h in record.hazards[:3]] == list(HazardKind)
+    assert SignalPhase.UNKNOWN not in {lane.phase for lane in record.topology.lanes}
     store.close()
 
 
@@ -190,6 +224,24 @@ def test_stored_row_faults_raise_value_error(tmp_path, row, fault):
     store = _raw_store(tmp_path, [_cam(originator=2, east=40.0), row(**fault)])
     with pytest.raises(ValueError):
         fuse_situation(100, TW, store)
+    store.close()
+
+
+def _hazard(code, source=7, t=TW):
+    return wire.RecordKind.HAZARD, (source, code, t, CENTER.lat, CENTER.lon, 900, 1)
+
+
+def test_stored_unknown_hazard_code_is_kept_beside_kind_other(tmp_path):
+    """Code 9 is no hazard kind and reads as OTHER, but it is another stored
+    key than code 0 of the same source and time: both are kept, in stored
+    code order.  backend_dedup, which the typed path still runs, folds them."""
+    store = _raw_store(tmp_path, [_hazard(9), _hazard(1), _hazard(0), _hazard(9, source=6)])
+    record = fuse_situation(100, TW, store)
+    assert [(h.source, h.kind) for h in record.hazards] == [
+        (6, HazardKind.OTHER), (7, HazardKind.OTHER), (7, HazardKind.PANIC_BRAKING),
+        (7, HazardKind.OTHER),
+    ]
+    assert len(fuse_situation_typed(100, TW, store).hazards) == 3
     store.close()
 
 

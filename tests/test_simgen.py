@@ -1,3 +1,4 @@
+import hashlib
 import statistics
 
 import pytest
@@ -62,6 +63,41 @@ def test_different_seed_differs():
     _, first = generate(quiet(seed=1))
     _, second = generate(quiet(seed=2))
     assert [wire.encode_batch(e) for e in first] != [wire.encode_batch(e) for e in second]
+
+
+@pytest.mark.parametrize(
+    "cfg, digest",
+    [
+        (
+            ScenarioConfig(seed=3, duration_s=4.0, vehicle_count=4, pedestrian_count=2),
+            "4549a20fc8fd1a828d7c180749a43ef1ad5bc00968b3d61976d21c291cda0f7c",
+        ),
+        (
+            ScenarioConfig(
+                seed=5, duration_s=3.0, vehicle_count=6, pedestrian_count=3,
+                rates=MessageRates(cam_hz=10.0, cpm_hz=10.0, vut_hz=10.0, driver_hz=2.0),
+            ),
+            "bbabf02bb59576f515fb6034aa154257cac638712e9561888fdc8b0fe92617b1",
+        ),
+        (  # a small camera radius: some camera instants see no object
+            ScenarioConfig(
+                seed=8, duration_s=5.0, vehicle_count=3, pedestrian_count=1,
+                cooperative_fraction=1.0, camera_radius_m=40.0,
+                rates=MessageRates(cam_hz=2.0, cpm_hz=5.0, vut_hz=3.0, driver_hz=0.5),
+            ),
+            "411caf63f96301114bdb26d2888fddc88055011b18e88349b612ab789b844bc9",
+        ),
+    ],
+    ids=["default-rates", "10hz", "sparse-camera"],
+)
+def test_generated_bytes_are_pinned(cfg, digest):
+    """The benchmark's inputs come from simgen: any change to a simulated
+    stream's bytes must show here.  Each digest is the sha256 over the
+    encoded envelopes in generate()'s order."""
+    h = hashlib.sha256()
+    for env in generate(cfg)[1]:
+        h.update(wire.encode_batch(env))
+    assert h.hexdigest() == digest
 
 
 def test_record_counts_match_emission_clocks():

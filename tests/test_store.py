@@ -164,6 +164,22 @@ def test_query_raw_matches_full_scan_oracle(store):
         assert {r.cam.originator for r in got.cams} == expected
 
 
+def test_query_raw_orders_hazards_by_their_whole_key(store):
+    """Hazards that tie on (timestamp, source) come back by kind, whatever
+    order they were stored in: a window is in its table's UNIQUE key order."""
+    rng = random.Random(45)
+    rows = [
+        RawHazard(HazardEvent(kind, T0 + dt, CENTER, source), 9, 1)
+        for dt in (0, 10) for source in (3, 4) for kind in HazardKind
+    ]
+    rng.shuffle(rows)
+    for row in rows:  # one insert each, so the rowids follow the shuffle
+        store.insert_raw([row])
+    got = store.query_raw(T0, T0 + 10, CENTER, 10.0)
+    expected = sorted(rows, key=lambda r: (r.event.timestamp, r.event.source, int(r.event.kind)))
+    assert rows != expected and list(got.hazard_rows) == expected
+
+
 def _window_facts(row) -> tuple[str, int, GeoPosition, tuple]:
     """(RawSlice list, time, position, documented window order) of a typed raw row."""
     if isinstance(row, RawCam):
@@ -185,7 +201,7 @@ def _window_facts(row) -> tuple[str, int, GeoPosition, tuple]:
         t = row.sample.timestamp  # the station column holds the reporter
         return "environment_rows", t, row.sample.area_center, (t, row.reporter)
     h = row.event
-    return "hazard_rows", h.timestamp, h.position, (h.timestamp, h.source)
+    return "hazard_rows", h.timestamp, h.position, (h.timestamp, h.source, int(h.kind))
 
 
 def _window_oracle(facts, t_min, t_max, radius, kinds=None) -> dict[str, list]:
@@ -599,14 +615,18 @@ def test_rows_from_envelope_covers_all_kinds(store):
 
 
 def test_raw_table_entries_match_created_schema(store):
-    """Each RAW_TABLE entry names a created table of its width that holds the
-    window's order columns (time first) and its lat/lon column pair."""
+    """Each RAW_TABLE entry names a created table of its width whose UNIQUE
+    key is the window's order columns (time first, so the order is total), and
+    its lat/lon column pair."""
     for raw in store_module.RAW_TABLE.values():
         info = store._conn.execute(f"PRAGMA table_info({raw.table})").fetchall()
         types = {name: kind for _, name, kind, *_ in info}
         columns = list(types)
         assert len(columns) == raw.width, raw.table
-        assert set(raw.order) <= set(columns), raw.table
+        indexes = store._conn.execute(f"PRAGMA index_list({raw.table})").fetchall()
+        (unique,) = [name for _, name, is_unique, *_ in indexes if is_unique]
+        key = {name for *_, name in store._conn.execute(f"PRAGMA index_info({unique})")}
+        assert set(raw.order) == key and len(raw.order) == len(key), raw.table
         assert types[raw.order[0]] == "INTEGER", raw.table
         lat, lon = columns[raw.lat_column : raw.lat_column + 2]
         assert (lat, lon) in {("lat", "lon"), ("center_lat", "center_lon")}, raw.table
