@@ -84,13 +84,16 @@ class LocalStore:
 
     station: StationId
     station_position: GeoPosition | None = None
-    flush_interval_ms: int = 1000
     pending: list[wire.AbsoluteRecord] = field(default_factory=list)
     high_water: int = 0
     last_emit: dict[str, int] = field(default_factory=dict)
 
     def append(self, record: wire.AbsoluteRecord) -> None:
-        bisect.insort(self.pending, record, key=lambda r: r.time_ms)
+        # Stations queue in time order almost always; equal times keep arrival order.
+        if not self.pending or self.pending[-1].time_ms <= record.time_ms:
+            self.pending.append(record)
+        else:
+            bisect.insort(self.pending, record, key=lambda r: r.time_ms)
         self.high_water = max(self.high_water, len(self.pending))
 
 
@@ -98,7 +101,8 @@ def tdac_ingest(extract, received_by: StationId, local: LocalStore) -> LocalStor
     """Queue a received V2X extract; topologies are static and never queued.
 
     The receiver identity travels as the envelope station, so the queue must
-    belong to the station that heard the message.
+    belong to the station that heard the message.  A SPAT carries no
+    generation time of its own and goes through ``tdac_ingest_spat``.
     """
     if received_by != local.station:
         raise ValueError(f"store of station {local.station} cannot queue for {received_by}")
@@ -123,11 +127,6 @@ def tdac_ingest(extract, received_by: StationId, local: LocalStore) -> LocalStor
                     wire.pack_cpm_detection(extract.originator, det),
                 )
             )
-    elif isinstance(extract, SpatExtract):
-        # SPAT extracts carry no generation time of their own; queuing through
-        # this generic path stamps them with the change time.  Use
-        # tdac_ingest_spat when the reception time is known.
-        tdac_ingest_spat(extract, extract.change_time, local)
     elif isinstance(extract, HazardEvent):
         local.append(
             wire.AbsoluteRecord(

@@ -2,9 +2,10 @@
 
 Valence and arousal are five-point self-assessment scales: arousal runs from
 1 (excited, frenzied) to 5 (calm, sleepy), valence from 1 (happy, pleased)
-to 5 (unhappy, melancholic); (3, 3) is the neutral point.  Samples collected
-along a drive are combined spatially in a quad tree; every populated leaf
-becomes one colored map cell.
+to 5 (unhappy, melancholic); (3, 3) is the neutral point.  The samples
+collected along a drive are partitioned spatially in a quad tree, built once
+from the whole set; the partition does not depend on the order of the
+samples, and every populated leaf becomes one colored map cell.
 
 The 5x5 interpretation matrix that turns a cell's mean valence/arousal into
 a color is deliberately data, not code: semantics of the scales are not
@@ -68,27 +69,18 @@ class StressCell:
     color: str
 
 
-class _Node:
-    __slots__ = ("bounds", "depth", "count", "sum_valence", "sum_arousal", "children", "samples")
-
-    def __init__(self, bounds: Bounds, depth: int):
-        self.bounds = bounds
-        self.depth = depth
-        self.count = 0
-        # Scales are small integers, so the sums stay exact no matter the
-        # insertion order.
-        self.sum_valence = 0
-        self.sum_arousal = 0
-        self.children: list[_Node] | None = None
-        self.samples: list[StressSample] = []
-
-
 class StressQuadTree:
-    """Count/sum aggregation per node; leaves split at the capacity limit."""
+    """Populated leaves of a quad tree built once, top-down, from a sample set.
+
+    A node with more than ``capacity`` samples above ``max_depth`` splits into
+    SW, SE, NW and NE quarters.  That depends only on how many samples fall
+    inside it, so no leaf and no cell depends on the order of the samples.
+    """
 
     def __init__(
         self,
         bounds: Bounds,
+        samples: Iterable[StressSample] = (),
         capacity: int = DEFAULT_CAPACITY,
         max_depth: int = DEFAULT_MAX_DEPTH,
     ):
@@ -96,108 +88,59 @@ class StressQuadTree:
             raise ValueError(f"degenerate bounds {bounds}")
         if capacity < 1 or max_depth < 0:
             raise ValueError("capacity must be >= 1 and max_depth >= 0")
-        self.capacity = capacity
-        self.max_depth = max_depth
-        self._root = _Node(bounds, 0)
-
-    @property
-    def bounds(self) -> Bounds:
-        return self._root.bounds
-
-    @property
-    def count(self) -> int:
-        return self._root.count
-
-    def insert(self, sample: StressSample) -> None:
-        if not self._root.bounds.contains(sample.position):
-            raise OutOfBounds(f"{sample.position} outside {self._root.bounds}")
-        node = self._root
-        while True:
-            node.count += 1
-            node.sum_valence += sample.valence
-            node.sum_arousal += sample.arousal
-            if node.children is not None:
-                node = node.children[self._quadrant(node, sample.position)]
+        samples = list(samples)
+        for s in samples:
+            if not bounds.contains(s.position):
+                raise OutOfBounds(f"{s.position} outside {bounds}")
+        self.bounds = bounds
+        self.count = len(samples)
+        # (bounds, count, valence sum, arousal sum) per populated leaf, in
+        # Z-order.  Scales are small integers, so the sums are exact.
+        self._leaves: list[tuple[Bounds, int, int, int]] = []
+        stack = [(bounds, 0, samples)]
+        while stack:
+            b, depth, members = stack.pop()
+            if len(members) <= capacity or depth >= max_depth:
+                if members:
+                    sums = sum(s.valence for s in members), sum(s.arousal for s in members)
+                    self._leaves.append((b, len(members), *sums))
                 continue
-            node.samples.append(sample)
-            if len(node.samples) > self.capacity and node.depth < self.max_depth:
-                self._split(node)
-            return
-
-    @staticmethod
-    def _quadrant(node: _Node, p: GeoPosition) -> int:
-        # Z-order of children: SW, SE, NW, NE; points on a split line go to
-        # the upper half so assignment is unambiguous.
-        mid_lat, mid_lon = node.bounds.mid()
-        return (2 if p.lat >= mid_lat else 0) + (1 if p.lon >= mid_lon else 0)
-
-    def _split(self, node: _Node) -> None:
-        b = node.bounds
-        mid_lat, mid_lon = b.mid()
-        node.children = [
-            _Node(Bounds(b.lat_min, b.lon_min, mid_lat, mid_lon), node.depth + 1),
-            _Node(Bounds(b.lat_min, mid_lon, mid_lat, b.lon_max), node.depth + 1),
-            _Node(Bounds(mid_lat, b.lon_min, b.lat_max, mid_lon), node.depth + 1),
-            _Node(Bounds(mid_lat, mid_lon, b.lat_max, b.lon_max), node.depth + 1),
-        ]
-        samples, node.samples = node.samples, []
-        for sample in samples:
-            child = node.children[self._quadrant(node, sample.position)]
-            child.count += 1
-            child.sum_valence += sample.valence
-            child.sum_arousal += sample.arousal
-            child.samples.append(sample)
-        for child in node.children:
-            if len(child.samples) > self.capacity and child.depth < self.max_depth:
-                self._split(child)
+            # Z-order of children: SW, SE, NW, NE; points on a split line go
+            # to the upper or right half so assignment is unambiguous.
+            mid_lat, mid_lon = b.mid()
+            quarters: tuple[list[StressSample], ...] = ([], [], [], [])
+            for s in members:
+                p = s.position
+                quarters[(2 if p.lat >= mid_lat else 0) + (1 if p.lon >= mid_lon else 0)].append(s)
+            children = (
+                Bounds(b.lat_min, b.lon_min, mid_lat, mid_lon),
+                Bounds(b.lat_min, mid_lon, mid_lat, b.lon_max),
+                Bounds(mid_lat, b.lon_min, b.lat_max, mid_lon),
+                Bounds(mid_lat, mid_lon, b.lat_max, b.lon_max),
+            )
+            stack.extend((children[q], depth + 1, quarters[q]) for q in (3, 2, 1, 0))
 
     def cells(self, min_count: int = 1, matrix: "StressMatrix | None" = None) -> list[StressCell]:
-        """One cell per populated leaf, in Z-order."""
+        """One cell per populated leaf holding at least ``min_count`` samples, in Z-order."""
         matrix = matrix or StressMatrix.default()
         out: list[StressCell] = []
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if node.children is not None:
-                stack.extend(reversed(node.children))
+        for bounds, count, sum_valence, sum_arousal in self._leaves:
+            if count < min_count:
                 continue
-            if node.count >= min_count and node.count > 0:
-                mean_v = node.sum_valence / node.count
-                mean_a = node.sum_arousal / node.count
-                v_round, a_round, color = color_for(mean_v, mean_a, matrix)
-                out.append(
-                    StressCell(
-                        bounds=node.bounds,
-                        mean_valence=mean_v,
-                        mean_arousal=mean_a,
-                        count=node.count,
-                        cell=(v_round, a_round),
-                        color=color,
-                    )
+            mean_v = sum_valence / count
+            mean_a = sum_arousal / count
+            v_round, a_round, color = color_for(mean_v, mean_a, matrix)
+            out.append(
+                StressCell(
+                    bounds=bounds,
+                    mean_valence=mean_v,
+                    mean_arousal=mean_a,
+                    count=count,
+                    cell=(v_round, a_round),
+                    color=color,
                 )
+            )
         return out
-
-    def audit(self) -> bool:
-        """Structural check: every inner node's sums equal its children's."""
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if node.children is None:
-                if node.count != len(node.samples):
-                    return False
-                if node.sum_valence != sum(s.valence for s in node.samples):
-                    return False
-                if node.sum_arousal != sum(s.arousal for s in node.samples):
-                    return False
-                continue
-            if node.count != sum(c.count for c in node.children):
-                return False
-            if node.sum_valence != sum(c.sum_valence for c in node.children):
-                return False
-            if node.sum_arousal != sum(c.sum_arousal for c in node.children):
-                return False
-            stack.extend(node.children)
-        return True
 
 
 class StressMatrix:
@@ -268,10 +211,7 @@ def tree_from_samples(
     lons = [s.position.lon for s in samples]
     pad = 1e-4  # keep the bounds non-degenerate for co-located samples
     bounds = Bounds(min(lats) - pad, min(lons) - pad, max(lats) + pad, max(lons) + pad)
-    tree = StressQuadTree(bounds, capacity=capacity, max_depth=max_depth)
-    for s in samples:
-        tree.insert(s)
-    return tree
+    return StressQuadTree(bounds, samples, capacity=capacity, max_depth=max_depth)
 
 
 def export_geojson(cells: Iterable[StressCell]) -> str:

@@ -291,24 +291,17 @@ def test_criterion_09_quad_tree_oracle():
     rng = random.Random(1009)
     bounds = Bounds(49.0, 6.9, 49.3, 7.2)
     samples = [random_sample(rng, t=k) for k in range(10_000)]
-    tree = StressQuadTree(bounds, capacity=16, max_depth=12)
-    for s in samples:
-        tree.insert(s)
+    tree = StressQuadTree(bounds, samples, capacity=16, max_depth=12)
     cells = tree.cells()
     expected = flat_oracle(cells, samples, bounds)
     got = [(c.count, round(c.mean_valence * c.count), round(c.mean_arousal * c.count)) for c in cells]
     assert got == expected
 
     base = [random_sample(rng, t=k) for k in range(600)]
-    reference_tree = StressQuadTree(bounds, capacity=4, max_depth=10)
-    for s in base:
-        reference_tree.insert(s)
-    reference_cells = reference_tree.cells()
+    reference_cells = StressQuadTree(bounds, base, capacity=4, max_depth=10).cells()
     for shuffle in range(50):
         rng.shuffle(base)
-        other = StressQuadTree(bounds, capacity=4, max_depth=10)
-        for s in base:
-            other.insert(s)
+        other = StressQuadTree(bounds, base, capacity=4, max_depth=10)
         assert other.cells() == reference_cells, f"shuffle {shuffle}"
 
     v, a, color = color_for(3.0, 3.0)

@@ -110,6 +110,25 @@ def test_tdac_ingest_spat_needs_station_position():
     assert local.pending[0].time_ms == T0
 
 
+def test_tdac_ingest_refuses_spat():
+    local = LocalStore(station=7, station_position=HERE)
+    with pytest.raises(TypeError):
+        tdac_ingest(SpatExtract(1, 3, SignalPhase.GREEN, T0 + 4000), received_by=7, local=local)
+    assert local.pending == []
+
+
+def test_local_store_keeps_pending_in_time_order():
+    local = LocalStore(station=7, station_position=HERE)
+    times = [T0 + 200, T0 + 100, T0 + 200, T0 + 300, T0 + 100, T0]
+    spats = [SpatExtract(1, k, SignalPhase.GREEN, t + 4000) for k, t in enumerate(times)]
+    for spat, t in zip(spats, times):
+        tdac_ingest_spat(spat, t, local)
+    # stable by time: a late record goes after the pending records of equal time
+    order = sorted(range(len(times)), key=times.__getitem__)
+    assert [r.payload for r in local.pending] == [wire.pack_spat(spats[k]) for k in order]
+    assert local.high_water == len(times)
+
+
 def test_vda_tick_respects_period():
     local = LocalStore(station=100)
     schedule = TransmitSchedule()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -34,8 +35,7 @@ def random_sample(rng, t=1):
 
 
 def test_single_sample_root_leaf():
-    tree = StressQuadTree(BOUNDS)
-    tree.insert(sample(49.1, 7.0))
+    tree = StressQuadTree(BOUNDS, [sample(49.1, 7.0)])
     assert tree.count == 1
     cells = tree.cells()
     assert len(cells) == 1
@@ -44,39 +44,34 @@ def test_single_sample_root_leaf():
 
 
 def test_out_of_bounds_rejected():
-    tree = StressQuadTree(BOUNDS)
     with pytest.raises(OutOfBounds):
-        tree.insert(sample(48.0, 7.0))
+        StressQuadTree(BOUNDS, [sample(49.1, 7.0), sample(48.0, 7.0)])
 
 
 def test_colocated_samples_stop_splitting_at_max_depth():
-    tree = StressQuadTree(BOUNDS, capacity=2, max_depth=3)
-    for k in range(10):
-        tree.insert(sample(49.123456, 7.0123456, t=k))
+    samples = [sample(49.123456, 7.0123456, t=k) for k in range(10)]
+    tree = StressQuadTree(BOUNDS, samples, capacity=2, max_depth=3)
     assert tree.count == 10
     cells = tree.cells()
     deepest = max(cells, key=lambda c: c.count)
     assert deepest.count == 10  # no further split below the depth cap
-    assert tree.audit()
 
 
 def test_structural_audit_random():
     rng = random.Random(1)
-    tree = StressQuadTree(BOUNDS, capacity=8, max_depth=10)
-    for k in range(10_000):
-        tree.insert(random_sample(rng, t=k))
+    samples = [random_sample(rng, t=k) for k in range(10_000)]
+    tree = StressQuadTree(BOUNDS, samples, capacity=8, max_depth=10)
     assert tree.count == 10_000
-    assert tree.audit()
     assert sum(c.count for c in tree.cells()) == 10_000
 
 
 def test_uniform_samples_have_exact_means():
     rng = random.Random(2)
-    tree = StressQuadTree(BOUNDS, capacity=4)
-    for k in range(500):
-        tree.insert(
-            sample(rng.uniform(49.0, 49.3), rng.uniform(6.9, 7.2), valence=2, arousal=3, t=k)
-        )
+    samples = [
+        sample(rng.uniform(49.0, 49.3), rng.uniform(6.9, 7.2), valence=2, arousal=3, t=k)
+        for k in range(500)
+    ]
+    tree = StressQuadTree(BOUNDS, samples, capacity=4)
     for cell in tree.cells():
         assert cell.mean_valence == 2.0
         assert cell.mean_arousal == 3.0
@@ -111,9 +106,7 @@ def flat_oracle(cells, samples, root: Bounds):
 def test_cells_match_flat_recomputation():
     rng = random.Random(3)
     samples = [random_sample(rng, t=k) for k in range(10_000)]
-    tree = StressQuadTree(BOUNDS, capacity=16, max_depth=12)
-    for s in samples:
-        tree.insert(s)
+    tree = StressQuadTree(BOUNDS, samples, capacity=16, max_depth=12)
     cells = tree.cells()
     expected = flat_oracle(cells, samples, BOUNDS)
     got = [
@@ -126,16 +119,78 @@ def test_cells_match_flat_recomputation():
 def test_insertion_order_invariance():
     rng = random.Random(4)
     samples = [random_sample(rng, t=k) for k in range(400)]
-    tree = StressQuadTree(BOUNDS, capacity=4, max_depth=10)
-    for s in samples:
-        tree.insert(s)
-    reference = tree.cells()
+    reference = StressQuadTree(BOUNDS, samples, capacity=4, max_depth=10).cells()
     for shuffle in range(10):
         rng.shuffle(samples)
-        other = StressQuadTree(BOUNDS, capacity=4, max_depth=10)
-        for s in samples:
-            other.insert(s)
+        other = StressQuadTree(BOUNDS, samples, capacity=4, max_depth=10)
         assert other.cells() == reference, f"shuffle {shuffle}"
+
+
+def _cluster_samples(rng):
+    """Spread samples, 40 at one point, which no split can separate, and 52
+    on split lines of the first two levels and on the max corner."""
+    spread = [random_sample(rng, t=k) for k in range(300)]
+    cluster = [
+        sample(49.123456, 7.0123456, rng.randrange(1, 6), rng.randrange(1, 6), t=300 + k)
+        for k in range(40)
+    ]
+    mid_lat, mid_lon = BOUNDS.mid()
+    q_lat, q_lon = Bounds(BOUNDS.lat_min, BOUNDS.lon_min, mid_lat, mid_lon).mid()
+    points = (
+        [(mid_lat, rng.uniform(6.9, 7.2)) for _ in range(20)]
+        + [(rng.uniform(49.0, 49.3), mid_lon) for _ in range(20)]
+        + [(q_lat, q_lon), (mid_lat, mid_lon), (49.3, 7.2), (q_lat, rng.uniform(6.9, mid_lon))] * 3
+    )
+    on_lines = [
+        sample(lat, lon, rng.randrange(1, 6), rng.randrange(1, 6), t=340 + k)
+        for k, (lat, lon) in enumerate(points)
+    ]
+    return spread + cluster + on_lines
+
+
+def _hotspot_samples(rng):
+    centres = [(49.05, 6.95), (49.2, 7.1), (49.27, 6.93)]
+    out = []
+    for k in range(3000):
+        lat, lon = rng.choice(centres)
+        lat, lon = lat + rng.uniform(-0.02, 0.02), lon + rng.uniform(-0.02, 0.02)
+        out.append(sample(lat, lon, rng.randrange(1, 6), rng.randrange(1, 6), t=k))
+    return out
+
+
+# sha256 of the cells of three seeded sample sets, computed with the
+# incremental (insert-built) tree this partition replaced.
+PINNED_CELLS = [
+    (
+        lambda rng: [random_sample(rng, t=k) for k in range(10_000)],
+        1201, 16, 12, 1, 1086,
+        "b9b377633792d1a3cd03c82e70bdec1d1f136bd62865b0f3d647a02401eb9b76",
+    ),
+    (
+        _cluster_samples,
+        1202, 4, 6, 1, 164,
+        "0443cc695450889515503f8690729badc1d48c26195666166e272a75b970a340",
+    ),
+    (
+        _hotspot_samples,
+        1203, 8, 10, 3, 576,
+        "daee06587dffb38b6ce4ec3cf24951692b80716a5bad3c1f35bd44c32bcf3b23",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "make, seed, capacity, max_depth, min_count, n_cells, digest",
+    PINNED_CELLS,
+    ids=["uniform_10k", "cluster_at_max_depth", "min_count_3"],
+)
+def test_cells_are_pinned(make, seed, capacity, max_depth, min_count, n_cells, digest):
+    samples = make(random.Random(seed))
+    tree = StressQuadTree(BOUNDS, samples, capacity=capacity, max_depth=max_depth)
+    cells = tree.cells(min_count=min_count)
+    rows = [(tuple(c.bounds), c.mean_valence, c.mean_arousal, c.count, c.cell, c.color) for c in cells]
+    assert len(cells) == n_cells
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
 
 def test_round_to_scale_away_from_neutral():
@@ -223,9 +278,7 @@ def test_export_geojson_empty():
 
 def test_export_geojson_cells():
     rng = random.Random(5)
-    tree = StressQuadTree(BOUNDS, capacity=4)
-    for k in range(200):
-        tree.insert(random_sample(rng, t=k))
+    tree = StressQuadTree(BOUNDS, [random_sample(rng, t=k) for k in range(200)], capacity=4)
     cells = tree.cells()
     doc = validate_geojson(export_geojson(cells))
     assert len(doc["features"]) == len(cells)
