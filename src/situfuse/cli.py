@@ -20,7 +20,8 @@ import json
 import socket
 import sys
 import time
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .config import AppConfig
@@ -42,6 +43,7 @@ class IngestReport:
     batches: int = 0
     records: int = 0
     inserted: int = 0
+    rejected: Counter = field(default_factory=Counter)  # WireError subclass name -> count
 
     @property
     def duplicates_skipped(self) -> int:
@@ -52,7 +54,7 @@ def _ingest_envelopes(store: SituationStore, envelopes, report: IngestReport) ->
     receive_time = time.time_ns() // 1_000_000
     for env in envelopes:
         report.batches += 1
-        report.records += len(env.records)
+        report.records += env.meta.record_count
         report.inserted += store.insert_envelope(env, receive_time)
 
 
@@ -62,9 +64,15 @@ def serve_ingest(
     port: int,
     connections: int = 1,
     ready_callback=None,
+    report: IngestReport | None = None,
 ) -> IngestReport:
-    """Accept framed envelopes over TCP; one client per connection."""
-    report = IngestReport()
+    """Accept framed envelopes over TCP; one client per connection.
+
+    Each frame is stored as soon as it is decoded.  A frame that fails to
+    decode ends only its connection: the frames before it stay stored, the
+    reject is counted by error class, and the next connection is served.
+    """
+    report = IngestReport() if report is None else report
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as server:
         server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         server.bind((host, port))
@@ -74,7 +82,10 @@ def serve_ingest(
         for _ in range(connections):
             conn, _addr = server.accept()
             with conn, conn.makefile("rb") as stream:
-                _ingest_envelopes(store, wire.read_frames(stream), report)
+                try:
+                    _ingest_envelopes(store, wire.iter_frames(stream), report)
+                except wire.WireError as err:
+                    report.rejected[type(err).__name__] += 1
     return report
 
 
@@ -170,13 +181,13 @@ def cmd_ingest(config: AppConfig, args) -> int:
         if args.listen is not None:
             address = args.listen if args.listen != "" else config.listen
             host, _, port = address.rpartition(":")
-            listen_report = serve_ingest(store, host, int(port), connections=args.connections)
-            report.batches += listen_report.batches
-            report.records += listen_report.records
-            report.inserted += listen_report.inserted
+            serve_ingest(store, host, int(port), connections=args.connections, report=report)
+    rejected = sum(report.rejected.values())
+    by_class = ", ".join(f"{name} {n}" for name, n in sorted(report.rejected.items()))
     print(
         f"ingested {report.batches} batches, {report.records} records,"
-        f" {report.duplicates_skipped} duplicates skipped"
+        f" {report.duplicates_skipped} duplicates skipped,"
+        f" {rejected} frames rejected" + (f" ({by_class})" if rejected else "")
     )
     return EXIT_OK
 

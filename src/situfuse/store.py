@@ -727,32 +727,6 @@ class SituationStore:
             environment=_environment_from_columns(erow[1:]) if erow else None,
         )
 
-    def list_situations(
-        self,
-        vut: StationId | None = None,
-        t_min: int | None = None,
-        t_max: int | None = None,
-    ) -> list[tuple[int, StationId, int, GeoPosition, float]]:
-        """(situation_id, vut, timestamp, center, radius) ordered by timestamp."""
-        clauses, params = [], []
-        if vut is not None:
-            clauses.append("vut_station = ?")
-            params.append(vut)
-        if t_min is not None:
-            clauses.append("timestamp_ms >= ?")
-            params.append(t_min)
-        if t_max is not None:
-            clauses.append("timestamp_ms <= ?")
-            params.append(t_max)
-        where = (" WHERE " + " AND ".join(clauses)) if clauses else ""
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT situation_id, vut_station, timestamp_ms, center_lat, center_lon,"
-                f" radius_m FROM situation{where} ORDER BY timestamp_ms, situation_id",
-                params,
-            ).fetchall()
-        return [(sid, v, t, GeoPosition(la, lo), r) for sid, v, t, la, lo, r in rows]
-
     def stats(self) -> dict[str, int]:
         """Row counts per raw table plus the situation total."""
         out = {}

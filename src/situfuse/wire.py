@@ -60,8 +60,14 @@ from __future__ import annotations
 
 import enum
 import struct
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
+from functools import cached_property
+from itertools import repeat
+from typing import BinaryIO, NamedTuple
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .geo import GeoPosition
 from .messages import (
@@ -187,7 +193,7 @@ class DeltaRecord:
 @dataclass(frozen=True)
 class BatchEnvelope:
     meta: MetaBlock
-    records: tuple[DeltaRecord, ...]
+    records: Sequence[DeltaRecord]  # a tuple, or the RecordColumns of a decoded frame
 
     def __post_init__(self):
         if self.meta.record_count != len(self.records):
@@ -318,154 +324,195 @@ def pack_hazard(h: HazardEvent) -> bytes:
 # --- per-kind codec table ---------------------------------------------------
 #
 # ``decode_batch`` checks every payload of a kind against that kind's rules,
-# and ``raw_rows`` builds its raw-table rows; both unpack a kind's payloads in
-# one ``iter_unpack`` pass over their joined bytes.  A row carries exactly the
-# values the typed extracts hold: codes outside an enum become its 0 member,
-# flags become 0/1, heart rate 0 becomes NULL, positions the 1e-7 degree float.
-
-_CLASSES = frozenset(ObjectClassification)
-_PHASES = frozenset(SignalPhase)
-_HAZARDS = frozenset(HazardKind)
-
-# (generation time, lat, lon) of each record
-Places = Iterable[tuple[int, float, float]]
+# and ``raw_rows`` builds its raw-table rows; both work on the kind's records
+# as one numpy record array (head and payload fields by name).  A row carries
+# exactly the values the typed extracts hold: codes outside an enum become its
+# 0 member, flags become 0/1, heart rate 0 becomes NULL, positions the 1e-7
+# degree float.
 
 
-def _cam_rows(fields, places: Places, station: StationId, receive_time: int):
-    return (
-        (originator, t, lat, lon, speed * 0.01, course * 0.1,
-         cls if cls in _CLASSES else 0, station, receive_time)
-        for (originator, speed, course, cls), (t, lat, lon) in zip(fields, places)
-    )
+def _dtype(layout: struct.Struct, names: str) -> np.dtype:
+    """``layout`` as a numpy record type: one named field per ``struct`` code."""
+    codes = layout.format.lstrip("<")
+    return np.dtype([(name, "<" + code) for name, code in zip(names.split(), codes, strict=True)])
 
 
-def _cpm_rows(fields, places: Places, station: StationId, receive_time: int):
-    return (
-        (originator, t, object_id, cls if cls in _CLASSES else 0, lat, lon,
-         speed * 0.01, course * 0.1, station, receive_time)
-        for (originator, object_id, speed, course, cls), (t, lat, lon) in zip(fields, places)
-    )
+def _known(codes: np.ndarray, members: type[enum.IntEnum]) -> np.ndarray:
+    """The codes, each one outside the enum replaced by 0."""
+    return np.where(np.isin(codes, list(members)), codes, 0)
 
 
-def _spat_rows(fields, places: Places, station: StationId, receive_time: int):
-    return (
-        (intersection, group, phase if phase in _PHASES else 0, change, t, lat, lon,
-         station, receive_time)
-        for (intersection, group, phase, change), (t, lat, lon) in zip(fields, places)
-    )
+# A kind's columns: (record columns, time ms, lat, lon, station) -> the
+# raw-table columns before reporter and receive time, as arrays or constants.
 
 
-def _vut_rows(fields, places: Places, station: StationId, receive_time: int):
-    return (
-        (station, t, flags & 1, flags >> 1 & 1, flags >> 2 & 1, flags >> 3 & 1, gear,
-         doors & 3, doors >> 2 & 3, doors >> 4 & 3, doors >> 6, lights & 0x3F,
-         lat, lon, speed * 0.01, alon * 0.01, alat * 0.01, rain, flags >> 4 & 1,
-         yaw * 0.1, sangle * 0.1, svel * 0.1, station, receive_time)
-        for (flags, gear, doors, lights, speed, alon, alat, rain, yaw, sangle, svel), (t, lat, lon)
-        in zip(fields, places)
-    )
+def _cam_columns(c, t, lat, lon, station):
+    return (c["originator"], t, lat, lon, c["speed"] * 0.01, c["course"] * 0.1,
+            _known(c["classification"], ObjectClassification))
 
 
-def _driver_rows(fields, places: Places, station: StationId, receive_time: int):
-    return (
-        (station, t, valence, arousal, heart_rate or None, 1 if self_reported else 0,
-         lat, lon, station, receive_time)
-        for (valence, arousal, heart_rate, self_reported), (t, lat, lon) in zip(fields, places)
-    )
+def _cpm_columns(c, t, lat, lon, station):
+    return (c["originator"], t, c["object_id"], _known(c["classification"], ObjectClassification), lat, lon,
+            c["speed"] * 0.01, c["course"] * 0.1)
 
 
-def _environment_rows(fields, places: Places, station: StationId, receive_time: int):
-    return (
-        (station, t, validity, lat, lon, float(radius), temp * 0.1, precip * 0.1, wind * 0.1,
-         wdir * 0.1, float(lux), float(vis), pres * 0.1, float(hum), float(cloud),
-         station, receive_time)
-        for (validity, radius, temp, precip, wind, wdir, lux, vis, pres, hum, cloud), (t, lat, lon)
-        in zip(fields, places)
-    )
+def _spat_columns(c, t, lat, lon, station):
+    return (c["intersection"], c["signal_group"], _known(c["phase"], SignalPhase), c["change_time"],
+            t, lat, lon)
 
 
-def _hazard_rows(fields, places: Places, station: StationId, receive_time: int):
-    return (
-        (source, kind if kind in _HAZARDS else 0, t, lat, lon, station, receive_time)
-        for (kind, source), (t, lat, lon) in zip(fields, places)
-    )
+def _vut_columns(c, t, lat, lon, station):
+    flags, doors = c["flags"], c["doors"]
+    return (station, t, flags & 1, flags >> 1 & 1, flags >> 2 & 1, flags >> 3 & 1, c["gear"],
+            doors & 3, doors >> 2 & 3, doors >> 4 & 3, doors >> 6, c["lights"] & 0x3F,
+            lat, lon, c["speed"] * 0.01, c["accel_lon"] * 0.01, c["accel_lat"] * 0.01, c["rain"],
+            flags >> 4 & 1, c["yaw_rate"] * 0.1, c["steer_angle"] * 0.1,
+            c["steer_velocity"] * 0.1)
+
+
+def _driver_columns(c, t, lat, lon, station):
+    heart_rate = c["heart_rate"]
+    return (station, t, c["valence"], c["arousal"], np.where(heart_rate > 0, heart_rate, None),
+            np.minimum(c["self_reported"], 1), lat, lon)
+
+
+def _environment_columns(c, t, lat, lon, station):
+    return (station, t, c["validity"], lat, lon, c["radius"].astype(float),
+            c["temperature"] * 0.1, c["precipitation"] * 0.1, c["wind_speed"] * 0.1,
+            c["wind_dir"] * 0.1, c["illuminance"].astype(float), c["visibility"].astype(float),
+            c["pressure"] * 0.1, c["humidity"].astype(float), c["cloudiness"].astype(float))
+
+
+def _hazard_columns(c, t, lat, lon, station):
+    return (c["source"], _known(c["hazard_kind"], HazardKind), t, lat, lon)
 
 
 class KindCodec(NamedTuple):
-    """Payload layout, payload rules and raw-row builder of one record kind."""
+    """Payload layout, payload rules and raw-table columns of one record kind."""
 
-    layout: struct.Struct
-    # (rule, breaks): ``breaks`` is true for an unpacked payload that breaks the rule
-    rules: tuple[tuple[str, Callable[[tuple], bool]], ...]
-    # (unpacked payloads, places, station, receive time) -> raw-table rows
-    rows: Callable[[Iterator[tuple], Places, StationId, int], Iterator[tuple]]
+    layout: struct.Struct  # packs payloads (the ``pack_*`` helpers)
+    dtype: np.dtype  # the same layout with named fields; reads payloads as columns
+    # (rule, breaks): ``breaks`` maps the kind's record columns to the mask of
+    # the records that break the rule
+    rules: tuple[tuple[str, Callable[[np.ndarray], np.ndarray]], ...]
+    columns: Callable[..., tuple]
 
 
 _COURSE_RULE = "course code below 3600"
 
 CODECS: dict[RecordKind, KindCodec] = {
-    RecordKind.CAM_EXTRACT: KindCodec(_CAM, ((_COURSE_RULE, lambda f: f[2] >= 3600),), _cam_rows),
-    RecordKind.CPM_DETECTION: KindCodec(_CPM, ((_COURSE_RULE, lambda f: f[3] >= 3600),), _cpm_rows),
+    RecordKind.CAM_EXTRACT: KindCodec(
+        _CAM, _dtype(_CAM, "originator speed course classification"),
+        ((_COURSE_RULE, lambda c: c["course"] >= 3600),), _cam_columns,
+    ),
+    RecordKind.CPM_DETECTION: KindCodec(
+        _CPM, _dtype(_CPM, "originator object_id speed course classification"),
+        ((_COURSE_RULE, lambda c: c["course"] >= 3600),), _cpm_columns,
+    ),
     RecordKind.SPAT: KindCodec(
-        _SPAT, (("change time at most MAX_TIME_MS", lambda f: f[3] > MAX_TIME_MS),), _spat_rows
+        _SPAT, _dtype(_SPAT, "intersection signal_group phase change_time"),
+        (("change time at most MAX_TIME_MS", lambda c: c["change_time"] > MAX_TIME_MS),),
+        _spat_columns,
     ),
     RecordKind.VUT_SENSOR: KindCodec(
         _VUT,
+        _dtype(_VUT, "flags gear doors lights speed accel_lon accel_lat rain yaw_rate"
+                     " steer_angle steer_velocity"),
         (
-            ("no door in state 3", lambda f: f[2] & (f[2] >> 1) & 0b01010101),
-            ("rain intensity 0..7", lambda f: f[7] > 7),
-            ("gear -1 or above", lambda f: f[1] < -1),
+            ("no door in state 3", lambda c: c["doors"] & (c["doors"] >> 1) & 0b01010101 != 0),
+            ("rain intensity 0..7", lambda c: c["rain"] > 7),
+            ("gear -1 or above", lambda c: c["gear"] < -1),
         ),
-        _vut_rows,
+        _vut_columns,
     ),
     RecordKind.DRIVER_STATE: KindCodec(
         _DRIVER,
+        _dtype(_DRIVER, "valence arousal heart_rate self_reported"),
         (
-            ("valence 1..5", lambda f: not 1 <= f[0] <= 5),
-            ("arousal 1..5", lambda f: not 1 <= f[1] <= 5),
+            ("valence 1..5", lambda c: (c["valence"] < 1) | (c["valence"] > 5)),
+            ("arousal 1..5", lambda c: (c["arousal"] < 1) | (c["arousal"] > 5)),
         ),
-        _driver_rows,
+        _driver_columns,
     ),
     RecordKind.ENVIRONMENT: KindCodec(
         _ENV,
+        _dtype(_ENV, "validity radius temperature precipitation wind_speed wind_dir"
+                     " illuminance visibility pressure humidity cloudiness"),
         (
-            ("wind direction code below 3600", lambda f: f[5] >= 3600),
-            ("humidity 0..100", lambda f: f[9] > 100),
-            ("cloudiness 0..100", lambda f: f[10] > 100),
+            ("wind direction code below 3600", lambda c: c["wind_dir"] >= 3600),
+            ("humidity 0..100", lambda c: c["humidity"] > 100),
+            ("cloudiness 0..100", lambda c: c["cloudiness"] > 100),
         ),
-        _environment_rows,
+        _environment_columns,
     ),
-    RecordKind.HAZARD: KindCodec(_HAZARD, (), _hazard_rows),
+    RecordKind.HAZARD: KindCodec(_HAZARD, _dtype(_HAZARD, "hazard_kind source"), (), _hazard_columns),
 }
 
 PAYLOAD_SIZE = {kind: codec.layout.size for kind, codec in CODECS.items()}
 _KIND_BY_CODE = {int(kind): kind for kind in RecordKind}
-
-
-def _check_payloads(kind: RecordKind, payloads: list[bytes]) -> None:
-    codec = CODECS[kind]
-    fields = list(codec.layout.iter_unpack(b"".join(payloads)))
-    for rule, breaks in codec.rules:
-        bad = next(filter(breaks, fields), None)
-        if bad is not None:
-            raise BadPayload(f"{kind.name} payload {bad} breaks the rule: {rule}")
+# a whole record (head and payload) of each kind as one numpy record type
+_HEAD = _dtype(RECORD_HEAD, "kind rel_time rel_lat rel_lon payload_len")
+_RECORD = {kind: np.dtype(_HEAD.descr + codec.dtype.descr) for kind, codec in CODECS.items()}
+# payload size by kind code, and the size of a whole record; 0 for a code that is no kind
+_PAYLOAD_BY_CODE = np.array([PAYLOAD_SIZE.get(code, 0) for code in range(256)])
+_STRIDE = tuple(RECORD_HEAD.size + n if n else 0 for n in _PAYLOAD_BY_CODE.tolist())
 
 
 # --- envelope codec --------------------------------------------------------
 
 
+def _gather(buf: np.ndarray, starts: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """The ``dtype`` records that start at ``starts`` in ``buf``, copied into one array."""
+    return sliding_window_view(buf, dtype.itemsize)[starts].view(dtype).ravel()
+
+
+class RecordColumns(Sequence):
+    """The records of one frame, gathered into numpy record arrays.
+
+    ``heads`` holds every record head in record order, and ``by_kind`` each
+    kind's records (head and payload fields) as one numpy record array.  As
+    a sequence it is the envelope's ``DeltaRecord``s, built on first use and
+    equal to any sequence of the same records.
+    """
+
+    def __init__(self, frame: bytes, offsets: list[int]):
+        self.frame, self.offsets = frame, np.array(offsets, dtype=np.intp)
+        buf = np.frombuffer(frame, np.uint8)
+        codes = buf[self.offsets]
+        self.by_kind: dict[RecordKind, np.ndarray] = {}
+        for code in np.flatnonzero(np.bincount(codes)).tolist():
+            kind = _KIND_BY_CODE[code]
+            self.by_kind[kind] = _gather(buf, self.offsets[codes == code], _RECORD[kind])
+        self.heads = _gather(buf, self.offsets, _HEAD)
+
+    @cached_property
+    def typed(self) -> tuple[DeltaRecord, ...]:
+        frame, head, out = self.frame, RECORD_HEAD.unpack_from, []
+        for offset in self.offsets.tolist():
+            code, rel_time, rel_lat, rel_lon, length = head(frame, offset)
+            offset += RECORD_HEAD.size
+            payload = frame[offset : offset + length]
+            out.append(DeltaRecord(_KIND_BY_CODE[code], rel_time, rel_lat, rel_lon, payload))
+        return tuple(out)
+
+    def __len__(self) -> int:
+        return len(self.offsets)
+
+    def __getitem__(self, index):
+        return self.typed[index]
+
+    def __eq__(self, other):
+        return self.typed == tuple(other) if isinstance(other, Sequence) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.typed)
+
+    def __repr__(self) -> str:
+        return repr(self.typed)
+
+
 def _abs_units(meta: MetaBlock) -> tuple[int, int]:
     return (round(meta.ref_position.lat * 1e7), round(meta.ref_position.lon * 1e7))
-
-
-def _places(meta: MetaBlock, records: Iterable[DeltaRecord]) -> Places:
-    """The absolute (time ms, lat, lon) of each record."""
-    lat_u, lon_u = _abs_units(meta)
-    return (
-        (meta.ref_time + REL_TIME_UNIT_MS * r.rel_time,
-         (lat_u + 10 * r.rel_lat) / 1e7, (lon_u + 10 * r.rel_lon) / 1e7)
-        for r in records
-    )
 
 
 def encode_batch(e: BatchEnvelope) -> bytes:
@@ -491,11 +538,55 @@ def _offset_bounds(ref_units: int, limit_units: int) -> tuple[int, int]:
     return max(-MAX_REL_POS, low), min(MAX_REL_POS, high)
 
 
+def _length_error(data: bytes, offset: int) -> BadPayload | None:
+    """The error of the record head at ``offset`` if its payload length is not its kind's."""
+    code, *_, length = RECORD_HEAD.unpack_from(data, offset)
+    kind = _KIND_BY_CODE[code]
+    if length == PAYLOAD_SIZE[kind]:
+        return None
+    return BadPayload(f"kind {kind.name} expects {PAYLOAD_SIZE[kind]} payload bytes, got {length}")
+
+
+def _walk(data: bytes, count: int) -> tuple[list[int], int, WireError | None]:
+    """The offsets of the frame's records and the end of the last one.
+
+    Each record starts where the one before ends, a head plus its kind's
+    payload size later; only kind bytes are read.  The walk stops at the
+    first record whose kind is unknown or whose head or payload is missing,
+    and returns that record's error (a cut-short record whose length field
+    also lies gets the length error, as the field is checked first).
+    """
+    offsets: list[int] = []
+    append, stride = offsets.append, _STRIDE
+    size = len(data)
+    offset, last_head = HEADER.size, size - RECORD_HEAD.size
+    for _ in range(count):
+        if offset > last_head:
+            break
+        step = stride[data[offset]]
+        if not step:
+            break
+        append(offset)
+        offset += step
+    if offset > size:  # the last record's payload is cut short
+        offset = offsets.pop()
+        missing = Truncated(f"payload missing at offset {offset + RECORD_HEAD.size}")
+        return offsets, offset, _length_error(data, offset) or missing
+    if len(offsets) == count:
+        return offsets, offset, None
+    if offset > last_head:
+        return offsets, offset, Truncated(f"record head missing at offset {offset}")
+    return offsets, offset, UnknownKind(f"unknown record kind {data[offset]}")
+
+
 def decode_batch(data: bytes) -> BatchEnvelope:
     """Parse and fully validate an envelope; inverse of :func:`encode_batch`.
 
-    Record heads are walked one by one; the payloads are then checked kind by
-    kind against ``CODECS``, so a bad payload anywhere rejects the frame.
+    One walk finds the records by their kinds' fixed sizes; each kind's
+    records are then checked as numpy columns (payload length, offsets,
+    ``CODECS`` rules), so a bad record anywhere rejects the frame, with the
+    error of the first bad record.  The envelope's ``records`` keep the
+    columns and build ``DeltaRecord``s only when read.
     """
     data = bytes(data)
     size = len(data)
@@ -514,37 +605,31 @@ def decode_batch(data: bytes) -> BatchEnvelope:
     lat_min, lat_max = _offset_bounds(lat_u, 900_000_000)
     lon_min, lon_max = _offset_bounds(lon_u, 1_800_000_000)
 
-    records = []
-    payloads: dict[RecordKind, list[bytes]] = {kind: [] for kind in CODECS}
-    head = RECORD_HEAD.unpack_from
-    offset = HEADER.size
-    for _ in range(count):
-        if size - offset < RECORD_HEAD.size:
-            raise Truncated(f"record head missing at offset {offset}")
-        kind_code, rel_time, rel_lat, rel_lon, payload_len = head(data, offset)
-        offset += RECORD_HEAD.size
-        kind = _KIND_BY_CODE.get(kind_code)
-        if kind is None:
-            raise UnknownKind(f"unknown record kind {kind_code}")
-        if payload_len != PAYLOAD_SIZE[kind]:
-            raise BadPayload(
-                f"kind {kind.name} expects {PAYLOAD_SIZE[kind]} payload bytes, got {payload_len}"
-            )
-        if size - offset < payload_len:
-            raise Truncated(f"payload missing at offset {offset}")
-        if not (lat_min <= rel_lat <= lat_max and lon_min <= rel_lon <= lon_max):
-            raise BadPayload(f"record offset ({rel_lat}, {rel_lon}) out of range or off the globe")
-        payload = data[offset : offset + payload_len]
-        offset += payload_len
-        payloads[kind].append(payload)
-        records.append(DeltaRecord(kind, rel_time, rel_lat, rel_lon, payload))
-    for kind, kind_payloads in payloads.items():
-        _check_payloads(kind, kind_payloads)
-    if offset != size:
-        raise TrailingData(f"{size - offset} bytes after the last record")
+    offsets, end, error = _walk(data, count)
+    records = RecordColumns(data, offsets)
+    # the heads the walk passed, in record order: a bad one there is reported
+    # before the walk's own error, as a record-by-record reader would
+    heads = records.heads
+    bad = (
+        (heads["payload_len"] != _PAYLOAD_BY_CODE[heads["kind"]])
+        | (heads["rel_lat"] < lat_min) | (heads["rel_lat"] > lat_max)
+        | (heads["rel_lon"] < lon_min) | (heads["rel_lon"] > lon_max)
+    )
+    if bad.any():
+        first = int(bad.argmax())
+        off_globe = BadPayload(f"record {first}: offset out of range or off the globe")
+        raise _length_error(data, offsets[first]) or off_globe
+    if error is not None:
+        raise error
+    for kind, c in records.by_kind.items():
+        for rule, breaks in CODECS[kind].rules:
+            if breaks(c).any():
+                raise BadPayload(f"a {kind.name} payload breaks the rule: {rule}")
+    if end != size:
+        raise TrailingData(f"{size - end} bytes after the last record")
     try:  # MetaBlock and BatchEnvelope refuse times above MAX_TIME_MS
         meta = MetaBlock(station=station, ref_time=ref_time, ref_position=ref_pos, record_count=count)
-        return BatchEnvelope(meta=meta, records=tuple(records))
+        return BatchEnvelope(meta=meta, records=records)
     except ValueError as err:
         raise BadPayload(str(err)) from None
 
@@ -553,24 +638,38 @@ def raw_rows(env: BatchEnvelope, receive_time: int) -> dict[RecordKind, Iterator
     """The envelope's records as raw-table rows, by kind and in record order.
 
     Every row ends with the envelope's station as reporter and the receive
-    time; ``decode_batch`` must have accepted the envelope.
+    time.  The rows are built from the record columns of a decoded
+    envelope; a built one is encoded and decoded first, so it must pass
+    ``decode_batch``.
     """
-    by_kind: dict[RecordKind, list[DeltaRecord]] = {}
-    for r in env.records:
-        by_kind.setdefault(r.kind, []).append(r)
+    records = env.records
+    if not isinstance(records, RecordColumns):
+        records = decode_batch(encode_batch(env)).records
+    meta = env.meta
+    lat_u, lon_u = _abs_units(meta)
     out = {}
-    for kind, records in by_kind.items():
-        codec = CODECS[kind]
-        fields = codec.layout.iter_unpack(b"".join([r.payload for r in records]))
-        out[kind] = codec.rows(fields, _places(env.meta, records), env.meta.station, receive_time)
+    for kind, c in records.by_kind.items():
+        t = meta.ref_time + REL_TIME_UNIT_MS * c["rel_time"].astype(np.int64)
+        lat = (lat_u + 10 * c["rel_lat"].astype(np.int64)) / 1e7
+        lon = (lon_u + 10 * c["rel_lon"].astype(np.int64)) / 1e7
+        columns = (*CODECS[kind].columns(c, t, lat, lon, meta.station), meta.station, receive_time)
+        out[kind] = zip(*(
+            col.tolist() if isinstance(col, np.ndarray) else repeat(col) for col in columns
+        ))
     return out
 
 
 def absolute_records(e: BatchEnvelope) -> list[AbsoluteRecord]:
     """Reconstruct every record with absolute time and position."""
+    lat_u, lon_u = _abs_units(e.meta)
     return [
-        AbsoluteRecord(r.kind, t, GeoPosition(lat, lon), r.payload)
-        for r, (t, lat, lon) in zip(e.records, _places(e.meta, e.records))
+        AbsoluteRecord(
+            r.kind,
+            e.meta.ref_time + REL_TIME_UNIT_MS * r.rel_time,
+            GeoPosition((lat_u + 10 * r.rel_lat) / 1e7, (lon_u + 10 * r.rel_lon) / 1e7),
+            r.payload,
+        )
+        for r in e.records
     ]
 
 
@@ -644,13 +743,12 @@ def write_frames(fp: BinaryIO, envelopes: Iterable[BatchEnvelope]) -> int:
     return n
 
 
-def read_frames(fp: BinaryIO) -> list[BatchEnvelope]:
-    """Read length-prefixed envelope frames until end of stream."""
-    envelopes = []
+def iter_frames(fp: BinaryIO) -> Iterator[BatchEnvelope]:
+    """Decode length-prefixed envelope frames one at a time until end of stream."""
     while True:
         head = fp.read(_FRAME_LEN.size)
         if not head:
-            return envelopes
+            return
         if len(head) < _FRAME_LEN.size:
             raise Truncated("frame length prefix cut short")
         (length,) = _FRAME_LEN.unpack(head)
@@ -659,7 +757,12 @@ def read_frames(fp: BinaryIO) -> list[BatchEnvelope]:
         frame = fp.read(length)
         if len(frame) < length:
             raise Truncated(f"frame of {length} bytes cut short at {len(frame)}")
-        envelopes.append(decode_batch(frame))
+        yield decode_batch(frame)
+
+
+def read_frames(fp: BinaryIO) -> list[BatchEnvelope]:
+    """Read length-prefixed envelope frames until end of stream; all or nothing."""
+    return list(iter_frames(fp))
 
 
 def write_ksb(path, envelopes: Iterable[BatchEnvelope]) -> int:

