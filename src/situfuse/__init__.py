@@ -29,13 +29,7 @@ from .messages import (
 from .wire import BatchEnvelope, DeltaRecord, MetaBlock, RecordKind, decode_batch, encode_batch, plan_batches
 from .store import SituationStore
 from .situation import FusedObject, SituationRecord
-from .fusion import (
-    SimilarityThresholds,
-    dedup,
-    fuse_situation,
-    is_similar,
-    merge_group,
-)
+from .fusion import SimilarityThresholds, dedup, fuse_situation
 from .metrics import (
     EvaluationRow,
     KinematicState,
@@ -94,8 +88,6 @@ __all__ = [
     "fuse_situation",
     "generate",
     "haversine_distance",
-    "is_similar",
-    "merge_group",
     "plan_batches",
     "rows_to_csv",
     "score",

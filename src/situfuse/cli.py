@@ -36,6 +36,8 @@ from . import wire
 EXIT_OK = 0
 EXIT_USER = 1
 EXIT_INTERNAL = 2
+# A listener connection that sends nothing for this long is closed.
+READ_TIMEOUT_S = 30.0
 
 
 @dataclass
@@ -43,7 +45,7 @@ class IngestReport:
     batches: int = 0
     records: int = 0
     inserted: int = 0
-    rejected: Counter = field(default_factory=Counter)  # WireError subclass name -> count
+    rejected: Counter = field(default_factory=Counter)  # WireError/OSError class name -> count
 
     @property
     def duplicates_skipped(self) -> int:
@@ -69,8 +71,9 @@ def serve_ingest(
     """Accept framed envelopes over TCP; one client per connection.
 
     Each frame is stored as soon as it is decoded.  A frame that fails to
-    decode ends only its connection: the frames before it stay stored, the
-    reject is counted by error class, and the next connection is served.
+    decode, a reset, or READ_TIMEOUT_S of silence ends only its connection:
+    the frames before it stay stored, the reject is counted by error class,
+    and the next connection is served.
     """
     report = IngestReport() if report is None else report
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as server:
@@ -81,10 +84,11 @@ def serve_ingest(
             ready_callback(server.getsockname())
         for _ in range(connections):
             conn, _addr = server.accept()
+            conn.settimeout(READ_TIMEOUT_S)
             with conn, conn.makefile("rb") as stream:
                 try:
                     _ingest_envelopes(store, wire.iter_frames(stream), report)
-                except wire.WireError as err:
+                except (wire.WireError, OSError) as err:
                     report.rejected[type(err).__name__] += 1
     return report
 

@@ -29,7 +29,6 @@ from .geo import (
     EARTH_RADIUS_M,
     GeoPosition,
     LocalPoint,
-    angular_difference,
     from_local_enu,
     haversine_distance,
     haversine_distances,
@@ -83,10 +82,6 @@ class NoVutFix(LookupError):
     """No VUT position fix close enough to the requested timestamp."""
 
 
-class EmptyGroup(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class SimilarityThresholds:
     """Two observations of the same object differ at most by these amounts."""
@@ -114,26 +109,9 @@ class DedupStats:
         return self.observations * (self.observations - 1) // 2
 
 
-def is_similar(
-    a: TrafficObjectObservation, b: TrafficObjectObservation, th: SimilarityThresholds | None = None
-) -> bool:
-    """Symmetric pairwise check whether two observations may be the same object."""
-    th = th or SimilarityThresholds()
-    if abs(a.speed - b.speed) > th.max_speed_ms:
-        return False
-    if angular_difference(a.course, b.course) > th.max_course_deg:
-        return False
-    if (
-        a.classification != b.classification
-        and a.classification != ObjectClassification.UNKNOWN
-        and b.classification != ObjectClassification.UNKNOWN
-    ):
-        return False
-    return haversine_distance(a.position, b.position) <= th.max_position_m
-
-
 def _similar_pairs_mask(idx_i, idx_j, c: ObservationColumns, th: SimilarityThresholds):
-    """Vectorized is_similar over index pairs; same formulas as the scalar path."""
+    """Which index pairs may be the same object: speed, course, classification
+    (UNKNOWN matches any) and haversine distance each within the thresholds."""
     ok = np.abs(c.speed[idx_i] - c.speed[idx_j]) <= th.max_speed_ms
 
     d = np.abs(c.course[idx_i] - c.course[idx_j]) % 360.0
@@ -245,18 +223,6 @@ def dedup(
     return fused
 
 
-def merge_group(group: Sequence[TrafficObjectObservation]) -> FusedObject:
-    """Collapse one similarity group into a single object.
-
-    A self-report knows its own kinematics best, so a CAM wins outright, then
-    the VUT's own sensors; otherwise detections are averaged (positions on
-    the local plane, courses circularly).
-    """
-    if not group:
-        raise EmptyGroup("cannot merge an empty group")
-    return _merge_groups(ObservationColumns.of(group), np.zeros(len(group), dtype=np.int64))[0]
-
-
 # A group's winner comes from its highest-ranked source; rank 0 never wins.
 _WINNER_RANK = np.zeros(max(ObservationSource) + 1, dtype=np.int64)
 _WINNER_RANK[[ObservationSource.VUT_LOCAL_SENSOR, ObservationSource.CAM_SELF_REPORT]] = 1, 2
@@ -265,12 +231,14 @@ _NO_CLASS = np.iinfo(np.int64).max
 
 
 def _merge_groups(c: ObservationColumns, labels: np.ndarray) -> list[FusedObject]:
-    """merge_group on each set of equal labels, in label order.
+    """Collapse each set of equal labels into one object, in label order.
 
-    Members are in (timestamp, source, reporter, object_id) order; a winner
-    is its source's newest member, of equal times the lowest reporter, then
-    object_id, then input position.  Averages keep the scalar arithmetic and
-    sum in member order, so they are the same floats.
+    A self-report knows its own kinematics best, so a CAM wins outright, then
+    the VUT's own sensors; otherwise detections are averaged (positions on
+    the local plane, courses circularly).  Members are in (timestamp, source,
+    reporter, object_id) order; a winner is its source's newest member, of
+    equal times the lowest reporter, then object_id, then input position.
+    Averages sum in member order.
     """
     n = len(labels)
     if n == 0:

@@ -122,12 +122,6 @@ def course_to_unit_vector(course_deg: float) -> tuple[float, float]:
     return math.sin(c), math.cos(c)
 
 
-def angular_difference(a_deg: float, b_deg: float) -> float:
-    """Smallest absolute angle between two courses, in [0, 180] degrees."""
-    d = abs(a_deg - b_deg) % 360.0
-    return 360.0 - d if d > 180.0 else d
-
-
 def normalize_course(deg: float) -> float:
     """Wrap an angle into the course domain [0, 360)."""
     c = math.fmod(deg, 360.0)

@@ -33,12 +33,8 @@ class ObjectClassification(enum.IntEnum):
 
     @classmethod
     def _missing_(cls, value):
+        """Decoding is total: a code outside the table is UNKNOWN."""
         return cls.UNKNOWN
-
-    @classmethod
-    def from_code(cls, code: int) -> "ObjectClassification":
-        """Total decoder: unknown codes map to UNKNOWN."""
-        return cls(code)
 
     @property
     def display_name(self) -> str:

@@ -73,6 +73,12 @@ class MessageRates:
                 raise ValueError(f"{name} must be positive")
 
 
+_SCENARIO_BLOCKS = {
+    "center": GeoPosition, "cam_noise": NoiseSpec, "cpm_noise": NoiseSpec, "vut_noise": NoiseSpec,
+    "rates": MessageRates,
+}
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     seed: int = 1
@@ -98,14 +104,17 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
+        """Raises ValueError for an unknown key or a malformed nested block."""
+        unknown = set(data) - set(cls.__dataclass_fields__)
+        if unknown:
+            raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
         kwargs = dict(data)
-        if "center" in kwargs:
-            kwargs["center"] = GeoPosition(**kwargs["center"])
-        for key in ("cam_noise", "cpm_noise", "vut_noise"):
+        for key, block in _SCENARIO_BLOCKS.items():
             if key in kwargs:
-                kwargs[key] = NoiseSpec(**kwargs[key])
-        if "rates" in kwargs:
-            kwargs["rates"] = MessageRates(**kwargs["rates"])
+                try:
+                    kwargs[key] = block(**kwargs[key])
+                except TypeError as e:
+                    raise ValueError(f"bad scenario {key!r}: {e}") from None
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
@@ -207,7 +216,7 @@ class GroundTruth:
             objects=tuple(
                 TruthObject(
                     object_id=o["object_id"],
-                    classification=ObjectClassification.from_code(o["classification"]),
+                    classification=ObjectClassification(o["classification"]),
                     cooperative=o["cooperative"],
                     station=o["station"],
                     segments=tuple(

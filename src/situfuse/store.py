@@ -674,7 +674,7 @@ class SituationStore:
                 )
             objects = tuple(
                 FusedObject(
-                    fused_id, ObjectClassification.from_code(cls), GeoPosition(lat, lon), speed,
+                    fused_id, ObjectClassification(cls), GeoPosition(lat, lon), speed,
                     course, tuple(provenance.get(seq, ())), lane_id,
                 )
                 for seq, fused_id, cls, lat, lon, speed, course, lane_id in c.execute(
@@ -756,12 +756,12 @@ def _in_area(rows: list[tuple], lat: int, center: GeoPosition, radius_m: float) 
 
 
 def _row_to_cam(r) -> RawCam:
-    cls = ObjectClassification.from_code(r[6])
+    cls = ObjectClassification(r[6])
     return RawCam(CamExtract(r[0], r[1], GeoPosition(r[2], r[3]), r[4], r[5], cls), r[7], r[8])
 
 
 def _row_to_cpm(r) -> RawCpmDetection:
-    cls = ObjectClassification.from_code(r[3])
+    cls = ObjectClassification(r[3])
     return RawCpmDetection(
         r[0], r[1], CpmDetection(r[2], cls, GeoPosition(r[4], r[5]), r[6], r[7]), r[8], r[9]
     )

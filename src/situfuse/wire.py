@@ -760,16 +760,12 @@ def iter_frames(fp: BinaryIO) -> Iterator[BatchEnvelope]:
         yield decode_batch(frame)
 
 
-def read_frames(fp: BinaryIO) -> list[BatchEnvelope]:
-    """Read length-prefixed envelope frames until end of stream; all or nothing."""
-    return list(iter_frames(fp))
-
-
 def write_ksb(path, envelopes: Iterable[BatchEnvelope]) -> int:
     with open(path, "wb") as fp:
         return write_frames(fp, envelopes)
 
 
 def read_ksb(path) -> list[BatchEnvelope]:
+    """Every frame of a .ksb file; all or nothing."""
     with open(path, "rb") as fp:
-        return read_frames(fp)
+        return list(iter_frames(fp))

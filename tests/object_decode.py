@@ -160,7 +160,7 @@ def unpack_cam(payload: bytes, generation_time: int, position: GeoPosition) -> C
         position=position,
         speed=speed * 0.01,
         course=_unpack_course(course),
-        classification=ObjectClassification.from_code(cls),
+        classification=ObjectClassification(cls),
     )
 
 
@@ -168,7 +168,7 @@ def unpack_cpm_detection(payload: bytes, position: GeoPosition) -> tuple[Station
     originator, object_id, speed, course, cls = _CPM.unpack(payload)
     detection = CpmDetection(
         object_id=object_id,
-        classification=ObjectClassification.from_code(cls),
+        classification=ObjectClassification(cls),
         position=position,
         speed=speed * 0.01,
         course=_unpack_course(course),

@@ -21,7 +21,6 @@ from situfuse.metrics import (
     compute_tti,
     evaluate_situation,
     rows_to_csv,
-    trilaterate_vut,
 )
 from situfuse.simgen import NoiseSpec, ScenarioConfig, generate, score
 from situfuse.store import SituationStore, StorageFailure
@@ -34,6 +33,7 @@ from conftest import (
     oracle_components,
     reference_raw_rows,
 )
+from test_metrics import trilaterate_vut
 from test_fusion import four_heading_sample, grouping_from_components, grouping_from_fused, random_instance
 from test_store import random_situation
 from test_stressmap import flat_oracle, random_sample

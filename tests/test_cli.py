@@ -141,6 +141,26 @@ def test_bad_config_is_user_error(tmp_path, capsys):
     assert run("--config", str(bad), "stats") == EXIT_USER
 
 
+@pytest.mark.parametrize(
+    "scenario, message",
+    [
+        ({"seed": 1, "bogus": 1}, "unknown scenario keys: ['bogus']"),
+        ({"center": {"lat": 1}}, "bad scenario 'center'"),
+        ({"rates": [1, 2]}, "bad scenario 'rates'"),
+    ],
+    ids=["unknown_key", "center_block", "rates_block"],
+)
+def test_malformed_scenario_is_user_error(workdir, capsys, scenario, message):
+    tmp_path, config, _, _ = workdir
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(scenario))
+    out_dir = tmp_path / "batches"
+    assert run("--config", config, "simulate", "--scenario", str(path), "--out", str(out_dir)) == EXIT_USER
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError: ") and message in err
+    assert "Traceback" not in err and not out_dir.exists()
+
+
 def _default(function, parameter):
     return inspect.signature(function).parameters[parameter].default
 
@@ -252,14 +272,9 @@ FRAME_FAULTS = {
 }
 
 
-@pytest.mark.parametrize("fault", sorted(FRAME_FAULTS))
-def test_bad_frame_ends_only_its_connection(workdir, fault):
-    """Good frames, then a bad one, then a second connection: the good frames
-    of both connections are stored and the bad frame is counted."""
-    _, _, _, scenario = workdir
-    _, envelopes = generate(scenario)
-    first, bad, second = envelopes[:2], envelopes[2], envelopes[2:]  # the bad frame is re-sent
-    store = SituationStore(":memory:")
+def _serve_two_connections(store, first_client, second):
+    """A two-connection listener: ``first_client(port)`` opens the first
+    connection, then send_frames sends ``second`` on the other."""
     ready = threading.Event()
     address, result = {}, {}
 
@@ -273,20 +288,77 @@ def test_bad_frame_ends_only_its_connection(workdir, fault):
     thread = threading.Thread(target=server)
     thread.start()
     assert ready.wait(5.0)
-    with socket.create_connection(("127.0.0.1", address["port"])) as sock:
-        sock.sendall(b"".join(map(_framed, first)) + FRAME_FAULTS[fault](_framed(bad)))
+    first_client(address["port"])
     send_frames("127.0.0.1", address["port"], second)
     thread.join(10.0)
     assert not thread.is_alive()
+    return result["report"]
 
-    report = result["report"]
-    assert report.batches == len(first) + len(second) == len(envelopes)
-    assert report.rejected == {fault: 1}
+
+def _assert_every_frame_stored(store, report, envelopes):
+    assert report.batches == len(envelopes)
     expected = SituationStore(":memory:")
     assert report.inserted == sum(expected.insert_envelope(env, 0) for env in envelopes) > 0
     assert store.stats() == expected.stats()
-    store.close()
     expected.close()
+
+
+@pytest.mark.parametrize("fault", sorted(FRAME_FAULTS))
+def test_bad_frame_ends_only_its_connection(workdir, fault):
+    """Good frames, then a bad one, then a second connection: the good frames
+    of both connections are stored and the bad frame is counted."""
+    _, _, _, scenario = workdir
+    _, envelopes = generate(scenario)
+    first, bad, second = envelopes[:2], envelopes[2], envelopes[2:]  # the bad frame is re-sent
+    store = SituationStore(":memory:")
+
+    def first_client(port):
+        with socket.create_connection(("127.0.0.1", port)) as sock:
+            sock.sendall(b"".join(map(_framed, first)) + FRAME_FAULTS[fault](_framed(bad)))
+
+    report = _serve_two_connections(store, first_client, second)
+    assert report.rejected == {fault: 1}
+    _assert_every_frame_stored(store, report, envelopes)
+    store.close()
+
+
+def test_reset_client_ends_only_its_connection(workdir):
+    """Good frames and part of one more, then a reset (an RST, not a FIN):
+    the listener serves the next connection and counts the reset."""
+    _, _, _, scenario = workdir
+    _, envelopes = generate(scenario)
+    first, second = envelopes[:2], envelopes[2:]
+    store = SituationStore(":memory:")
+
+    def first_client(port):
+        with socket.create_connection(("127.0.0.1", port)) as sock:
+            sock.sendall(b"".join(map(_framed, first)) + _framed(second[0])[:-3])
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+
+    report = _serve_two_connections(store, first_client, second)
+    assert report.rejected == {"ConnectionResetError": 1}
+    _assert_every_frame_stored(store, report, envelopes)
+    store.close()
+
+
+def test_silent_client_ends_only_its_connection(workdir, monkeypatch):
+    """Good frames, then silence with the connection held open: after the
+    read timeout the listener serves the next connection."""
+    monkeypatch.setattr(cli, "READ_TIMEOUT_S", 0.2)
+    _, _, _, scenario = workdir
+    _, envelopes = generate(scenario)
+    first, second = envelopes[:2], envelopes[2:]
+    store = SituationStore(":memory:")
+    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as silent:
+
+        def first_client(port):
+            silent.connect(("127.0.0.1", port))
+            silent.sendall(b"".join(map(_framed, first)))
+
+        report = _serve_two_connections(store, first_client, second)
+    assert report.rejected == {"TimeoutError": 1}
+    _assert_every_frame_stored(store, report, envelopes)
+    store.close()
 
 
 def test_file_ingest_with_a_bad_frame_stores_nothing(workdir, capsys):

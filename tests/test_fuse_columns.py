@@ -7,15 +7,24 @@ the store without the decoder's checks must still fail or normalise as the
 typed objects make them.
 """
 
+import itertools
 import random
 import sqlite3
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from situfuse import store as store_module
 from situfuse import wire
-from situfuse.fusion import dedup, fuse_situation, join_topology, link_lanes, merge_group
+from situfuse.fusion import (
+    SimilarityThresholds,
+    _similar_pairs_mask,
+    dedup,
+    fuse_situation,
+    join_topology,
+    link_lanes,
+)
 from situfuse.geo import LocalPoint, from_local_enu
 from situfuse.messages import (
     HazardEvent,
@@ -23,6 +32,7 @@ from situfuse.messages import (
     MapLane,
     MapTopology,
     ObjectClassification,
+    ObservationColumns,
     ObservationSource,
     SignalPhase,
     SpatExtract,
@@ -32,7 +42,13 @@ from situfuse.store import RawHazard, RawSpat, RawVutSensor, SituationStore
 
 from conftest import make_vut_extract, oracle_components
 from test_fusion import CENTER, T0, obs, random_instance
-from typed_fuse import fuse_situation_typed, link_lanes_scalar, merge_group_scalar
+from typed_fuse import (
+    fuse_situation_typed,
+    is_similar,
+    link_lanes_scalar,
+    merge_columns,
+    merge_group_scalar,
+)
 
 
 def _scene(seed: int, hz: float, **kwargs):
@@ -122,6 +138,20 @@ def test_fuse_situation_trusts_the_store_keys_for_spat_and_hazards():
     store.close()
 
 
+def test_similar_pairs_mask_equals_scalar_oracle():
+    """The mask on every pair, under the default and random thresholds."""
+    rng = random.Random(60)
+    for trial in range(12):
+        sample = random_instance(rng, rng.randrange(2, 100))
+        th = SimilarityThresholds() if trial == 0 else SimilarityThresholds(
+            rng.uniform(0.5, 20.0), rng.uniform(1.0, 90.0), rng.uniform(0.1, 5.0)
+        )
+        pairs = list(itertools.combinations(range(len(sample)), 2))
+        idx_i, idx_j = (np.array(side, dtype=np.int64) for side in zip(*pairs))
+        mask = _similar_pairs_mask(idx_i, idx_j, ObservationColumns.of(sample), th)
+        assert mask.tolist() == [is_similar(sample[i], sample[j], th) for i, j in pairs]
+
+
 def test_dedup_equals_scalar_merge_of_oracle_components():
     rng = random.Random(61)
     for _ in range(30):
@@ -150,7 +180,7 @@ def test_merge_group_equals_scalar_merge():
             )
             for _ in range(rng.randrange(1, 7))
         ]
-        assert merge_group(group) == merge_group_scalar(group)
+        assert merge_columns(group) == merge_group_scalar(group)
 
 
 def test_link_lanes_equals_scalar_linking():
@@ -170,11 +200,11 @@ def test_link_lanes_equals_scalar_linking():
         lanes.append(replace(lanes[0], lane_id=rng.randrange(1, 9)))
         topology = join_topology(MapTopology(1, tuple(lanes)), [], T0)
         objects = [
-            merge_group([obs(k, east=rng.uniform(-60, 60), north=rng.uniform(-60, 60))])
+            merge_columns([obs(k, east=rng.uniform(-60, 60), north=rng.uniform(-60, 60))])
             for k in range(rng.randrange(0, 40))
         ]
         objects += [
-            merge_group([obs(100 + k, east=p.east, north=p.north)]) for k, p in enumerate(points[0])
+            merge_columns([obs(100 + k, east=p.east, north=p.north)]) for k, p in enumerate(points[0])
         ]
         assert link_lanes(objects, topology, 5.0) == link_lanes_scalar(objects, topology, 5.0)
         assert link_lanes(objects, None) == objects

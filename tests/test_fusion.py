@@ -30,18 +30,16 @@ from situfuse.fusion import (
     DedupStats,
     _grid_candidate_pairs,
     NoVutFix,
-    EmptyGroup,
+    SimilarityThresholds,
     dedup,
     fuse_situation,
-    is_similar,
     join_topology,
     _lane_distances,
     link_lanes,
-    merge_group,
 )
 from situfuse.store import RawCam, RawSpat, RawVutSensor, SituationStore
 from situfuse.wire import MAX_TIME_MS
-from typed_fuse import query_window
+from typed_fuse import is_similar, merge_columns, query_window
 from conftest import (
     REFERENCE_T0,
     REFERENCE_VUT,
@@ -79,24 +77,43 @@ def obs(
 
 
 # --- similarity ---------------------------------------------------------------
+# is_similar is the scalar oracle (tests/typed_fuse.py); dedup of a pair is
+# the package's similarity check: one fused object exactly when similar.
+
+
+def merges(a, b, th=None):
+    return len(dedup([a, b], th)) == 1
 
 
 def test_is_similar_identical():
     a = obs(1)
     assert is_similar(a, a)
+    assert merges(a, a)
 
 
 def test_is_similar_position_threshold():
     assert not is_similar(obs(1), obs(2, east=10.0))
     assert is_similar(obs(1), obs(2, east=2.0))
+    assert not merges(obs(1), obs(2, east=10.0))
+    assert merges(obs(1), obs(2, east=2.0))
+    assert merges(obs(1), obs(2, east=10.0), SimilarityThresholds(max_position_m=10.5))
 
 
 def test_is_similar_rule_application():
     a = obs(1, cls=ObjectClassification.PASSENGER_CAR)
     b = obs(2, east=2.0, course=5.0, speed=10.5, cls=ObjectClassification.UNKNOWN)
     assert is_similar(a, b)
+    assert merges(a, b)
     c = replace_cls(b, ObjectClassification.PEDESTRIAN)
     assert not is_similar(a, c)
+    assert not merges(a, c)
+    # speed and course thresholds are inclusive, and each one alone separates
+    assert merges(a, obs(3, speed=11.5, course=15.0))
+    assert not merges(a, obs(3, speed=11.5000001))
+    assert not merges(a, obs(3, course=345.0 - 1e-7))
+    tight = SimilarityThresholds(max_course_deg=4.0, max_speed_ms=0.4)
+    assert not merges(a, b, tight)
+    assert merges(a, b, replace(tight, max_course_deg=5.0, max_speed_ms=0.5))
 
 
 def replace_cls(o, cls):
@@ -121,8 +138,9 @@ def test_is_similar_symmetric_reflexive_random():
     ]
     for a in sample:
         assert is_similar(a, a)
+        assert merges(a, a)
         for b in sample:
-            assert is_similar(a, b) == is_similar(b, a)
+            assert is_similar(a, b) == is_similar(b, a) == merges(a, b) == merges(b, a)
 
 
 # --- dedup ----------------------------------------------------------------------
@@ -384,7 +402,7 @@ def test_dedup_merges_pair_across_antimeridian(lat, lon):
 
 def test_merge_single_observation_is_identity():
     a = obs(5, east=3.0, speed=4.0, course=120.0)
-    fused = merge_group([a])
+    fused = merge_columns([a])
     assert fused.position == a.position
     assert fused.speed == a.speed
     assert fused.course == a.course
@@ -392,15 +410,10 @@ def test_merge_single_observation_is_identity():
     assert fused.provenance == ((a.source, a.reporter, a.object_id),)
 
 
-def test_merge_empty_group_rejected():
-    with pytest.raises(EmptyGroup):
-        merge_group([])
-
-
 def test_merge_mean_of_two_detections():
     a = obs(1, east=0.0, north=0.0)
     b = obs(2, east=2.0, north=0.0)
-    fused = merge_group([a, b])
+    fused = merge_columns([a, b])
     midpoint = from_local_enu(a.position, LocalPoint(1.0, 0.0))
     assert fused.position.lat == pytest.approx(midpoint.lat, abs=1e-9)
     assert fused.position.lon == pytest.approx(midpoint.lon, abs=1e-9)
@@ -410,7 +423,7 @@ def test_merge_mean_of_two_detections():
 def test_merge_circular_mean_of_courses():
     a = obs(1, course=350.0)
     b = obs(2, east=0.5, course=10.0)
-    fused = merge_group([a, b])
+    fused = merge_columns([a, b])
     assert fused.course == pytest.approx(0.0, abs=1e-9) or fused.course == pytest.approx(
         360.0, abs=1e-9
     )
@@ -419,9 +432,9 @@ def test_merge_circular_mean_of_courses():
 def test_merge_classification_most_specific():
     a = obs(1, cls=ObjectClassification.UNKNOWN)
     b = obs(2, east=0.5, cls=ObjectClassification.PASSENGER_CAR)
-    assert merge_group([a, b]).classification is ObjectClassification.PASSENGER_CAR
+    assert merge_columns([a, b]).classification is ObjectClassification.PASSENGER_CAR
     c = obs(3, east=1.0, cls=ObjectClassification.PEDESTRIAN)
-    assert merge_group([a, b, c]).classification is ObjectClassification.PEDESTRIAN
+    assert merge_columns([a, b, c]).classification is ObjectClassification.PEDESTRIAN
 
 
 def test_merge_position_inside_convex_hull():
@@ -431,7 +444,7 @@ def test_merge_position_inside_convex_hull():
             obs(k, east=rng.uniform(-2, 2), north=rng.uniform(-2, 2), course=rng.uniform(0, 359))
             for k in range(rng.randrange(2, 6))
         ]
-        fused = merge_group(members)
+        fused = merge_columns(members)
         pts = [to_local_enu(CENTER, m.position) for m in members]
         merged = to_local_enu(CENTER, fused.position)
         assert min(p.east for p in pts) - 1e-9 <= merged.east <= max(p.east for p in pts) + 1e-9
@@ -523,21 +536,21 @@ def test_join_topology_nearest_spat_wins():
 
 def test_link_lane_on_centerline():
     topo = join_topology(MapTopology(1, (lane(1, 3),)), [], T0)
-    on_lane = [merge_group([obs(1, east=30.0, north=0.0, course=90.0)])]
+    on_lane = [merge_columns([obs(1, east=30.0, north=0.0, course=90.0)])]
     linked = link_lanes(on_lane, topo)
     assert linked[0].lane_id == 1
 
 
 def test_link_lane_far_object_unlinked():
     topo = join_topology(MapTopology(1, (lane(1, 3),)), [], T0)
-    away = [merge_group([obs(1, east=30.0, north=50.0)])]
+    away = [merge_columns([obs(1, east=30.0, north=50.0)])]
     assert link_lanes(away, topo)[0].lane_id is None
 
 
 def test_link_lane_tie_breaks_to_lower_id():
     duplicate = MapTopology(1, (lane(2, 3), lane(1, 3)))
     topo = join_topology(duplicate, [], T0)
-    linked = link_lanes([merge_group([obs(1, east=30.0, north=0.0)])], topo)
+    linked = link_lanes([merge_columns([obs(1, east=30.0, north=0.0)])], topo)
     assert linked[0].lane_id == 1
 
 

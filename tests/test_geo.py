@@ -9,7 +9,6 @@ from situfuse.geo import (
     GeoPosition,
     LocalPoint,
     RangeExceeded,
-    angular_difference,
     course_to_unit_vector,
     from_local_enu,
     haversine_distance,
@@ -17,6 +16,7 @@ from situfuse.geo import (
     normalize_course,
     to_local_enu,
 )
+from typed_fuse import angular_difference
 
 # Oracle values computed independently (plain-REPL haversine / arc length /
 # trigonometry) before the implementation existed.

@@ -98,14 +98,14 @@ def test_cpm_without_detections_rejected():
 
 
 def test_classification_codes():
-    assert ObjectClassification.from_code(5) is ObjectClassification.PASSENGER_CAR
-    assert ObjectClassification.from_code(1) is ObjectClassification.PEDESTRIAN
-    assert ObjectClassification.from_code(99) is ObjectClassification.UNKNOWN
+    assert ObjectClassification(5) is ObjectClassification.PASSENGER_CAR
+    assert ObjectClassification(1) is ObjectClassification.PEDESTRIAN
+    assert ObjectClassification(99) is ObjectClassification.UNKNOWN
 
 
 def test_classification_round_trips_every_member():
     for member in ObjectClassification:
-        assert ObjectClassification.from_code(int(member)) is member
+        assert ObjectClassification(int(member)) is member
 
 
 def test_classification_display_name():

@@ -1,8 +1,9 @@
 import random
 
+import numpy as np
 import pytest
 
-from situfuse.geo import GeoPosition, LocalPoint, from_local_enu, haversine_distance
+from situfuse.geo import GeoPosition, LocalPoint, from_local_enu, haversine_distance, to_local_enu
 from situfuse.messages import (
     DriverStateSample,
     HazardEvent,
@@ -20,7 +21,6 @@ from situfuse.metrics import (
     evaluate_situation,
     handover_summary,
     rows_to_csv,
-    trilaterate_vut,
 )
 from situfuse.situation import FusedObject, ProvenanceEntry, SituationRecord
 
@@ -249,6 +249,37 @@ def test_handover_reports_stress_cell():
     driver = DriverStateSample(timestamp=T0, valence=2, arousal=3, self_reported=True)
     summary = handover_summary([], driver=driver)
     assert summary.stress_cell == (2, 3)
+
+
+def trilaterate_vut(
+    pairs: list[tuple[GeoPosition, float]], iterations: int = 50
+) -> tuple[GeoPosition, list[float]]:
+    """Back-derive an unknown observer position from (position, distance) pairs.
+
+    Gauss-Newton least squares on the local plane; returns the estimate and
+    the per-pair residuals (estimated minus reported distance, metres).
+    Diagnostic only: with noisy published distances the residuals show how
+    consistent the table is, not a ground truth.
+    """
+    if len(pairs) < 3:
+        raise ValueError("trilateration needs at least 3 pairs")
+    origin = pairs[0][0]
+    pts = np.array([to_local_enu(origin, p) for p, _ in pairs])
+    dists = np.array([d for _, d in pairs])
+    x = pts.mean(axis=0)
+    for _ in range(iterations):
+        delta = pts - x
+        current = np.hypot(delta[:, 0], delta[:, 1])
+        current = np.maximum(current, 1e-9)
+        residuals = current - dists
+        jac = -delta / current[:, None]
+        step, *_ = np.linalg.lstsq(jac, -residuals, rcond=None)
+        x = x + step
+        if np.hypot(*step) < 1e-10:
+            break
+    delta = pts - x
+    final = np.hypot(delta[:, 0], delta[:, 1]) - dists
+    return from_local_enu(origin, LocalPoint(float(x[0]), float(x[1]))), final.tolist()
 
 
 def test_trilateration_recovers_observer():

@@ -4,8 +4,11 @@ This is the path that ``fuse_situation`` replaced with numpy columns from
 the window to dedup: typed ``query_raw`` rows -> ``backend_dedup`` ->
 ``observation_from_cam``/``observations_from_cpm`` -> ``dedup`` on the
 observation list -> per-object, per-lane ``link_lanes``.  It also keeps the
-scalar ``merge_group`` and the window query the package no longer needs.
-The tests use them as the oracles the column path must match exactly.
+scalar similarity check ``is_similar`` (with ``angular_difference``), the
+scalar ``merge_group_scalar`` and the window query, none of which the
+package has any more.  The tests use them as the oracles the column path
+must match exactly; ``merge_columns`` runs the package's column merge on
+one group, so tests can build a single fused object.
 """
 
 from __future__ import annotations
@@ -14,12 +17,23 @@ import math
 from dataclasses import replace
 from typing import Sequence
 
+import numpy as np
+
 from situfuse import fusion
 from situfuse.aggregators import backend_dedup, environment_for
-from situfuse.geo import GeoPosition, LocalPoint, from_local_enu, normalize_course, to_local_enu
+from situfuse.fusion import SimilarityThresholds
+from situfuse.geo import (
+    GeoPosition,
+    LocalPoint,
+    from_local_enu,
+    haversine_distance,
+    normalize_course,
+    to_local_enu,
+)
 from situfuse.messages import (
     CpmExtract,
     ObjectClassification,
+    ObservationColumns,
     ObservationSource,
     StationId,
     TrafficObjectObservation,
@@ -44,8 +58,37 @@ def query_window(
     return store.query_raw(t - window_ms, t + window_ms, fix.extract.gnss, radius_m)
 
 
+def angular_difference(a_deg: float, b_deg: float) -> float:
+    """Smallest absolute angle between two courses, in [0, 180] degrees."""
+    d = abs(a_deg - b_deg) % 360.0
+    return 360.0 - d if d > 180.0 else d
+
+
+def is_similar(
+    a: TrafficObjectObservation, b: TrafficObjectObservation, th: SimilarityThresholds | None = None
+) -> bool:
+    """Symmetric pairwise check whether two observations may be the same object."""
+    th = th or SimilarityThresholds()
+    if abs(a.speed - b.speed) > th.max_speed_ms:
+        return False
+    if angular_difference(a.course, b.course) > th.max_course_deg:
+        return False
+    if (
+        a.classification != b.classification
+        and a.classification != ObjectClassification.UNKNOWN
+        and b.classification != ObjectClassification.UNKNOWN
+    ):
+        return False
+    return haversine_distance(a.position, b.position) <= th.max_position_m
+
+
+def merge_columns(group: Sequence[TrafficObjectObservation]) -> FusedObject:
+    """One non-empty group merged by the package's column merge."""
+    return fusion._merge_groups(ObservationColumns.of(group), np.zeros(len(group), dtype=np.int64))[0]
+
+
 def merge_group_scalar(group: Sequence[TrafficObjectObservation]) -> FusedObject:
-    """merge_group one observation object at a time."""
+    """The column merge, one observation object at a time."""
     members = sorted(group, key=lambda o: (o.timestamp, int(o.source), o.reporter, o.object_id))
     if len(members) == 1:
         only = members[0]
