@@ -85,7 +85,6 @@ class LocalStore:
     station: StationId
     station_position: GeoPosition | None = None
     pending: list[wire.AbsoluteRecord] = field(default_factory=list)
-    high_water: int = 0
     last_emit: dict[str, int] = field(default_factory=dict)
 
     def append(self, record: wire.AbsoluteRecord) -> None:
@@ -94,7 +93,6 @@ class LocalStore:
             self.pending.append(record)
         else:
             bisect.insort(self.pending, record, key=lambda r: r.time_ms)
-        self.high_water = max(self.high_water, len(self.pending))
 
 
 def tdac_ingest(extract, received_by: StationId, local: LocalStore) -> LocalStore:

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .aggregators import DEFAULT_SCHEDULE_MS
 from .fusion import DEFAULT_MAX_LATERAL_M, DEFAULT_RADIUS_M, DEFAULT_WINDOW_MS, SimilarityThresholds
 from .metrics import (
     HANDOVER_MIN_TTI_MS,
@@ -14,6 +13,10 @@ from .metrics import (
     TTI_SPEED_FLOOR_MS,
 )
 from .stressmap import DEFAULT_CAPACITY, DEFAULT_MAX_DEPTH
+
+
+# Keys of deleted options: a config file that sets one still loads, and the value is dropped.
+_RETIRED_KEYS = frozenset({"speed_floor_ms", "vda_schedule_ms"})
 
 
 @dataclass
@@ -27,11 +30,7 @@ class AppConfig:
     max_position_m: float = SimilarityThresholds.max_position_m
     max_course_deg: float = SimilarityThresholds.max_course_deg
     max_speed_ms: float = SimilarityThresholds.max_speed_ms
-    speed_floor_ms: float = 1.5  # deprecated and ignored; old configs still load
     max_lateral_m: float = DEFAULT_MAX_LATERAL_M
-
-    # vehicle data aggregator schedule; no command reads it, old configs still load
-    vda_schedule_ms: dict[str, int] = field(default_factory=lambda: dict(DEFAULT_SCHEDULE_MS))
 
     # metric floors and handover rule
     tti_speed_floor_ms: float = TTI_SPEED_FLOOR_MS
@@ -53,10 +52,11 @@ class AppConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "AppConfig":
-        unknown = set(data) - set(cls.__dataclass_fields__)
+        kept = {k: v for k, v in data.items() if k not in _RETIRED_KEYS}
+        unknown = set(kept) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**data)
+        return cls(**kept)
 
     @classmethod
     def load(cls, path) -> "AppConfig":

@@ -43,7 +43,6 @@ from .messages import (
     ObservationSource,
     SignalPhase,
     StationId,
-    TrafficObjectObservation,
 )
 # Not used here: perfbench/trace.py wraps these fusion globals by name.
 from .aggregators import backend_dedup  # noqa: F401
@@ -195,7 +194,7 @@ def _grid_candidate_pairs(lat: np.ndarray, lon: np.ndarray, max_position_m: floa
 
 
 def dedup(
-    obs: Sequence[TrafficObjectObservation] | ObservationColumns,
+    c: ObservationColumns,
     th: SimilarityThresholds | None = None,
     cfg: object = None,
     stats: DedupStats | None = None,
@@ -208,7 +207,6 @@ def dedup(
     ignored; it once held the course-bucketing widths.
     """
     th = th or SimilarityThresholds()
-    c = obs if isinstance(obs, ObservationColumns) else ObservationColumns.of(obs)
     idx_i, idx_j = _grid_candidate_pairs(c.lat, c.lon, th.max_position_m)
     similar = _similar_pairs_mask(idx_i, idx_j, c, th)
     fused = _merge_groups(c, _components(len(c.lat), idx_i[similar], idx_j[similar]))
@@ -361,8 +359,8 @@ def link_lanes(objects, topology, max_lateral_m: float = DEFAULT_MAX_LATERAL_M):
 # --- situation assembly -------------------------------------------------------
 
 
-def _vut_observation(store: SituationStore, vut: StationId, fix) -> TrafficObjectObservation:
-    """The VUT's own position vector as a traffic object.
+def _vut_observation(store: SituationStore, vut: StationId, fix) -> ObservationColumns:
+    """The VUT's own position vector as a one-row traffic object block.
 
     The sensor extract has no heading, so the course is derived from the
     previous GNSS fix when the vehicle has moved far enough for the bearing
@@ -375,15 +373,10 @@ def _vut_observation(store: SituationStore, vut: StationId, fix) -> TrafficObjec
         last = previous[-1]
         if haversine_distance(last.extract.gnss, extract.gnss) > 0.5:
             course = initial_bearing(last.extract.gnss, extract.gnss)
-    return TrafficObjectObservation(
-        object_id=vut,
-        classification=ObjectClassification.PASSENGER_CAR,
-        position=extract.gnss,
-        speed=extract.speed,
-        course=course,
-        timestamp=extract.timestamp,
-        source=ObservationSource.VUT_LOCAL_SENSOR,
-        reporter=vut,
+    return ObservationColumns.checked(
+        [extract.gnss.lat], [extract.gnss.lon], [extract.speed], [course],
+        [ObjectClassification.PASSENGER_CAR], [extract.timestamp],
+        ObservationSource.VUT_LOCAL_SENSOR, [vut], [vut],
     )
 
 
@@ -440,7 +433,7 @@ def fuse_situation(
     window = store.query_raw(t - window_ms, t + window_ms, center, radius_m, _FUSED_KINDS)
     blocks = (
         *_window_observations(window.cams, window.cpm_detections),
-        ObservationColumns.of([_vut_observation(store, vut, fix)]),
+        _vut_observation(store, vut, fix),
     )
     objects = dedup(ObservationColumns(*map(np.concatenate, zip(*blocks))), th)
 

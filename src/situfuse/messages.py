@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -125,7 +125,7 @@ _CLASS_CODES = np.array([int(c) for c in ObjectClassification])
 class ObservationColumns(NamedTuple):
     """Traffic object observations as parallel numpy columns.
 
-    Made by :meth:`checked` or :meth:`of`, every entry has passed the checks
+    Made by :meth:`checked`, every entry has passed the checks
     of :class:`TrafficObjectObservation`, and class codes outside
     :class:`ObjectClassification` read UNKNOWN.
     """
@@ -158,15 +158,6 @@ class ObservationColumns(NamedTuple):
         codes = np.where(np.isin(codes, _CLASS_CODES), codes, int(ObjectClassification.UNKNOWN))
         source = np.broadcast_to(np.asarray(source, dtype=np.int64), lat.shape)
         return cls(lat, lon, speed, course, codes, timestamp, source, reporter, object_id)
-
-    @classmethod
-    def of(cls, obs: Sequence["TrafficObjectObservation"]) -> "ObservationColumns":
-        rows = [
-            (o.position.lat, o.position.lon, o.speed, o.course, o.classification, o.timestamp,
-             o.source, o.reporter, o.object_id)
-            for o in obs
-        ]
-        return cls.checked(*(zip(*rows) if rows else [()] * len(cls._fields)))
 
 
 @dataclass(frozen=True)

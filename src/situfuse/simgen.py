@@ -18,7 +18,8 @@ tighter than the match radius.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -77,6 +78,8 @@ _SCENARIO_BLOCKS = {
     "center": GeoPosition, "cam_noise": NoiseSpec, "cpm_noise": NoiseSpec, "vut_noise": NoiseSpec,
     "rates": MessageRates,
 }
+# the type each scalar field's annotation names; a bool is no number here
+_SCALAR_TYPES = {"int": Integral, "StationId": Integral, "float": Real}
 
 
 @dataclass(frozen=True)
@@ -97,6 +100,12 @@ class ScenarioConfig:
     start_time_ms: int = DEFAULT_START_MS
 
     def __post_init__(self):
+        for f in fields(self):
+            value, kind = getattr(self, f.name), _SCALAR_TYPES.get(f.type)
+            if kind is not None and (isinstance(value, bool) or not isinstance(value, kind)):
+                raise ValueError(f"scenario {f.name!r} must be {f.type}, not {value!r}")
+        if min(self.vehicle_count, self.pedestrian_count) < 0:
+            raise ValueError("vehicle and pedestrian counts must not be negative")
         if not (0.0 <= self.cooperative_fraction <= 1.0):
             raise ValueError(f"cooperative fraction out of [0,1]: {self.cooperative_fraction}")
         if self.duration_s <= 0 or self.camera_radius_m <= 0:
@@ -104,7 +113,10 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
-        """Raises ValueError for an unknown key or a malformed nested block."""
+        """Raises ValueError for a top level that is not an object, an unknown
+        key or a malformed nested block."""
+        if not isinstance(data, dict):
+            raise ValueError(f"scenario must be a JSON object, not {type(data).__name__}")
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
@@ -116,24 +128,6 @@ class ScenarioConfig:
                 except TypeError as e:
                     raise ValueError(f"bad scenario {key!r}: {e}") from None
         return cls(**kwargs)
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "duration_s": self.duration_s,
-            "center": {"lat": self.center.lat, "lon": self.center.lon},
-            "vehicle_count": self.vehicle_count,
-            "pedestrian_count": self.pedestrian_count,
-            "cooperative_fraction": self.cooperative_fraction,
-            "camera_radius_m": self.camera_radius_m,
-            "vut_station": self.vut_station,
-            "cam_noise": vars(self.cam_noise),
-            "cpm_noise": vars(self.cpm_noise),
-            "vut_noise": vars(self.vut_noise),
-            "rates": vars(self.rates),
-            "spawn_radius_m": self.spawn_radius_m,
-            "start_time_ms": self.start_time_ms,
-        }
 
 
 @dataclass(frozen=True)
@@ -206,33 +200,6 @@ class GroundTruth:
                 for o in self.objects
             ],
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GroundTruth":
-        return cls(
-            start_time_ms=data["start_time_ms"],
-            duration_ms=data["duration_ms"],
-            vut_station=data["vut_station"],
-            objects=tuple(
-                TruthObject(
-                    object_id=o["object_id"],
-                    classification=ObjectClassification(o["classification"]),
-                    cooperative=o["cooperative"],
-                    station=o["station"],
-                    segments=tuple(
-                        TrajectorySegment(
-                            t_start_ms=s["t_start_ms"],
-                            duration_ms=s["duration_ms"],
-                            position=GeoPosition(s["lat"], s["lon"]),
-                            speed=s["speed"],
-                            course=s["course"],
-                        )
-                        for s in o["segments"]
-                    ),
-                )
-                for o in data["objects"]
-            ),
-        )
 
 
 def _emission_instants(start_ms: int, duration_ms: int, rate_hz: float) -> range:

@@ -19,7 +19,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
-from typing import Callable, ClassVar, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -58,8 +58,8 @@ class StorageFailure(Exception):
 
 # --- raw row types ----------------------------------------------------------
 #
-# Each type knows its record kind and its row in that kind's raw table, in
-# the table's column order; ``wire.CODECS`` builds the same rows from payloads.
+# The typed read side of the raw tables: ``wire.raw_rows`` builds the table
+# rows from payloads, and the ``_row_to_*`` mappers below read them back.
 
 
 def _vut_columns(v: VutSensorExtract) -> tuple:
@@ -94,13 +94,6 @@ class RawCam:
     reporter: StationId
     receive_time: int
 
-    record_kind: ClassVar[wire.RecordKind] = wire.RecordKind.CAM_EXTRACT
-
-    def columns(self) -> tuple:
-        m = self.cam
-        return (m.originator, m.generation_time, m.position.lat, m.position.lon, m.speed,
-                m.course, int(m.classification), self.reporter, self.receive_time)
-
 
 @dataclass(frozen=True)
 class RawCpmDetection:
@@ -109,14 +102,6 @@ class RawCpmDetection:
     detection: CpmDetection
     reporter: StationId
     receive_time: int
-
-    record_kind: ClassVar[wire.RecordKind] = wire.RecordKind.CPM_DETECTION
-
-    def columns(self) -> tuple:
-        d = self.detection
-        return (self.originator, self.generation_time, d.object_id, int(d.classification),
-                d.position.lat, d.position.lon, d.speed, d.course,
-                self.reporter, self.receive_time)
 
 
 @dataclass(frozen=True)
@@ -127,14 +112,6 @@ class RawSpat:
     reporter: StationId
     receive_time: int
 
-    record_kind: ClassVar[wire.RecordKind] = wire.RecordKind.SPAT
-
-    def columns(self) -> tuple:
-        s = self.spat
-        return (s.intersection_id, s.signal_group, int(s.phase), s.change_time,
-                self.generation_time, self.position.lat, self.position.lon,
-                self.reporter, self.receive_time)
-
 
 @dataclass(frozen=True)
 class RawVutSensor:
@@ -142,11 +119,6 @@ class RawVutSensor:
     extract: VutSensorExtract
     reporter: StationId
     receive_time: int
-
-    record_kind: ClassVar[wire.RecordKind] = wire.RecordKind.VUT_SENSOR
-
-    def columns(self) -> tuple:
-        return (self.station, *_vut_columns(self.extract), self.reporter, self.receive_time)
 
 
 @dataclass(frozen=True)
@@ -157,12 +129,6 @@ class RawDriverState:
     reporter: StationId
     receive_time: int
 
-    record_kind: ClassVar[wire.RecordKind] = wire.RecordKind.DRIVER_STATE
-
-    def columns(self) -> tuple:
-        return (self.station, *_driver_columns(self.sample), self.position.lat,
-                self.position.lon, self.reporter, self.receive_time)
-
 
 @dataclass(frozen=True)
 class RawEnvironment:
@@ -170,25 +136,12 @@ class RawEnvironment:
     reporter: StationId
     receive_time: int
 
-    record_kind: ClassVar[wire.RecordKind] = wire.RecordKind.ENVIRONMENT
-
-    def columns(self) -> tuple:
-        return (self.reporter, *_environment_columns(self.sample), self.reporter,
-                self.receive_time)
-
 
 @dataclass(frozen=True)
 class RawHazard:
     event: HazardEvent
     reporter: StationId
     receive_time: int
-
-    record_kind: ClassVar[wire.RecordKind] = wire.RecordKind.HAZARD
-
-    def columns(self) -> tuple:
-        h = self.event
-        return (h.source, int(h.kind), h.timestamp, h.position.lat, h.position.lon,
-                self.reporter, self.receive_time)
 
 
 RawRow = (
@@ -449,24 +402,11 @@ class SituationStore:
 
     # -- raw ingestion -----------------------------------------------------
 
-    def insert_raw(self, rows) -> int:
-        """Append typed raw rows, skipping already-present message keys.
-
-        Returns the number of net-new rows.
+    def insert_raw(self, rows_by_kind) -> int:
+        """Append table rows, keyed by record kind as ``wire.raw_rows`` builds
+        them, skipping already-present message keys: one transaction with one
+        executemany per raw table.  Returns the number of net-new rows.
         """
-        by_kind: dict[wire.RecordKind, list[tuple]] = {}
-        for row in rows:
-            if not isinstance(row, RawRow):
-                raise StorageFailure(f"unknown raw row type {type(row).__name__}")
-            by_kind.setdefault(row.record_kind, []).append(row.columns())
-        return self._insert_rows(by_kind)
-
-    def insert_envelope(self, env: wire.BatchEnvelope, receive_time: int) -> int:
-        """Append every record of a decoded envelope; returns the net-new rows."""
-        return self._insert_rows(wire.raw_rows(env, receive_time))
-
-    def _insert_rows(self, rows_by_kind) -> int:
-        """One transaction with one executemany per raw table."""
         with self._lock:
             before = self._conn.total_changes
             try:
@@ -476,6 +416,10 @@ class SituationStore:
             except sqlite3.Error as e:
                 raise StorageFailure(str(e)) from e
             return self._conn.total_changes - before
+
+    def insert_envelope(self, env: wire.BatchEnvelope, receive_time: int) -> int:
+        """Append every record of a decoded envelope; returns the net-new rows."""
+        return self.insert_raw(wire.raw_rows(env, receive_time))
 
     # -- raw queries ---------------------------------------------------------
 
@@ -752,7 +696,7 @@ def _in_area(rows: list[tuple], lat: int, center: GeoPosition, radius_m: float) 
 # -- row mappers ------------------------------------------------------------
 
 
-# Each mapper is the inverse of its type's columns(): positional, in column order.
+# Each mapper reads one table row positionally, in column order.
 
 
 def _row_to_cam(r) -> RawCam:

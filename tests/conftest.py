@@ -24,6 +24,7 @@ from situfuse.messages import (
     VutSensorExtract,
 )
 from situfuse.store import RawCam, RawCpmDetection, RawVutSensor, SituationStore
+from object_decode import table_rows
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -68,8 +69,8 @@ def reference_rows() -> list[ReferenceRow]:
 
 
 def reference_raw_rows(rows: list[ReferenceRow]):
-    """The table as raw store rows: cars as self-reports, pedestrians as
-    detections of one camera station, plus a VUT fix to anchor the window."""
+    """The table as raw-table rows by kind: cars as self-reports, pedestrians
+    as detections of one camera station, plus a VUT fix to anchor the window."""
     raw = []
     for row in rows:
         position = GeoPosition(float(row.lat), float(row.lon))
@@ -114,7 +115,7 @@ def reference_raw_rows(rows: list[ReferenceRow]):
             receive_time=1,
         )
     )
-    return raw
+    return table_rows(raw)
 
 
 def make_vut_extract(timestamp: int, gnss: GeoPosition, speed: float = 5.0) -> VutSensorExtract:

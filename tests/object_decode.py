@@ -5,7 +5,8 @@ This is the object-per-record path that ``wire.decode_batch`` and
 frame walked head by head into ``DeltaRecord``s, and typed extracts per
 record.  The tests keep it as the oracle the columnar path must match error
 for error and row for row, and as the inverse of the ``wire.pack_*`` payload
-codecs.
+codecs.  ``table_rows`` turns typed rows into the raw-table rows that
+``SituationStore.insert_raw`` takes, independently of ``wire.raw_rows``.
 """
 
 from __future__ import annotations
@@ -38,6 +39,9 @@ from situfuse.store import (
     RawRow,
     RawSpat,
     RawVutSensor,
+    _driver_columns,
+    _environment_columns,
+    _vut_columns,
 )
 from situfuse.wire import (
     HEADER,
@@ -276,3 +280,55 @@ def rows_from_envelope(env: wire.BatchEnvelope, receive_time: int) -> list[RawRo
         elif rec.kind is RecordKind.HAZARD:
             rows.append(RawHazard(unpack_hazard(rec.payload, t, pos), station, receive_time))
     return rows
+
+
+def _table_row(row: RawRow) -> tuple[RecordKind, tuple]:
+    """A typed row's record kind and its row in that kind's raw table, in column order."""
+    if isinstance(row, RawCam):
+        m = row.cam
+        return RecordKind.CAM_EXTRACT, (
+            m.originator, m.generation_time, m.position.lat, m.position.lon, m.speed, m.course,
+            int(m.classification), row.reporter, row.receive_time,
+        )
+    if isinstance(row, RawCpmDetection):
+        d = row.detection
+        return RecordKind.CPM_DETECTION, (
+            row.originator, row.generation_time, d.object_id, int(d.classification),
+            d.position.lat, d.position.lon, d.speed, d.course, row.reporter, row.receive_time,
+        )
+    if isinstance(row, RawSpat):
+        s = row.spat
+        return RecordKind.SPAT, (
+            s.intersection_id, s.signal_group, int(s.phase), s.change_time, row.generation_time,
+            row.position.lat, row.position.lon, row.reporter, row.receive_time,
+        )
+    if isinstance(row, RawVutSensor):
+        return RecordKind.VUT_SENSOR, (
+            row.station, *_vut_columns(row.extract), row.reporter, row.receive_time,
+        )
+    if isinstance(row, RawDriverState):
+        return RecordKind.DRIVER_STATE, (
+            row.station, *_driver_columns(row.sample), row.position.lat, row.position.lon,
+            row.reporter, row.receive_time,
+        )
+    if isinstance(row, RawEnvironment):  # the station column holds the reporter
+        return RecordKind.ENVIRONMENT, (
+            row.reporter, *_environment_columns(row.sample), row.reporter, row.receive_time,
+        )
+    if isinstance(row, RawHazard):
+        h = row.event
+        return RecordKind.HAZARD, (
+            h.source, int(h.kind), h.timestamp, h.position.lat, h.position.lon,
+            row.reporter, row.receive_time,
+        )
+    raise TypeError(f"not a raw row: {type(row).__name__}")
+
+
+def table_rows(rows) -> dict[RecordKind, list[tuple]]:
+    """Typed raw rows as the table rows ``SituationStore.insert_raw`` takes:
+    keyed by record kind, in row order within each kind."""
+    out: dict[RecordKind, list[tuple]] = {}
+    for row in rows:
+        kind, columns = _table_row(row)
+        out.setdefault(kind, []).append(columns)
+    return out

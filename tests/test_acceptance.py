@@ -38,6 +38,7 @@ from test_fusion import four_heading_sample, grouping_from_components, grouping_
 from test_store import random_situation
 from test_stressmap import flat_oracle, random_sample
 from test_wire import naive_size, random_absolute_records, random_envelope, random_payload
+from typed_fuse import of
 
 ORIGIN = GeoPosition(49.234, 6.98)
 T0 = 1_700_000_000_000
@@ -118,7 +119,7 @@ def test_criterion_03_dedup_oracle_equivalence():
     for trial in range(200):
         n = rng.randrange(2, 1001)
         sample = random_instance(rng, n)
-        fused = dedup(sample)
+        fused = dedup(of(sample))
         expected = grouping_from_components(oracle_components(sample), sample)
         assert grouping_from_fused(fused) == expected, f"trial {trial}, n={n}"
         checked += n
@@ -130,7 +131,7 @@ def test_criterion_03_dedup_oracle_equivalence():
 def test_criterion_04_clustering_advantage():
     sample = four_heading_sample(random.Random(1004), 5000)
     stats = DedupStats()
-    dedup(sample, stats=stats)
+    dedup(of(sample), stats=stats)
     brute = stats.brute_force_comparisons
     assert stats.comparisons < 0.5 * brute, f"{stats.comparisons} vs brute {brute}"
     report(

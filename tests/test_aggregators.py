@@ -126,7 +126,6 @@ def test_local_store_keeps_pending_in_time_order():
     # stable by time: a late record goes after the pending records of equal time
     order = sorted(range(len(times)), key=times.__getitem__)
     assert [r.payload for r in local.pending] == [wire.pack_spat(spats[k]) for k in order]
-    assert local.high_water == len(times)
 
 
 def test_vda_tick_respects_period():
@@ -210,7 +209,6 @@ def test_flush_success_clears_records():
     assert not outcome.failed
     assert outcome.delivered_records == 1
     assert local.pending == []
-    assert local.high_water == 1
 
 
 def test_flaky_transport_delivers_exactly_once():

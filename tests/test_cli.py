@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import socket
@@ -32,7 +33,7 @@ def workdir(tmp_path):
     config_path.write_text(json.dumps(config))
     scenario = ScenarioConfig(seed=21, duration_s=5.0, vehicle_count=5, pedestrian_count=2)
     scenario_path = tmp_path / "scenario.json"
-    scenario_path.write_text(json.dumps(scenario.to_dict()))
+    scenario_path.write_text(json.dumps(dataclasses.asdict(scenario)))
     return tmp_path, str(config_path), str(scenario_path), scenario
 
 
@@ -147,8 +148,16 @@ def test_bad_config_is_user_error(tmp_path, capsys):
         ({"seed": 1, "bogus": 1}, "unknown scenario keys: ['bogus']"),
         ({"center": {"lat": 1}}, "bad scenario 'center'"),
         ({"rates": [1, 2]}, "bad scenario 'rates'"),
+        ({"seed": "x"}, "scenario 'seed' must be int"),
+        ({"duration_s": "10"}, "scenario 'duration_s' must be float"),
+        ({"pedestrian_count": 2.5}, "scenario 'pedestrian_count' must be int"),
+        (5, "scenario must be a JSON object"),
+        ({"vehicle_count": -1}, "counts must not be negative"),
     ],
-    ids=["unknown_key", "center_block", "rates_block"],
+    ids=[
+        "unknown_key", "center_block", "rates_block", "seed_type", "duration_type",
+        "count_type", "top_level_number", "negative_count",
+    ],
 )
 def test_malformed_scenario_is_user_error(workdir, capsys, scenario, message):
     tmp_path, config, _, _ = workdir
@@ -193,9 +202,16 @@ def test_app_config_defaults_are_the_library_defaults():
 
 
 def test_deprecated_speed_floor_key_still_fuses(workdir, capsys):
+    """A config file that sets the deleted options speed_floor_ms and
+    vda_schedule_ms still loads, and their values are dropped."""
     tmp_path, _, scenario_path, scenario = workdir
+    assert not {"speed_floor_ms", "vda_schedule_ms"} & {f.name for f in dataclasses.fields(AppConfig())}
     config = tmp_path / "old_config.json"
-    config.write_text(json.dumps({"store_path": str(tmp_path / "old.db"), "speed_floor_ms": 0.5}))
+    store_path = str(tmp_path / "old.db")
+    config.write_text(json.dumps(
+        {"store_path": store_path, "speed_floor_ms": 0.5, "vda_schedule_ms": {"gnss": 200}}
+    ))
+    assert AppConfig.load(config) == AppConfig(store_path=store_path)
     out_dir = tmp_path / "batches"
     assert run("--config", str(config), "simulate", "--scenario", scenario_path, "--out", str(out_dir)) == EXIT_OK
     assert run("--config", str(config), "ingest", *map(str, sorted(out_dir.glob("*.ksb")))) == EXIT_OK

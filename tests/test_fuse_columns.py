@@ -32,7 +32,6 @@ from situfuse.messages import (
     MapLane,
     MapTopology,
     ObjectClassification,
-    ObservationColumns,
     ObservationSource,
     SignalPhase,
     SpatExtract,
@@ -41,6 +40,7 @@ from situfuse.simgen import VUT_OBJECT_ID, MessageRates, ScenarioConfig, generat
 from situfuse.store import RawHazard, RawSpat, RawVutSensor, SituationStore
 
 from conftest import make_vut_extract, oracle_components
+from object_decode import table_rows
 from test_fusion import CENTER, T0, obs, random_instance
 from typed_fuse import (
     fuse_situation_typed,
@@ -48,6 +48,7 @@ from typed_fuse import (
     link_lanes_scalar,
     merge_columns,
     merge_group_scalar,
+    of,
 )
 
 
@@ -129,8 +130,8 @@ def test_fuse_situation_trusts_the_store_keys_for_spat_and_hazards():
     ]
     rng.shuffle(rows)
     for row in rows:
-        store.insert_raw([replace(row, reporter=901, receive_time=20)])
-        store.insert_raw([replace(row, reporter=902, receive_time=10)])
+        store.insert_raw(table_rows([replace(row, reporter=901, receive_time=20)]))
+        store.insert_raw(table_rows([replace(row, reporter=902, receive_time=10)]))
     record = _assert_same_record(cfg, store, t)
     assert len(record.hazards) == 18
     assert [h.kind for h in record.hazards[:3]] == list(HazardKind)
@@ -148,7 +149,7 @@ def test_similar_pairs_mask_equals_scalar_oracle():
         )
         pairs = list(itertools.combinations(range(len(sample)), 2))
         idx_i, idx_j = (np.array(side, dtype=np.int64) for side in zip(*pairs))
-        mask = _similar_pairs_mask(idx_i, idx_j, ObservationColumns.of(sample), th)
+        mask = _similar_pairs_mask(idx_i, idx_j, of(sample), th)
         assert mask.tolist() == [is_similar(sample[i], sample[j], th) for i, j in pairs]
 
 
@@ -164,7 +165,7 @@ def test_dedup_equals_scalar_merge_of_oracle_components():
         components = oracle_components(sample)
         expected = [merge_group_scalar([sample[i] for i in sorted(c)]) for c in components]
         expected.sort(key=lambda f: (f.position.lat, f.position.lon, f.course))
-        assert dedup(sample) == expected
+        assert dedup(of(sample)) == expected
 
 
 def test_merge_group_equals_scalar_merge():
@@ -220,7 +221,7 @@ def _raw_store(tmp_path, rows) -> SituationStore:
     connection, so that no decoder or typed object checks them."""
     path = str(tmp_path / "raw.db")
     store = SituationStore(path)
-    store.insert_raw([RawVutSensor(100, make_vut_extract(TW, CENTER), 100, 1)])
+    store.insert_raw(table_rows([RawVutSensor(100, make_vut_extract(TW, CENTER), 100, 1)]))
     conn = sqlite3.connect(path)
     for kind, columns in rows:
         conn.execute(store_module._INSERT_RAW[kind], columns)

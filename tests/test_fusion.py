@@ -39,7 +39,8 @@ from situfuse.fusion import (
 )
 from situfuse.store import RawCam, RawSpat, RawVutSensor, SituationStore
 from situfuse.wire import MAX_TIME_MS
-from typed_fuse import is_similar, merge_columns, query_window
+from object_decode import table_rows
+from typed_fuse import is_similar, merge_columns, of, query_window
 from conftest import (
     REFERENCE_T0,
     REFERENCE_VUT,
@@ -82,7 +83,7 @@ def obs(
 
 
 def merges(a, b, th=None):
-    return len(dedup([a, b], th)) == 1
+    return len(dedup(of([a, b]), th)) == 1
 
 
 def test_is_similar_identical():
@@ -148,7 +149,7 @@ def test_is_similar_symmetric_reflexive_random():
 
 def test_dedup_all_dissimilar():
     sample = [obs(k, east=k * 50.0) for k in range(6)]
-    assert len(dedup(sample)) == 6
+    assert len(dedup(of(sample))) == 6
 
 
 def test_dedup_cam_plus_detection_merge():
@@ -157,7 +158,7 @@ def test_dedup_cam_plus_detection_merge():
         source=ObservationSource.CAM_SELF_REPORT, reporter=11,
     )
     detection = obs(7, east=1.0, speed=10.4, course=92.0)
-    fused = dedup([cam, detection])
+    fused = dedup(of([cam, detection]))
     assert len(fused) == 1
     assert fused[0].position == cam.position
     assert fused[0].speed == cam.speed
@@ -236,15 +237,15 @@ def test_exact_threshold_courses_agree_between_paths():
     c = obs(3, east=1.0, course=115.0000001)
     assert is_similar(a, b)
     assert not is_similar(a, c)
-    assert len(dedup([a, b])) == 1
-    assert len(dedup([a, c])) == 2
+    assert len(dedup(of([a, b]))) == 1
+    assert len(dedup(of([a, c]))) == 2
 
 
 def test_dedup_matches_brute_force_oracle():
     rng = random.Random(3)
     for trial in range(25):
         sample = random_instance(rng, rng.randrange(2, 240))
-        fused = dedup(sample)
+        fused = dedup(of(sample))
         expected = grouping_from_components(oracle_components(sample), sample)
         assert grouping_from_fused(fused) == expected, f"trial {trial}"
 
@@ -252,12 +253,12 @@ def test_dedup_matches_brute_force_oracle():
 def test_dedup_output_order_deterministic():
     rng = random.Random(4)
     sample = random_instance(rng, 120)
-    fused = dedup(sample)
+    fused = dedup(of(sample))
     keys = [(f.position.lat, f.position.lon, f.course) for f in fused]
     assert keys == sorted(keys)
     shuffled = sample[:]
     rng.shuffle(shuffled)
-    assert grouping_from_fused(dedup(shuffled)) == grouping_from_fused(fused)
+    assert grouping_from_fused(dedup(of(shuffled))) == grouping_from_fused(fused)
 
 
 def test_dedup_idempotent_on_own_output():
@@ -275,9 +276,9 @@ def test_dedup_idempotent_on_own_output():
         )
         for k in range(150)
     ]
-    fused = dedup(sample)
+    fused = dedup(of(sample))
     again = dedup(
-        [
+        of([
             TrafficObjectObservation(
                 object_id=i,
                 classification=f.classification,
@@ -289,7 +290,7 @@ def test_dedup_idempotent_on_own_output():
                 reporter=500,
             )
             for i, f in enumerate(fused)
-        ]
+        ])
     )
     assert len(again) == len(fused)
     assert [(f.position, f.speed, f.course) for f in again] == [
@@ -301,14 +302,14 @@ def test_dedup_comparison_counter():
     rng = random.Random(6)
     sample = random_instance(rng, 100)
     stats = DedupStats()
-    fused = dedup(sample, stats=stats)
+    fused = dedup(of(sample), stats=stats)
     assert stats.observations == 100
     assert 0 <= stats.comparisons <= stats.brute_force_comparisons
     similar = sum(is_similar(a, b) for a, b in itertools.combinations(sample, 2))
     assert 0 < stats.similar_pairs == similar <= stats.comparisons
     assert stats.groups == len(fused)
     empty = DedupStats(comparisons=7)
-    assert dedup([], stats=empty) == []
+    assert dedup(of([]), stats=empty) == []
     assert empty == DedupStats()
 
 
@@ -336,7 +337,7 @@ def four_heading_sample(rng, n):
 
 def test_grid_comparisons_on_four_heading_traffic():
     stats = DedupStats()
-    dedup(four_heading_sample(random.Random(1004), 20_000), stats=stats)
+    dedup(of(four_heading_sample(random.Random(1004), 20_000)), stats=stats)
     assert stats.comparisons <= 0.001 * stats.brute_force_comparisons
 
 
@@ -391,7 +392,7 @@ def test_dedup_merges_pair_across_antimeridian(lat, lon):
     )
     apart = haversine_distance(west.position, east.position)
     assert apart < 2.5
-    (fused,) = dedup([west, east])
+    (fused,) = dedup(of([west, east]))
     assert len(fused.provenance) == 2
     assert haversine_distance(fused.position, west.position) <= apart
     assert haversine_distance(fused.position, east.position) <= apart
@@ -464,12 +465,12 @@ def test_query_window_requires_vut_fix():
 def test_query_window_time_and_radius():
     store = SituationStore(":memory:")
     store.insert_raw(
-        [
+        table_rows([
             RawVutSensor(100, make_vut_extract(T0, CENTER), 100, 1),
             _cam_raw(1, T0 + 400, east=100.0),
             _cam_raw(2, T0 + 600, east=0.0),
             _cam_raw(3, T0, east=400.0),
-        ]
+        ])
     )
     window = query_window(100, T0, store)
     assert [r.cam.originator for r in window.cams] == [1]
@@ -565,7 +566,9 @@ def test_lane_distance_perpendicular():
 
 def test_fuse_situation_with_only_vut_fix():
     store = SituationStore(":memory:")
-    store.insert_raw([RawVutSensor(100, make_vut_extract(T0, CENTER, speed=7.0), 100, 1)])
+    store.insert_raw(
+        table_rows([RawVutSensor(100, make_vut_extract(T0, CENTER, speed=7.0), 100, 1)])
+    )
     record = fuse_situation(100, T0, store)
     assert record.situation_id == 1
     assert len(record.objects) == 1
@@ -594,7 +597,9 @@ def test_fuse_situation_at_the_ends_of_the_time_range():
     for t in (-1, 2**63):
         with pytest.raises(ValueError):
             fuse_situation(100, t, store)
-    store.insert_raw([RawVutSensor(100, make_vut_extract(MAX_TIME_MS - 10, CENTER), 100, 1)])
+    store.insert_raw(
+        table_rows([RawVutSensor(100, make_vut_extract(MAX_TIME_MS - 10, CENTER), 100, 1)])
+    )
     record = fuse_situation(100, MAX_TIME_MS, store)
     assert record.timestamp == MAX_TIME_MS
     assert record.vut_sensor.timestamp == MAX_TIME_MS - 10
@@ -632,7 +637,7 @@ def test_fuse_situation_links_every_data_class():
         cloudiness_pct=100.0,
     )
     store.insert_raw(
-        [
+        table_rows([
             RawVutSensor(100, make_vut_extract(T0, CENTER, speed=8.0), 100, 1),
             _cam_raw(11, T0, east=30.0),  # on the eastbound lane
             RawSpat(
@@ -648,7 +653,7 @@ def test_fuse_situation_links_every_data_class():
                 HazardEvent(HazardKind.PANIC_BRAKING, T0 - 200, CENTER, source=11),
                 reporter=11, receive_time=1,
             ),
-        ]
+        ])
     )
     record = fuse_situation(100, T0, store)
     assert len(record.objects) == 2  # the VUT and the reported car

@@ -1,16 +1,21 @@
+import dataclasses
 import hashlib
+import json
 import statistics
 
 import pytest
 
-from situfuse.geo import haversine_distance, to_local_enu
+from situfuse.geo import GeoPosition, haversine_distance, to_local_enu
 from situfuse.fusion import fuse_situation
+from situfuse.messages import ObjectClassification
 from situfuse.simgen import (
     CAMERA_STATION,
     MessageRates,
     NoiseSpec,
     GroundTruth,
     ScenarioConfig,
+    TrajectorySegment,
+    TruthObject,
     generate,
     score,
 )
@@ -194,14 +199,51 @@ def test_recall_holds_across_seeds():
 
 
 def test_config_round_trip_and_validation():
-    cfg = quiet()
-    assert ScenarioConfig.from_dict(cfg.to_dict()) == cfg
+    default = ScenarioConfig()
+    changed = ScenarioConfig(
+        seed=7, duration_s=3.5, center=GeoPosition(48.1, 11.6), vehicle_count=3,
+        pedestrian_count=1, cooperative_fraction=0.25, camera_radius_m=150.0, vut_station=101,
+        cam_noise=NoiseSpec(0.4, 1.5, 0.1), cpm_noise=NoiseSpec(0.6, 2.5, 0.3),
+        vut_noise=NoiseSpec(0.2, 0.5, 0.05), rates=MessageRates(2.0, 5.0, 10.0, 0.5),
+        spawn_radius_m=80.0, start_time_ms=1_600_000_000_000,
+    )
+    assert all(getattr(changed, f.name) != getattr(default, f.name) for f in dataclasses.fields(default))
+    for cfg in (default, changed, quiet()):  # asdict is the scenario file's layout
+        assert ScenarioConfig.from_dict(json.loads(json.dumps(dataclasses.asdict(cfg)))) == cfg
     with pytest.raises(ValueError):
         ScenarioConfig(cooperative_fraction=1.5)
     with pytest.raises(ValueError):
         MessageRates(cam_hz=0)
 
 
+def ground_truth_from_dict(data: dict) -> GroundTruth:
+    """The inverse of GroundTruth.to_dict, the layout of ground_truth.json."""
+    return GroundTruth(
+        start_time_ms=data["start_time_ms"],
+        duration_ms=data["duration_ms"],
+        vut_station=data["vut_station"],
+        objects=tuple(
+            TruthObject(
+                object_id=o["object_id"],
+                classification=ObjectClassification(o["classification"]),
+                cooperative=o["cooperative"],
+                station=o["station"],
+                segments=tuple(
+                    TrajectorySegment(
+                        t_start_ms=s["t_start_ms"],
+                        duration_ms=s["duration_ms"],
+                        position=GeoPosition(s["lat"], s["lon"]),
+                        speed=s["speed"],
+                        course=s["course"],
+                    )
+                    for s in o["segments"]
+                ),
+            )
+            for o in data["objects"]
+        ),
+    )
+
+
 def test_ground_truth_serialization_round_trip():
     truth, _ = generate(quiet())
-    assert GroundTruth.from_dict(truth.to_dict()) == truth
+    assert ground_truth_from_dict(json.loads(json.dumps(truth.to_dict()))) == truth

@@ -43,7 +43,7 @@ from situfuse.store import (
 from situfuse import store as store_module
 from situfuse import wire
 from conftest import make_vut_extract
-from object_decode import rows_from_envelope
+from object_decode import rows_from_envelope, table_rows
 from test_wire import CAM_PAYLOAD, random_envelope, random_payload, raw_frame
 
 T0 = 1_700_000_000_000
@@ -84,8 +84,8 @@ def spat_row(intersection, group, t, receive_time=1):
 
 def test_insert_raw_counts_and_idempotence(store):
     rows = [cam_row(1, T0), cam_row(2, T0), cam_row(3, T0), spat_row(1, 1, T0), spat_row(1, 2, T0)]
-    assert store.insert_raw(rows) == 5
-    assert store.insert_raw(rows) == 0
+    assert store.insert_raw(table_rows(rows)) == 5
+    assert store.insert_raw(table_rows(rows)) == 0
     stats = store.stats()
     assert stats["raw_cam"] == 3
     assert stats["raw_spat"] == 2
@@ -114,18 +114,18 @@ def test_interleaved_duplicates_match_key_set(store):
             cam_row(rng.randrange(1, 8), T0 + 100 * rng.randrange(0, 10), receive_time=k)
             for k in range(rng.randrange(1, 6))
         ]
-        store.insert_raw(rows)
+        store.insert_raw(table_rows(rows))
         inserted_keys |= {(r.cam.originator, r.cam.generation_time) for r in rows}
     assert store.stats()["raw_cam"] == len(inserted_keys)
 
 
 def test_query_raw_empty_kinds(store):
-    store.insert_raw([cam_row(1, T0)])
+    store.insert_raw(table_rows([cam_row(1, T0)]))
     assert len(store.query_raw(T0 - 10, T0 + 10, CENTER, 1000.0, kinds=set())) == 0
 
 
 def test_query_raw_time_boundaries_inclusive(store):
-    store.insert_raw([cam_row(1, T0), cam_row(2, T0 + 100)])
+    store.insert_raw(table_rows([cam_row(1, T0), cam_row(2, T0 + 100)]))
     out = store.query_raw(T0, T0 + 100, CENTER, 1000.0)
     assert [r.cam.originator for r in out.cams] == [1, 2]
     out = store.query_raw(T0 + 1, T0 + 99, CENTER, 1000.0)
@@ -149,7 +149,7 @@ def test_query_raw_matches_full_scan_oracle(store):
                 north_m=rng.uniform(-500, 500),
             )
         )
-    store.insert_raw(rows)
+    store.insert_raw(table_rows(rows))
     for _ in range(20):
         t_min = T0 + rng.randrange(0, 8000)
         t_max = t_min + rng.randrange(0, 3000)
@@ -174,7 +174,7 @@ def test_query_raw_orders_hazards_by_their_whole_key(store):
     ]
     rng.shuffle(rows)
     for row in rows:  # one insert each, so the rowids follow the shuffle
-        store.insert_raw([row])
+        store.insert_raw(table_rows([row]))
     got = store.query_raw(T0, T0 + 10, CENTER, 10.0)
     expected = sorted(rows, key=lambda r: (r.event.timestamp, r.event.source, int(r.event.kind)))
     assert rows != expected and list(got.hazard_rows) == expected
@@ -208,10 +208,11 @@ def _window_oracle(facts, t_min, t_max, radius, kinds=None) -> dict[str, list]:
     """The full-scan window: per RawSlice list, the typed rows with time in
     [t_min, t_max] and haversine within the radius, in the documented order."""
     expected = {name: [] for name in vars(store_module.RawSlice())}
+    kind_of = {raw.slice_list: kind for kind, raw in store_module.RAW_TABLE.items()}
     for r in facts:
         name, t, position, order = _window_facts(r)
         if (
-            (kinds is None or r.record_kind in kinds)
+            (kinds is None or kind_of[name] in kinds)
             and t_min <= t <= t_max
             and haversine_distance(CENTER, position) <= radius
         ):
@@ -295,11 +296,11 @@ def test_query_raw_windows_on_block_edges(tmp_path):
     last summary, meets that block at its edge."""
     store = SituationStore(str(tmp_path / "edges.db"))
     rows = [cam_row(n, T0 + 10 * n) for n in range(1, 3001)]  # the n-th row has rowid n
-    store.insert_raw(rows[:2047])
+    store.insert_raw(table_rows(rows[:2047]))
     _assert_window(store, rows[:2047], T0, T0 + 10 * 2047, 10.0)
-    store.insert_raw(rows[2047:2048])  # alone past the summary, first of its block
+    store.insert_raw(table_rows(rows[2047:2048]))  # alone past the summary, first of its block
     _assert_window(store, rows[:2048], T0 + 10 * 2048, T0 + 10 * 2048, 10.0)
-    store.insert_raw(rows[2048:])
+    store.insert_raw(table_rows(rows[2048:]))
     for n in (1, 1023, 1024, 2047, 2048, 2500, 3000):
         _assert_window(store, rows, T0 + 10 * n, T0 + 10 * n, 10.0)
     _assert_window(store, rows, T0 + 10 * 1023, T0 + 10 * 1024, 10.0)
@@ -321,10 +322,10 @@ def test_query_raw_includes_rows_another_store_appends(tmp_path):
     path = str(tmp_path / "shared.db")
     first, second = SituationStore(path), SituationStore(path)
     rows = _cam_epoch(rng, 0, 1500, 1)
-    first.insert_raw(rows)
+    first.insert_raw(table_rows(rows))
     _assert_window(first, rows, T0, T0 + 4 * EPOCH_MS, 300.0)
     more = _cam_epoch(rng, 1, 1500, 5000)  # into the partly summarised block and past it
-    second.insert_raw(more)
+    second.insert_raw(table_rows(more))
     for epoch in (0, 1):
         _assert_window(first, rows + more, T0 + EPOCH_MS * epoch, T0 + EPOCH_MS * epoch + 3000, 300.0)
     _assert_window(first, rows + more, T0, T0 + 4 * EPOCH_MS, 300.0)
@@ -339,7 +340,7 @@ def test_query_raw_exact_after_foreign_delete_vacuum_insert(tmp_path):
     path = str(tmp_path / "foreign.db")
     store = SituationStore(path)
     rows = [r for epoch in range(3) for r in _cam_epoch(rng, epoch, 1000, 1000 * epoch + 1)]
-    store.insert_raw(rows)
+    store.insert_raw(table_rows(rows))
     for epoch in range(4):
         _assert_window(store, rows, T0 + EPOCH_MS * epoch, T0 + EPOCH_MS * epoch + 8000, 500.0)
 
@@ -348,7 +349,8 @@ def test_query_raw_exact_after_foreign_delete_vacuum_insert(tmp_path):
     conn.commit()
     conn.execute("VACUUM")
     new = _cam_epoch(rng, 3, 800, 10_000)
-    conn.executemany(store_module._INSERT_RAW[wire.RecordKind.CAM_EXTRACT], [r.columns() for r in new])
+    (cam_rows,) = table_rows(new).values()
+    conn.executemany(store_module._INSERT_RAW[wire.RecordKind.CAM_EXTRACT], cam_rows)
     conn.commit()
     conn.close()
 
@@ -364,9 +366,9 @@ def test_time_bounds_beyond_sqlite_integers_are_clamped(store):
     """Bounds past the signed 64-bit range are cut to it: nothing overflows,
     and a window wholly outside the stored times stays empty."""
     top = 2**63 - 1
-    store.insert_raw([
+    store.insert_raw(table_rows([
         cam_row(1, top - 5), RawVutSensor(100, make_vut_extract(top - 10, CENTER), 100, 1),
-    ])
+    ]))
     assert [r.cam.generation_time for r in store.query_raw(top - 5, top + 10**6, CENTER, 10.0).cams] == [top - 5]
     assert len(store.query_raw(top + 1, 2**64, CENTER, 10.0)) == 0
     assert len(store.query_raw(-(2**64), -(2**63) - 1, CENTER, 10.0)) == 0
@@ -397,7 +399,7 @@ def test_vut_fix_near(store):
         RawVutSensor(100, make_vut_extract(T0 + dt, CENTER), 100, 1)
         for dt in (-1500, -300, 700)
     ]
-    store.insert_raw(fixes)
+    store.insert_raw(table_rows(fixes))
     hit = store.vut_fix_near(100, T0, tolerance_ms=2000)
     assert hit.extract.timestamp == T0 - 300
     assert store.vut_fix_near(100, T0 + 10_000, tolerance_ms=2000) is None
@@ -411,7 +413,7 @@ def test_environment_candidates(store):
         illuminance_lux=500.0, visibility_m=2000.0, pressure_hpa=1009.0,
         humidity_pct=80.0, cloudiness_pct=90.0,
     )
-    store.insert_raw([RawEnvironment(sample, reporter=42, receive_time=1)])
+    store.insert_raw(table_rows([RawEnvironment(sample, reporter=42, receive_time=1)]))
     assert store.environment_candidates(T0 + 30_000) == [sample]
     assert store.environment_candidates(T0 + 61_000) == []
 
@@ -623,7 +625,7 @@ def test_rows_from_envelope_covers_all_kinds(store):
         "RawDriverState", "RawEnvironment", "RawHazard",
     }
     assert all(r.receive_time == 5 for r in rows)
-    assert store.insert_raw(rows) == 7
+    assert store.insert_raw(table_rows(rows)) == 7
     stats = store.stats()
     assert sum(stats[t] for t in stats if t.startswith("raw_")) == 7
 
@@ -677,6 +679,32 @@ def _table_contents(s: SituationStore) -> dict[str, list]:
     }
 
 
+def test_insert_envelope_writes_once_through_insert_raw(monkeypatch):
+    """insert_envelope makes one insert_raw call per frame, with the typed
+    reference's table rows, and returns that call's count unchanged."""
+    rng = random.Random(98)
+    calls, insert_raw = [], SituationStore.insert_raw
+
+    def counted(self, rows_by_kind):
+        rows = {kind: list(kind_rows) for kind, kind_rows in rows_by_kind.items()}
+        calls.append((rows, insert_raw(self, rows)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(SituationStore, "insert_raw", counted)
+    store, new_rows = SituationStore(":memory:"), 0
+    for k in range(60):
+        env = wire.decode_batch(wire.encode_batch(random_envelope(rng, max_records=10)))
+        for t in (k, k + 1):  # the second pass re-sends the frame
+            before = len(calls)
+            n = store.insert_envelope(env, receive_time=t)
+            assert len(calls) == before + 1
+            rows, inserted = calls[-1]
+            assert rows == table_rows(rows_from_envelope(env, t)) and n == inserted
+            new_rows += n
+    assert new_rows == sum(store.stats()[table] for table in RAW_TABLES) > 100
+    store.close()
+
+
 def test_insert_envelope_stores_what_the_typed_rows_store():
     """Columnar ingest against the object-per-record reference, frame by frame."""
     rng = random.Random(97)
@@ -688,9 +716,9 @@ def test_insert_envelope_stores_what_the_typed_rows_store():
         kinds |= {r.kind for r in env.records}
         odd_codes += sum(a.payload != b.payload for a, b in zip(env.records, original.records))
         n = columnar.insert_envelope(env, receive_time=k)
-        assert n == typed.insert_raw(rows_from_envelope(env, k)), f"frame {k}"
+        assert n == typed.insert_raw(table_rows(rows_from_envelope(env, k))), f"frame {k}"
         assert columnar.insert_envelope(env, receive_time=k + 1) == 0
-        assert typed.insert_raw(rows_from_envelope(env, k + 1)) == 0
+        assert typed.insert_raw(table_rows(rows_from_envelope(env, k + 1))) == 0
     got, expected = _table_contents(columnar), _table_contents(typed)
     assert got == expected
     assert kinds == set(wire.RecordKind)

@@ -671,10 +671,7 @@ def row_types(rows_by_kind) -> set[type]:
 
 
 def reference_rows(env: BatchEnvelope) -> dict:
-    rows = {}
-    for row in object_decode.rows_from_envelope(env, receive_time=5):
-        rows.setdefault(row.record_kind, []).append(row.columns())
-    return rows
+    return object_decode.table_rows(object_decode.rows_from_envelope(env, receive_time=5))
 
 
 @settings(max_examples=600, deadline=None)

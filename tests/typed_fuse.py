@@ -7,8 +7,10 @@ observation list -> per-object, per-lane ``link_lanes``.  It also keeps the
 scalar similarity check ``is_similar`` (with ``angular_difference``), the
 scalar ``merge_group_scalar`` and the window query, none of which the
 package has any more.  The tests use them as the oracles the column path
-must match exactly; ``merge_columns`` runs the package's column merge on
-one group, so tests can build a single fused object.
+must match exactly; ``of`` turns an observation list into the one
+``ObservationColumns`` block that ``dedup`` takes, and ``merge_columns``
+runs the package's column merge on one group, so tests can build a single
+fused object.
 """
 
 from __future__ import annotations
@@ -82,9 +84,19 @@ def is_similar(
     return haversine_distance(a.position, b.position) <= th.max_position_m
 
 
+def of(obs: Sequence[TrafficObjectObservation]) -> ObservationColumns:
+    """Observation objects as one checked column block, in list order."""
+    rows = [
+        (o.position.lat, o.position.lon, o.speed, o.course, o.classification, o.timestamp,
+         o.source, o.reporter, o.object_id)
+        for o in obs
+    ]
+    return ObservationColumns.checked(*(zip(*rows) if rows else [()] * len(ObservationColumns._fields)))
+
+
 def merge_columns(group: Sequence[TrafficObjectObservation]) -> FusedObject:
     """One non-empty group merged by the package's column merge."""
-    return fusion._merge_groups(ObservationColumns.of(group), np.zeros(len(group), dtype=np.int64))[0]
+    return fusion._merge_groups(of(group), np.zeros(len(group), dtype=np.int64))[0]
 
 
 def merge_group_scalar(group: Sequence[TrafficObjectObservation]) -> FusedObject:
@@ -192,8 +204,8 @@ def fuse_situation_typed(
     for raw in backend_dedup(list(window.cpm_detections)):
         extract = CpmExtract(raw.originator, raw.generation_time, (raw.detection,))
         observations.extend(observations_from_cpm(extract))
-    observations.append(fusion._vut_observation(store, vut, fix))
-    objects = fusion.dedup(observations)
+    blocks = (of(observations), fusion._vut_observation(store, vut, fix))
+    objects = fusion.dedup(ObservationColumns(*map(np.concatenate, zip(*blocks))))
 
     topo = fusion._nearest_topology(store, center, radius_m)
     topology = fusion.join_topology(topo, backend_dedup(window.spats), t) if topo else None
