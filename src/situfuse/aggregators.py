@@ -160,7 +160,7 @@ def vda_tick(
     """Sample each sensor group whose period has elapsed; returns fired groups.
 
     Emission is boundary-inclusive: a group fires at exactly
-    last_emit + period.  Every firing queues a full sensor snapshot.
+    last_emit + period.  A tick that fires any group queues one sensor snapshot.
     """
     fired = []
     for group, period in schedule.periods_ms.items():
@@ -176,8 +176,7 @@ def vda_tick(
             sensors.gnss,
             wire.pack_vut_sensor(sensors),
         )
-        for _ in fired:
-            local.append(record)
+        local.append(record)
     return fired
 
 

@@ -26,6 +26,7 @@ from pathlib import Path
 
 from .config import AppConfig
 from .fusion import NoVutFix, fuse_situation
+from .geo import feature_collection, geojson_feature
 from .metrics import evaluate_situation, handover_summary, is_vut_object, rows_to_csv
 from .simgen import ScenarioConfig, generate
 from .situation import SituationRecord
@@ -53,11 +54,10 @@ class IngestReport:
 
 
 def _ingest_envelopes(store: SituationStore, envelopes, report: IngestReport) -> None:
-    receive_time = time.time_ns() // 1_000_000
     for env in envelopes:
         report.batches += 1
-        report.records += env.meta.record_count
-        report.inserted += store.insert_envelope(env, receive_time)
+        report.records += len(env.records)
+        report.inserted += store.insert_envelope(env, time.time_ns() // 1_000_000)
 
 
 def serve_ingest(
@@ -103,55 +103,27 @@ def send_frames(host: str, port: int, envelopes) -> int:
 
 def situation_geojson(record: SituationRecord) -> str:
     """A situation as point/line features: objects, VUT, lanes, hazards."""
-    features = []
-    for obj in record.objects:
-        features.append(
-            {
-                "type": "Feature",
-                "geometry": {
-                    "type": "Point",
-                    "coordinates": [obj.position.lon, obj.position.lat],
-                },
-                "properties": {
-                    "id": obj.fused_id,
-                    "classification": obj.classification.display_name,
-                    "speed": obj.speed,
-                    "course": obj.course,
-                    "lane_id": obj.lane_id,
-                    "sources": len(obj.provenance),
-                    "vut": is_vut_object(obj, record.vut),
-                },
-            }
-        )
-    if record.topology is not None:
-        for lane in record.topology.lanes:
-            features.append(
-                {
-                    "type": "Feature",
-                    "geometry": {
-                        "type": "LineString",
-                        "coordinates": [[p.lon, p.lat] for p in lane.polyline],
-                    },
-                    "properties": {
-                        "lane_id": lane.lane_id,
-                        "signal_group": lane.signal_group,
-                        "phase": lane.phase.name,
-                        "ingress": lane.ingress,
-                    },
-                }
-            )
-    for hazard in record.hazards:
-        features.append(
-            {
-                "type": "Feature",
-                "geometry": {
-                    "type": "Point",
-                    "coordinates": [hazard.position.lon, hazard.position.lat],
-                },
-                "properties": {"hazard": hazard.kind.name, "timestamp": hazard.timestamp},
-            }
-        )
-    return json.dumps({"type": "FeatureCollection", "features": features})
+    lanes = record.topology.lanes if record.topology is not None else ()
+    return feature_collection([
+        *(geojson_feature("Point", [obj.position.lon, obj.position.lat], {
+            "id": obj.fused_id,
+            "classification": obj.classification.display_name,
+            "speed": obj.speed,
+            "course": obj.course,
+            "lane_id": obj.lane_id,
+            "sources": len(obj.provenance),
+            "vut": is_vut_object(obj, record.vut),
+        }) for obj in record.objects),
+        *(geojson_feature("LineString", [[p.lon, p.lat] for p in lane.polyline], {
+            "lane_id": lane.lane_id,
+            "signal_group": lane.signal_group,
+            "phase": lane.phase.name,
+            "ingress": lane.ingress,
+        }) for lane in lanes),
+        *(geojson_feature("Point", [hazard.position.lon, hazard.position.lat],
+                          {"hazard": hazard.kind.name, "timestamp": hazard.timestamp})
+          for hazard in record.hazards),
+    ])
 
 
 # --- commands -----------------------------------------------------------------

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
+from numbers import Integral, Real
 
 from .fusion import DEFAULT_MAX_LATERAL_M, DEFAULT_RADIUS_M, DEFAULT_WINDOW_MS, SimilarityThresholds
 from .metrics import (
@@ -17,6 +19,20 @@ from .stressmap import DEFAULT_CAPACITY, DEFAULT_MAX_DEPTH
 
 # Keys of deleted options: a config file that sets one still loads, and the value is dropped.
 _RETIRED_KEYS = frozenset({"speed_floor_ms", "vda_schedule_ms"})
+# the type each scalar field's annotation names; a bool is no number here
+_SCALAR_TYPES = {"int": Integral, "StationId": Integral, "float": Real, "str": str,
+                 "str | None": (str, type(None))}
+
+
+def check_scalars(obj, what: str) -> None:
+    """Raise ValueError for a scalar field of the dataclass ``obj`` that is
+    not of its annotated type, or is a number that is not finite."""
+    for f in fields(obj):
+        value, kind = getattr(obj, f.name), _SCALAR_TYPES.get(f.type)
+        if kind is not None and (isinstance(value, bool) or not isinstance(value, kind)):
+            raise ValueError(f"{what} {f.name!r} must be {f.type}, not {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{what} {f.name!r} must be finite, not {value!r}")
 
 
 @dataclass
@@ -43,6 +59,9 @@ class AppConfig:
     stress_capacity: int = DEFAULT_CAPACITY
     stress_max_depth: int = DEFAULT_MAX_DEPTH
 
+    def __post_init__(self):
+        check_scalars(self, "config")
+
     def thresholds(self) -> SimilarityThresholds:
         return SimilarityThresholds(
             max_position_m=self.max_position_m,
@@ -52,6 +71,8 @@ class AppConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "AppConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, not {type(data).__name__}")
         kept = {k: v for k, v in data.items() if k not in _RETIRED_KEYS}
         unknown = set(kept) - set(cls.__dataclass_fields__)
         if unknown:

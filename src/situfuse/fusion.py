@@ -108,23 +108,17 @@ class DedupStats:
         return self.observations * (self.observations - 1) // 2
 
 
-def _similar_pairs_mask(idx_i, idx_j, c: ObservationColumns, th: SimilarityThresholds):
-    """Which index pairs may be the same object: speed, course, classification
+def _similar_pairs_mask(i, j, c: ObservationColumns, th: SimilarityThresholds):
+    """Which index pairs (i, j) may be the same object: speed, course, classification
     (UNKNOWN matches any) and haversine distance each within the thresholds."""
-    ok = np.abs(c.speed[idx_i] - c.speed[idx_j]) <= th.max_speed_ms
-
-    d = np.abs(c.course[idx_i] - c.course[idx_j]) % 360.0
-    ok &= np.minimum(d, 360.0 - d) <= th.max_course_deg
-
+    d = np.abs(c.course[i] - c.course[j]) % 360.0
     cls, unknown = c.classification, int(ObjectClassification.UNKNOWN)
-    ok &= (cls[idx_i] == cls[idx_j]) | (cls[idx_i] == unknown) | (cls[idx_j] == unknown)
-
-    # Haversine only where everything else already matches.
-    sub = np.nonzero(ok)[0]
-    i, j = idx_i[sub], idx_j[sub]
-    mask = np.zeros(len(idx_i), dtype=bool)
-    mask[sub[haversine_distances(c.lat[i], c.lon[i], c.lat[j], c.lon[j]) <= th.max_position_m]] = True
-    return mask
+    return (
+        (np.abs(c.speed[i] - c.speed[j]) <= th.max_speed_ms)
+        & (np.minimum(d, 360.0 - d) <= th.max_course_deg)
+        & ((cls[i] == cls[j]) | (cls[i] == unknown) | (cls[j] == unknown))
+        & (haversine_distances(c.lat[i], c.lon[i], c.lat[j], c.lon[j]) <= th.max_position_m)
+    )
 
 
 def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:

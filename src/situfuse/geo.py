@@ -1,4 +1,4 @@
-"""Geodesic and planar geometry shared by fusion, metrics and the stress map.
+"""Geodesic and planar geometry, and the GeoJSON layout, shared by fusion, metrics and the maps.
 
 Distances are great-circle (haversine) on a sphere with the IUGG mean Earth
 radius.  Local planar work uses an equirectangular tangent-plane projection,
@@ -8,6 +8,7 @@ toolkit deals with.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -132,3 +133,14 @@ def initial_bearing(a: GeoPosition, b: GeoPosition) -> float:
     """Course in [0, 360) from ``a`` towards ``b`` on the local plane."""
     east, north = to_local_enu(a, b)
     return normalize_course(math.degrees(math.atan2(east, north)))
+
+
+def geojson_feature(geometry_type: str, coordinates, properties: dict) -> dict:
+    """One GeoJSON Feature; coordinates are [lon, lat] pairs, as GeoJSON orders them."""
+    geometry = {"type": geometry_type, "coordinates": coordinates}
+    return {"type": "Feature", "geometry": geometry, "properties": properties}
+
+
+def feature_collection(features) -> str:
+    """The GeoJSON text of a FeatureCollection of the given features."""
+    return json.dumps({"type": "FeatureCollection", "features": list(features)})

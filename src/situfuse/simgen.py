@@ -18,8 +18,7 @@ tighter than the match radius.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from numbers import Integral, Real
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +30,7 @@ from .geo import (
     haversine_distance,
     normalize_course,
 )
+from .config import check_scalars
 from .aggregators import LocalStore, TransmitSchedule, dda_ingest, tdac_ingest, vda_tick
 from .messages import (
     CamExtract,
@@ -52,6 +52,7 @@ VUT_OBJECT_ID = 0
 CAMERA_STATION = 500
 CAMERA_TRACK_OFFSET = 1000
 VEHICLE_STATION_OFFSET = 200
+MATCH_RADIUS_M = 3.0  # score(): the farthest a fused object may lie from its truth
 
 
 @dataclass(frozen=True)
@@ -59,6 +60,9 @@ class NoiseSpec:
     position_m: float = 0.5
     course_deg: float = 2.0
     speed_ms: float = 0.2
+
+    def __post_init__(self):
+        check_scalars(self, "noise")
 
 
 @dataclass(frozen=True)
@@ -69,6 +73,7 @@ class MessageRates:
     driver_hz: float = 1.0
 
     def __post_init__(self):
+        check_scalars(self, "rates")
         for name in ("cam_hz", "cpm_hz", "vut_hz", "driver_hz"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -78,8 +83,6 @@ _SCENARIO_BLOCKS = {
     "center": GeoPosition, "cam_noise": NoiseSpec, "cpm_noise": NoiseSpec, "vut_noise": NoiseSpec,
     "rates": MessageRates,
 }
-# the type each scalar field's annotation names; a bool is no number here
-_SCALAR_TYPES = {"int": Integral, "StationId": Integral, "float": Real}
 
 
 @dataclass(frozen=True)
@@ -100,16 +103,16 @@ class ScenarioConfig:
     start_time_ms: int = DEFAULT_START_MS
 
     def __post_init__(self):
-        for f in fields(self):
-            value, kind = getattr(self, f.name), _SCALAR_TYPES.get(f.type)
-            if kind is not None and (isinstance(value, bool) or not isinstance(value, kind)):
-                raise ValueError(f"scenario {f.name!r} must be {f.type}, not {value!r}")
+        check_scalars(self, "scenario")
         if min(self.vehicle_count, self.pedestrian_count) < 0:
             raise ValueError("vehicle and pedestrian counts must not be negative")
         if not (0.0 <= self.cooperative_fraction <= 1.0):
             raise ValueError(f"cooperative fraction out of [0,1]: {self.cooperative_fraction}")
         if self.duration_s <= 0 or self.camera_radius_m <= 0:
             raise ValueError("duration and camera radius must be positive")
+        end_ms = self.duration_s * 1000  # inf for the largest floats, so compare before round
+        if end_ms > wire.MAX_TIME_MS or self.start_time_ms + round(end_ms) > wire.MAX_TIME_MS:
+            raise ValueError(f"scenario ends after the last time a record can carry, {wire.MAX_TIME_MS}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
@@ -390,9 +393,7 @@ class ScoreResult:
     matched: int
 
 
-def score(
-    gt: GroundTruth, fused: SituationRecord, match_radius_m: float = 3.0
-) -> ScoreResult:
+def score(gt: GroundTruth, fused: SituationRecord) -> ScoreResult:
     """Greedy nearest-neighbour match of fused objects to truth positions."""
     truth_positions = {}
     for obj in gt.objects:
@@ -404,7 +405,7 @@ def score(
     for fi, fobj in enumerate(fused.objects):
         for tid, tpos in truth_positions.items():
             d = haversine_distance(fobj.position, tpos)
-            if d <= match_radius_m:
+            if d <= MATCH_RADIUS_M:
                 candidates.append((d, fi, tid))
     candidates.sort()
     used_fused: set[int] = set()

@@ -62,8 +62,31 @@ class StorageFailure(Exception):
 # rows from payloads, and the ``_row_to_*`` mappers below read them back.
 
 
+# The column lists a raw table shares with its situation copy, each declared
+# once; _vut_columns, _driver_columns and _environment_columns fill them.
+_VUT_SQL = """timestamp_ms INTEGER NOT NULL,
+    brake_actuated INTEGER, abs_active INTEGER, panic_braking INTEGER,
+    clutch_pressed INTEGER, gear INTEGER,
+    door_fl INTEGER, door_fr INTEGER, door_rl INTEGER, door_rr INTEGER,
+    exterior_lights INTEGER,
+    lat REAL NOT NULL, lon REAL NOT NULL,
+    speed REAL NOT NULL,
+    accel_longitudinal REAL, accel_lateral REAL,
+    rain_intensity INTEGER, wiper_active INTEGER,
+    yaw_rate REAL, steering_wheel_angle REAL, steering_wheel_velocity REAL"""
+_DRIVER_SQL = """timestamp_ms INTEGER NOT NULL,
+    valence INTEGER NOT NULL, arousal INTEGER NOT NULL,
+    heart_rate INTEGER, self_reported INTEGER NOT NULL"""
+_ENVIRONMENT_SQL = """timestamp_ms INTEGER NOT NULL,
+    validity_s INTEGER NOT NULL,
+    center_lat REAL NOT NULL, center_lon REAL NOT NULL, radius_m REAL NOT NULL,
+    temperature_c REAL, precipitation_mm_h REAL, wind_speed_ms REAL,
+    wind_direction REAL, illuminance_lux REAL, visibility_m REAL,
+    pressure_hpa REAL, humidity_pct REAL, cloudiness_pct REAL"""
+
+
 def _vut_columns(v: VutSensorExtract) -> tuple:
-    """The columns raw_vut_sensor and vut_sensor share, timestamp_ms to steering."""
+    """A VUT extract as the _VUT_SQL columns."""
     return (
         v.timestamp, v.brake_actuated, v.abs_active, v.panic_braking, v.clutch_pressed, v.gear,
         *(int(d) for d in v.door_positions), int(v.exterior_lights),
@@ -74,12 +97,12 @@ def _vut_columns(v: VutSensorExtract) -> tuple:
 
 
 def _driver_columns(d: DriverStateSample) -> tuple:
-    """The columns raw_driver and driver_state share, timestamp_ms to self_reported."""
+    """A driver sample as the _DRIVER_SQL columns."""
     return (d.timestamp, d.valence, d.arousal, d.heart_rate_bpm, d.self_reported)
 
 
 def _environment_columns(e: EnvironmentSample) -> tuple:
-    """The columns raw_environment and environment share, timestamp_ms to cloudiness."""
+    """An environment sample as the _ENVIRONMENT_SQL columns."""
     return (
         e.timestamp, e.validity_duration_s, e.area_center.lat, e.area_center.lon,
         e.area_radius_m, e.temperature_c, e.precipitation_mm_h, e.wind_speed_ms,
@@ -195,7 +218,7 @@ class RawSlice:
         return sum(map(len, vars(self).values()))
 
 
-_SCHEMA = """
+_SCHEMA = f"""
 CREATE TABLE IF NOT EXISTS raw_cam (
     originator INTEGER NOT NULL,
     generation_time INTEGER NOT NULL,
@@ -227,36 +250,20 @@ CREATE TABLE IF NOT EXISTS raw_spat (
 );
 CREATE TABLE IF NOT EXISTS raw_vut_sensor (
     station INTEGER NOT NULL,
-    timestamp_ms INTEGER NOT NULL,
-    brake_actuated INTEGER, abs_active INTEGER, panic_braking INTEGER,
-    clutch_pressed INTEGER, gear INTEGER,
-    door_fl INTEGER, door_fr INTEGER, door_rl INTEGER, door_rr INTEGER,
-    exterior_lights INTEGER,
-    lat REAL NOT NULL, lon REAL NOT NULL,
-    speed REAL NOT NULL,
-    accel_longitudinal REAL, accel_lateral REAL,
-    rain_intensity INTEGER, wiper_active INTEGER,
-    yaw_rate REAL, steering_wheel_angle REAL, steering_wheel_velocity REAL,
+    {_VUT_SQL},
     reporter INTEGER NOT NULL, receive_time INTEGER NOT NULL,
     UNIQUE (station, timestamp_ms)
 );
 CREATE TABLE IF NOT EXISTS raw_driver (
     station INTEGER NOT NULL,
-    timestamp_ms INTEGER NOT NULL,
-    valence INTEGER NOT NULL, arousal INTEGER NOT NULL,
-    heart_rate INTEGER, self_reported INTEGER NOT NULL,
+    {_DRIVER_SQL},
     lat REAL NOT NULL, lon REAL NOT NULL,
     reporter INTEGER NOT NULL, receive_time INTEGER NOT NULL,
     UNIQUE (station, timestamp_ms)
 );
 CREATE TABLE IF NOT EXISTS raw_environment (
     station INTEGER NOT NULL,
-    timestamp_ms INTEGER NOT NULL,
-    validity_s INTEGER NOT NULL,
-    center_lat REAL NOT NULL, center_lon REAL NOT NULL, radius_m REAL NOT NULL,
-    temperature_c REAL, precipitation_mm_h REAL, wind_speed_ms REAL,
-    wind_direction REAL, illuminance_lux REAL, visibility_m REAL,
-    pressure_hpa REAL, humidity_pct REAL, cloudiness_pct REAL,
+    {_ENVIRONMENT_SQL},
     reporter INTEGER NOT NULL, receive_time INTEGER NOT NULL,
     UNIQUE (station, timestamp_ms)
 );
@@ -314,22 +321,11 @@ CREATE TABLE IF NOT EXISTS topology_lane (
 );
 CREATE TABLE IF NOT EXISTS vut_sensor (
     situation_id INTEGER PRIMARY KEY REFERENCES situation(situation_id),
-    timestamp_ms INTEGER NOT NULL,
-    brake_actuated INTEGER, abs_active INTEGER, panic_braking INTEGER,
-    clutch_pressed INTEGER, gear INTEGER,
-    door_fl INTEGER, door_fr INTEGER, door_rl INTEGER, door_rr INTEGER,
-    exterior_lights INTEGER,
-    lat REAL NOT NULL, lon REAL NOT NULL,
-    speed REAL NOT NULL,
-    accel_longitudinal REAL, accel_lateral REAL,
-    rain_intensity INTEGER, wiper_active INTEGER,
-    yaw_rate REAL, steering_wheel_angle REAL, steering_wheel_velocity REAL
+    {_VUT_SQL}
 );
 CREATE TABLE IF NOT EXISTS driver_state (
     situation_id INTEGER PRIMARY KEY REFERENCES situation(situation_id),
-    timestamp_ms INTEGER NOT NULL,
-    valence INTEGER NOT NULL, arousal INTEGER NOT NULL,
-    heart_rate INTEGER, self_reported INTEGER NOT NULL
+    {_DRIVER_SQL}
 );
 CREATE TABLE IF NOT EXISTS hazard (
     situation_id INTEGER NOT NULL REFERENCES situation(situation_id),
@@ -342,12 +338,7 @@ CREATE TABLE IF NOT EXISTS hazard (
 );
 CREATE TABLE IF NOT EXISTS environment (
     situation_id INTEGER PRIMARY KEY REFERENCES situation(situation_id),
-    timestamp_ms INTEGER NOT NULL,
-    validity_s INTEGER NOT NULL,
-    center_lat REAL NOT NULL, center_lon REAL NOT NULL, radius_m REAL NOT NULL,
-    temperature_c REAL, precipitation_mm_h REAL, wind_speed_ms REAL,
-    wind_direction REAL, illuminance_lux REAL, visibility_m REAL,
-    pressure_hpa REAL, humidity_pct REAL, cloudiness_pct REAL
+    {_ENVIRONMENT_SQL}
 );
 """
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, NamedTuple
 
-from .geo import GeoPosition
+from .geo import GeoPosition, feature_collection, geojson_feature
 
 DEFAULT_CAPACITY = 16
 DEFAULT_MAX_DEPTH = 12
@@ -226,16 +226,10 @@ def export_geojson(cells: Iterable[StressCell]) -> str:
             [b.lon_min, b.lat_max],
             [b.lon_min, b.lat_min],
         ]
-        features.append(
-            {
-                "type": "Feature",
-                "geometry": {"type": "Polygon", "coordinates": [ring]},
-                "properties": {
-                    "count": c.count,
-                    "mean_valence": c.mean_valence,
-                    "mean_arousal": c.mean_arousal,
-                    "color": c.color,
-                },
-            }
-        )
-    return json.dumps({"type": "FeatureCollection", "features": features})
+        features.append(geojson_feature("Polygon", [ring], {
+            "count": c.count,
+            "mean_valence": c.mean_valence,
+            "mean_arousal": c.mean_arousal,
+            "color": c.color,
+        }))
+    return feature_collection(features)

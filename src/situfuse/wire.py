@@ -156,15 +156,12 @@ class MetaBlock:
     station: StationId
     ref_time: int
     ref_position: GeoPosition
-    record_count: int
 
     def __post_init__(self):
         if not (0 <= self.station <= 0xFFFFFFFF):
             raise ValueError(f"station id out of u32 range: {self.station}")
         if not (0 <= self.ref_time <= MAX_TIME_MS):
             raise ValueError(f"ref_time out of range 0..MAX_TIME_MS: {self.ref_time}")
-        if not (0 <= self.record_count <= MAX_RECORDS):
-            raise ValueError(f"record count out of range: {self.record_count}")
         # The reference position is the wire boundary: it must sit exactly on
         # the 1e-7 degree grid so encoding is lossless.
         for name, value in (("lat", self.ref_position.lat), ("lon", self.ref_position.lon)):
@@ -196,10 +193,8 @@ class BatchEnvelope:
     records: Sequence[DeltaRecord]  # a tuple, or the RecordColumns of a decoded frame
 
     def __post_init__(self):
-        if self.meta.record_count != len(self.records):
-            raise ValueError(
-                f"meta count {self.meta.record_count} != {len(self.records)} records"
-            )
+        if len(self.records) > MAX_RECORDS:
+            raise ValueError(f"{len(self.records)} records exceed MAX_RECORDS {MAX_RECORDS}")
         # only a reference this close to MAX_TIME_MS lets a record time pass it
         if self.meta.ref_time > MAX_TIME_MS - REL_TIME_UNIT_MS * MAX_REL_TIME:
             last_rel_time = max((r.rel_time for r in self.records), default=0)
@@ -628,8 +623,7 @@ def decode_batch(data: bytes) -> BatchEnvelope:
     if end != size:
         raise TrailingData(f"{size - end} bytes after the last record")
     try:  # MetaBlock and BatchEnvelope refuse times above MAX_TIME_MS
-        meta = MetaBlock(station=station, ref_time=ref_time, ref_position=ref_pos, record_count=count)
-        return BatchEnvelope(meta=meta, records=records)
+        return BatchEnvelope(MetaBlock(station, ref_time, ref_pos), records)
     except ValueError as err:
         raise BadPayload(str(err)) from None
 
@@ -689,12 +683,7 @@ def plan_batches(records: Sequence[AbsoluteRecord], station: StationId) -> list[
     def close():
         nonlocal pending
         if pending:
-            meta = MetaBlock(
-                station=station,
-                ref_time=ref_time,
-                ref_position=GeoPosition(ref_lat_u / 1e7, ref_lon_u / 1e7),
-                record_count=len(pending),
-            )
+            meta = MetaBlock(station, ref_time, GeoPosition(ref_lat_u / 1e7, ref_lon_u / 1e7))
             envelopes.append(BatchEnvelope(meta=meta, records=tuple(pending)))
             pending = []
 

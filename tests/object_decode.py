@@ -144,7 +144,7 @@ def decode_batch(data: bytes) -> BatchEnvelope:
     if offset != size:
         raise TrailingData(f"{size - offset} bytes after the last record")
     try:
-        meta = MetaBlock(station=station, ref_time=ref_time, ref_position=ref_pos, record_count=count)
+        meta = MetaBlock(station=station, ref_time=ref_time, ref_position=ref_pos)
         return BatchEnvelope(meta=meta, records=tuple(records))
     except ValueError as err:
         raise BadPayload(str(err)) from None

@@ -5,6 +5,7 @@ import socket
 import sqlite3
 import struct
 import threading
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,7 +20,7 @@ from situfuse.cli import (
 from situfuse.config import AppConfig
 from situfuse.fusion import SimilarityThresholds, fuse_situation
 from situfuse.simgen import ScenarioConfig, generate
-from situfuse.store import SituationStore
+from situfuse.store import RAW_TABLES, SituationStore
 from situfuse import cli, fusion, metrics, stressmap, wire
 from conftest import REFERENCE_T0, REFERENCE_VUT, reference_raw_rows
 
@@ -143,6 +144,28 @@ def test_bad_config_is_user_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "config, message",
+    [
+        (5, "config must be a JSON object"),
+        ({"store_path": 5}, "config 'store_path' must be str"),
+        ({"stress_matrix_path": 5}, "config 'stress_matrix_path' must be str | None"),
+        ({"window_ms": "500"}, "config 'window_ms' must be int"),
+        ({"stress_capacity": True}, "config 'stress_capacity' must be int"),
+        ({"radius_m": float("inf")}, "config 'radius_m' must be finite"),
+        ({"max_speed_ms": float("nan")}, "config 'max_speed_ms' must be finite"),
+    ],
+    ids=["top_level_number", "str", "optional_str", "int", "bool", "infinity", "nan"],
+)
+def test_malformed_config_is_user_error(tmp_path, capsys, config, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert run("--config", str(path), "stats") == EXIT_USER
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err and not (tmp_path / "situfuse.db").exists()
+
+
+@pytest.mark.parametrize(
     "scenario, message",
     [
         ({"seed": 1, "bogus": 1}, "unknown scenario keys: ['bogus']"),
@@ -153,10 +176,19 @@ def test_bad_config_is_user_error(tmp_path, capsys):
         ({"pedestrian_count": 2.5}, "scenario 'pedestrian_count' must be int"),
         (5, "scenario must be a JSON object"),
         ({"vehicle_count": -1}, "counts must not be negative"),
+        ({"duration_s": float("inf")}, "scenario 'duration_s' must be finite"),
+        ({"spawn_radius_m": float("nan")}, "scenario 'spawn_radius_m' must be finite"),
+        ({"cam_noise": {"position_m": float("inf")}}, "noise 'position_m' must be finite"),
+        ({"cpm_noise": {"speed_ms": "0.2"}}, "noise 'speed_ms' must be float"),
+        ({"rates": {"cam_hz": float("inf")}}, "rates 'cam_hz' must be finite"),
+        ({"duration_s": 1e300}, "scenario ends after the last time a record can carry"),
+        ({"start_time_ms": 2**63 - 5000}, "scenario ends after the last time a record can carry"),
     ],
     ids=[
         "unknown_key", "center_block", "rates_block", "seed_type", "duration_type",
-        "count_type", "top_level_number", "negative_count",
+        "count_type", "top_level_number", "negative_count", "duration_infinity",
+        "radius_nan", "noise_infinity", "noise_type", "rate_infinity", "duration_past_time_range",
+        "start_past_time_range",
     ],
 )
 def test_malformed_scenario_is_user_error(workdir, capsys, scenario, message):
@@ -316,6 +348,33 @@ def _assert_every_frame_stored(store, report, envelopes):
     expected = SituationStore(":memory:")
     assert report.inserted == sum(expected.insert_envelope(env, 0) for env in envelopes) > 0
     assert store.stats() == expected.stats()
+    expected.close()
+
+
+def test_listener_stamps_each_frame_with_its_own_receive_time(workdir, monkeypatch):
+    """Two frames on one connection: each frame's rows carry the clock read
+    when that frame arrived, not when the connection was accepted."""
+    _, _, _, scenario = workdir
+    _, envelopes = generate(scenario)
+    frames = envelopes[:2]
+    seconds = iter(range(1, 100))
+    monkeypatch.setattr(cli, "time", SimpleNamespace(time_ns=lambda: next(seconds) * 10**9))
+    store, expected = SituationStore(":memory:"), SituationStore(":memory:")
+
+    def first_client(port):
+        with socket.create_connection(("127.0.0.1", port)) as sock:
+            sock.sendall(b"".join(map(_framed, frames)))
+
+    assert _serve_two_connections(store, first_client, []).batches == 2
+    for k, env in enumerate(frames, start=1):
+        expected.insert_envelope(env, receive_time=k * 1000)
+
+    def rows(s):
+        return {t: s._conn.execute(f"SELECT * FROM {t} ORDER BY rowid").fetchall() for t in RAW_TABLES}
+
+    assert rows(store) == rows(expected)
+    assert {r[-1] for table in rows(store).values() for r in table} == {1000, 2000}
+    store.close()
     expected.close()
 
 

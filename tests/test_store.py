@@ -263,7 +263,7 @@ def test_query_raw_every_kind_matches_full_scan_oracle(tmp_path):
             )
             station += 1
             env = wire.BatchEnvelope(
-                wire.MetaBlock(station, T0 + EPOCH_MS * epoch, CENTER, len(records)), records
+                wire.MetaBlock(station, T0 + EPOCH_MS * epoch, CENTER), records
             )
             assert store.insert_envelope(env, receive_time=station) == len(records)
             facts += rows_from_envelope(env, receive_time=station)

@@ -147,7 +147,6 @@ def random_envelope(rng, max_records=8) -> BatchEnvelope:
         station=rng.randrange(0, 2**32),
         ref_time=rng.randrange(0, 2**48),
         ref_position=grid_position(rng),
-        record_count=len(records),
     )
     return BatchEnvelope(meta=meta, records=records)
 
@@ -160,7 +159,7 @@ def naive_size(envelope: BatchEnvelope) -> int:
 
 def test_empty_envelope_is_header_only():
     env = BatchEnvelope(
-        meta=MetaBlock(7, 1000, GeoPosition(49.234, 6.98), 0), records=()
+        meta=MetaBlock(7, 1000, GeoPosition(49.234, 6.98)), records=()
     )
     assert len(encode_batch(env)) == HEADER_SIZE
 
@@ -168,7 +167,7 @@ def test_empty_envelope_is_header_only():
 def test_single_cam_record_size():
     payload = random_payload(random.Random(1), RecordKind.CAM_EXTRACT)
     env = BatchEnvelope(
-        meta=MetaBlock(7, 1000, GeoPosition(49.234, 6.98), 1),
+        meta=MetaBlock(7, 1000, GeoPosition(49.234, 6.98)),
         records=(DeltaRecord(RecordKind.CAM_EXTRACT, 0, 0, 0, payload),),
     )
     assert len(encode_batch(env)) == HEADER_SIZE + RECORD_HEAD_SIZE + len(payload)
@@ -197,7 +196,7 @@ def test_round_trip_property(seed, max_records):
 
 def test_meta_block_rejects_off_grid_reference():
     with pytest.raises(ValueError):
-        MetaBlock(1, 0, GeoPosition(49.23400005, 6.98), 0)  # between 1e-7 steps
+        MetaBlock(1, 0, GeoPosition(49.23400005, 6.98))  # between 1e-7 steps
 
 
 def test_delta_record_range_checks():
@@ -230,7 +229,7 @@ def test_decode_truncations():
 def test_decode_unknown_kind():
     payload = random_payload(random.Random(7), RecordKind.CAM_EXTRACT)
     env = BatchEnvelope(
-        meta=MetaBlock(7, 1000, GeoPosition(49.234, 6.98), 1),
+        meta=MetaBlock(7, 1000, GeoPosition(49.234, 6.98)),
         records=(DeltaRecord(RecordKind.CAM_EXTRACT, 0, 0, 0, payload),),
     )
     data = bytearray(encode_batch(env))
@@ -247,7 +246,7 @@ def test_decode_rejects_trailing_bytes():
 
 def test_decode_rejects_wrong_payload_length():
     env = BatchEnvelope(
-        meta=MetaBlock(7, 1000, GeoPosition(49.234, 6.98), 1),
+        meta=MetaBlock(7, 1000, GeoPosition(49.234, 6.98)),
         records=(DeltaRecord(RecordKind.HAZARD, 0, 0, 0, b"\x01\x01\x00\x00\x00"),),
     )
     data = bytearray(encode_batch(env))
@@ -261,7 +260,7 @@ def test_decode_rejects_bad_course_in_payload():
     bad = struct.pack("<IHHB", 1, 0, 3600, 5)  # course code out of range
     env_bytes = encode_batch(
         BatchEnvelope(
-            meta=MetaBlock(7, 1000, GeoPosition(49.234, 6.98), 0), records=()
+            meta=MetaBlock(7, 1000, GeoPosition(49.234, 6.98)), records=()
         )
     )
     data = bytearray(env_bytes)
@@ -467,7 +466,7 @@ def test_frame_of_exactly_the_maximum_size_decodes():
     payload = random_payload(random.Random(67), RecordKind.ENVIRONMENT)
     assert len(payload) == max(wire.PAYLOAD_SIZE.values())
     env = BatchEnvelope(
-        meta=MetaBlock(7, 1000, GeoPosition(49.234, 6.98), wire.MAX_RECORDS),
+        meta=MetaBlock(7, 1000, GeoPosition(49.234, 6.98)),
         records=(DeltaRecord(RecordKind.ENVIRONMENT, 0, 0, 0, payload),) * wire.MAX_RECORDS,
     )
     buffer = io.BytesIO()
@@ -523,7 +522,7 @@ def _frame_ending_with(kind, payload, ref=GeoPosition(49.234, 6.98), rel_lat=0) 
         DeltaRecord(RecordKind.CAM_EXTRACT, 40, 0, 0, struct.pack("<IHHB", 9, 0, 3599, 5)),
     ]
     records = tuple(good) + (DeltaRecord(kind, 50, rel_lat, 0, payload),)
-    return encode_batch(BatchEnvelope(MetaBlock(7, 1000, ref, len(records)), records))
+    return encode_batch(BatchEnvelope(MetaBlock(7, 1000, ref), records))
 
 
 def test_decode_accepts_payload_rule_boundaries():
@@ -565,12 +564,20 @@ def test_decode_rejects_record_times_above_the_signed_64_bit_range(ref_time, rel
 def test_encoders_refuse_times_above_the_signed_64_bit_range():
     pos = GeoPosition(49.234, 6.98)
     with pytest.raises(ValueError):
-        MetaBlock(7, 2**63, pos, 0)
+        MetaBlock(7, 2**63, pos)
     late = DeltaRecord(RecordKind.CAM_EXTRACT, 1, 0, 0, CAM_PAYLOAD)
     with pytest.raises(ValueError):
-        BatchEnvelope(MetaBlock(7, 2**63 - 6, pos, 1), (late,))
+        BatchEnvelope(MetaBlock(7, 2**63 - 6, pos), (late,))
     with pytest.raises(BadPayload):
         wire.pack_spat(SpatExtract(4, 2, SignalPhase.GREEN, 2**63))
+
+
+def test_envelope_refuses_more_records_than_the_count_field_holds():
+    record = DeltaRecord(RecordKind.CAM_EXTRACT, 0, 0, 0, CAM_PAYLOAD)
+    meta = MetaBlock(7, 1000, GeoPosition(49.234, 6.98))
+    assert len(BatchEnvelope(meta, (record,) * wire.MAX_RECORDS).records) == wire.MAX_RECORDS
+    with pytest.raises(ValueError):
+        BatchEnvelope(meta, (record,) * (wire.MAX_RECORDS + 1))
 
 
 def test_decode_rejects_last_record_past_the_pole():
@@ -608,7 +615,7 @@ def test_decode_accepts_exactly_what_the_object_decoder_accepts():
             payload = rng.randbytes(wire.PAYLOAD_SIZE[kind])
         try:
             object_decode.rows_from_envelope(
-                BatchEnvelope(MetaBlock(7, 1000, pos, 1), (DeltaRecord(kind, 0, 0, 0, payload),)), 0
+                BatchEnvelope(MetaBlock(7, 1000, pos), (DeltaRecord(kind, 0, 0, 0, payload),)), 0
             )
             expected = "ok"
         except (BadPayload, ValueError):
@@ -644,7 +651,7 @@ def seven_kind_frame(rng) -> tuple[bytes, list[int]]:
         )
         for k in kinds
     )
-    meta = MetaBlock(rng.randrange(2**32), rng.randrange(2**48), grid_position(rng), len(records))
+    meta = MetaBlock(rng.randrange(2**32), rng.randrange(2**48), grid_position(rng))
     offsets = [HEADER_SIZE]
     for r in records[:-1]:
         offsets.append(offsets[-1] + RECORD_HEAD_SIZE + len(r.payload))
