@@ -93,14 +93,6 @@ def serve_ingest(
     return report
 
 
-def send_frames(host: str, port: int, envelopes) -> int:
-    """Client-side helper: push envelopes to a running ingest listener."""
-    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
-        sock.connect((host, port))
-        with sock.makefile("wb") as stream:
-            return wire.write_frames(stream, envelopes)
-
-
 def situation_geojson(record: SituationRecord) -> str:
     """A situation as point/line features: objects, VUT, lanes, hazards."""
     lanes = record.topology.lanes if record.topology is not None else ()

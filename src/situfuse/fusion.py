@@ -55,15 +55,13 @@ from .situation import (
     SituationRecord,
 )
 from .aggregators import environment_for
-from .store import RawColumns, RawSpat, SituationStore
-from .wire import MAX_TIME_MS, RecordKind
+from .store import RawColumns, SituationStore, driver_from_columns, hazard_from_columns
+from .wire import MAX_TIME_MS
 
 DEFAULT_WINDOW_MS = 500
 DEFAULT_RADIUS_M = 300.0
 DEFAULT_MAX_LATERAL_M = 2.0
 VUT_FIX_TOLERANCE_MS = 2000
-# The window kinds a situation fuses; VUT fixes and weather have their own queries.
-_FUSED_KINDS = frozenset(RecordKind) - {RecordKind.VUT_SENSOR, RecordKind.ENVIRONMENT}
 
 # Cell edge margin over the threshold chord; covers float rounding of the
 # coordinates (~1e-9 m at Earth radius) many times over.
@@ -284,20 +282,16 @@ def _merge_groups(c: ObservationColumns, labels: np.ndarray) -> list[FusedObject
 # --- linking ------------------------------------------------------------------
 
 
-def join_topology(
-    topo: MapTopology, spats: Sequence[RawSpat], t: int
-) -> SignalizedTopology:
-    """Attach to each lane the phase of its signal group nearest to t."""
-    by_group: dict[int, RawSpat] = {}
-    for s in spats:
-        if s.spat.intersection_id != topo.intersection_id:
-            continue
-        kept = by_group.get(s.spat.signal_group)
-        if kept is None or (
-            (abs(s.generation_time - t), -s.generation_time)
-            < (abs(kept.generation_time - t), -kept.generation_time)
+def join_topology(topo: MapTopology, spats: Sequence[tuple], t: int) -> SignalizedTopology:
+    """Attach to each lane the phase of its signal group nearest to t; of two
+    equally near, the later.  ``spats`` are raw_spat rows, as a window returns them."""
+    by_group: dict[int, tuple[int, int]] = {}  # signal group -> (generation time, phase)
+    for intersection, group, phase, _, generated, *_ in spats:
+        kept = by_group.get(group)
+        if intersection == topo.intersection_id and (
+            kept is None or (abs(generated - t), -generated) < (abs(kept[0] - t), -kept[0])
         ):
-            by_group[s.spat.signal_group] = s
+            by_group[group] = generated, phase
     lanes = tuple(
         SignalizedLane(
             lane_id=lane.lane_id,
@@ -305,7 +299,7 @@ def join_topology(
             polyline=lane.polyline,
             ingress=lane.ingress,
             phase=(
-                by_group[lane.signal_group].spat.phase
+                SignalPhase(by_group[lane.signal_group][1])
                 if lane.signal_group in by_group
                 else SignalPhase.UNKNOWN
             ),
@@ -414,8 +408,8 @@ def fuse_situation(
 
     Rerunning on identical store content produces an identical record except
     for the situation identifier.  Raises ValueError for a t outside
-    0..MAX_TIME_MS, the times a record can carry, and for a window row that
-    fails the checks of its typed record.
+    0..MAX_TIME_MS, the times a record can carry, and for a CAM or CPM window
+    row, or the driver row it picks, that fails the checks of its typed record.
     """
     if not 0 <= t <= MAX_TIME_MS:
         raise ValueError(f"t out of range 0..MAX_TIME_MS: {t}")
@@ -424,7 +418,7 @@ def fuse_situation(
         raise NoVutFix(f"no GNSS fix of VUT {vut} within {VUT_FIX_TOLERANCE_MS} ms of {t}")
     center = fix.extract.gnss
 
-    window = store.query_raw(t - window_ms, t + window_ms, center, radius_m, _FUSED_KINDS)
+    window = store.query_raw(t - window_ms, t + window_ms, center, radius_m)
     blocks = (
         *_window_observations(window.cams, window.cpm_detections),
         _vut_observation(store, vut, fix),
@@ -432,16 +426,15 @@ def fuse_situation(
     objects = dedup(ObservationColumns(*map(np.concatenate, zip(*blocks))), th)
 
     topo = _nearest_topology(store, center, radius_m)
-    topology = join_topology(topo, window.spats, t) if topo else None
+    topology = join_topology(topo, window.spats.rows, t) if topo else None
     objects = link_lanes(objects, topology, max_lateral_m)
 
-    driver = None
-    driver_rows = [r for r in window.driver_rows if r.station == vut]
-    if driver_rows:
-        nearest = min(driver_rows, key=lambda r: (abs(r.sample.timestamp - t), -r.sample.timestamp))
-        driver = nearest.sample
+    # the VUT's driver row nearest t; of two equally near, the later
+    own = (r for r in window.driver_rows.rows if r[0] == vut)
+    nearest = min(own, key=lambda r: (abs(r[1] - t), -r[1]), default=None)
+    driver = driver_from_columns(nearest[1:6]) if nearest else None
 
-    hazards = tuple(r.event for r in window.hazard_rows)
+    hazards = tuple(map(hazard_from_columns, window.hazard_rows.rows))
 
     environment = environment_for(t, center, store.environment_candidates(t))
 

@@ -53,6 +53,10 @@ CAMERA_STATION = 500
 CAMERA_TRACK_OFFSET = 1000
 VEHICLE_STATION_OFFSET = 200
 MATCH_RADIUS_M = 3.0  # score(): the farthest a fused object may lie from its truth
+# generate() queues a whole scene before planning its batches: a scenario
+# whose records could exceed this many is refused (the largest benchmark
+# scene queues at most ~152k)
+MAX_SCENARIO_RECORDS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -113,6 +117,14 @@ class ScenarioConfig:
         end_ms = self.duration_s * 1000  # inf for the largest floats, so compare before round
         if end_ms > wire.MAX_TIME_MS or self.start_time_ms + round(end_ms) > wire.MAX_TIME_MS:
             raise ValueError(f"scenario ends after the last time a record can carry, {wire.MAX_TIME_MS}")
+        # every object's CAMs and CPM detections, plus the VUT's and driver's samples
+        r = self.rates
+        cam, cpm, vut, driver = (
+            round(end_ms) // _period_ms(hz) + 1 for hz in (r.cam_hz, r.cpm_hz, r.vut_hz, r.driver_hz)
+        )
+        bound = (1 + self.vehicle_count + self.pedestrian_count) * (cam + cpm) + vut + driver
+        if bound > MAX_SCENARIO_RECORDS:
+            raise ValueError(f"scenario may queue {bound} records, more than {MAX_SCENARIO_RECORDS}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
@@ -205,9 +217,13 @@ class GroundTruth:
         }
 
 
+def _period_ms(rate_hz: float) -> int:
+    """At least 1 ms; a period past every time a record can carry (up to inf) is that time."""
+    return max(1, round(min(1000.0 / rate_hz, wire.MAX_TIME_MS)))
+
+
 def _emission_instants(start_ms: int, duration_ms: int, rate_hz: float) -> range:
-    period = max(1, round(1000.0 / rate_hz))
-    return range(start_ms, start_ms + duration_ms + 1, period)
+    return range(start_ms, start_ms + duration_ms + 1, _period_ms(rate_hz))
 
 
 def _noisy_state(rng, pos: GeoPosition, speed: float, course: float, noise: NoiseSpec):

@@ -15,11 +15,9 @@ from __future__ import annotations
 import json
 import sqlite3
 import threading
-from collections.abc import Sequence
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from itertools import compress
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,8 +56,9 @@ class StorageFailure(Exception):
 
 # --- raw row types ----------------------------------------------------------
 #
-# The typed read side of the raw tables: ``wire.raw_rows`` builds the table
-# rows from payloads, and the ``_row_to_*`` mappers below read them back.
+# ``wire.raw_rows`` builds the table rows from payloads.  A window returns
+# them as rows (RawColumns); the typed rows below are what the VUT-fix and
+# driver-sample reads and ``aggregators.backend_dedup`` take.
 
 
 # The column lists a raw table shares with its situation copy, each declared
@@ -172,17 +171,12 @@ RawRow = (
 )
 
 
-class RawColumns(Sequence):
-    """One raw kind's window rows in window order: typed rows (built on first
-    use) as a sequence, equal to any sequence of the same rows, and numpy
-    columns by name, which build no row object."""
+@dataclass
+class RawColumns:
+    """One raw kind's window rows in window order, with numpy columns by name."""
 
-    def __init__(self, from_row: Callable[[tuple], RawRow], names: list[str], rows: list[tuple]):
-        self.from_row, self.names, self.rows = from_row, names, rows
-
-    @cached_property
-    def typed(self) -> list[RawRow]:
-        return list(map(self.from_row, self.rows))
+    names: list[str]
+    rows: list[tuple]
 
     def column(self, name: str) -> np.ndarray:
         k = self.names.index(name)
@@ -191,28 +185,17 @@ class RawColumns(Sequence):
     def __len__(self) -> int:
         return len(self.rows)
 
-    def __getitem__(self, index):
-        return self.typed[index]
-
-    def __eq__(self, other):
-        return self.typed == list(other) if isinstance(other, Sequence) else NotImplemented
-
-    def __repr__(self) -> str:
-        return repr(self.typed)
-
 
 @dataclass
 class RawSlice:
-    """Everything the store returned for one time window and area; a kind
-    that was read is a :class:`RawColumns`."""
+    """Everything the store returned for one time window and area: the rows
+    of each kind a situation fuses."""
 
-    cams: Sequence[RawCam] = field(default_factory=list)
-    cpm_detections: Sequence[RawCpmDetection] = field(default_factory=list)
-    spats: Sequence[RawSpat] = field(default_factory=list)
-    vut_rows: Sequence[RawVutSensor] = field(default_factory=list)
-    driver_rows: Sequence[RawDriverState] = field(default_factory=list)
-    environment_rows: Sequence[RawEnvironment] = field(default_factory=list)
-    hazard_rows: Sequence[RawHazard] = field(default_factory=list)
+    cams: RawColumns
+    cpm_detections: RawColumns
+    spats: RawColumns
+    driver_rows: RawColumns
+    hazard_rows: RawColumns
 
     def __len__(self) -> int:
         return sum(map(len, vars(self).values()))
@@ -414,24 +397,14 @@ class SituationStore:
 
     # -- raw queries ---------------------------------------------------------
 
-    def query_raw(
-        self,
-        t_min: int,
-        t_max: int,
-        center: GeoPosition,
-        radius_m: float,
-        kinds: set[wire.RecordKind] | None = None,
-    ) -> RawSlice:
-        """All raw rows inside [t_min, t_max] (inclusive) and the given circle;
-        a fetched row's position out of range raises GeoPosition's ValueError."""
+    def query_raw(self, t_min: int, t_max: int, center: GeoPosition, radius_m: float) -> RawSlice:
+        """The raw rows of the kinds a situation fuses (CAM, CPM, SPaT, driver,
+        hazard) inside [t_min, t_max] (inclusive) and the given circle; a
+        fetched row's position out of range raises GeoPosition's ValueError."""
         if t_min > t_max:
             raise ValueError(f"t_min {t_min} > t_max {t_max}")
-        if kinds is None:
-            kinds = set(wire.RecordKind)
-        out = RawSlice()
         bounds = _sql_range(t_min, t_max)
-        if bounds is None:
-            return out
+        lists = {}
         # one read transaction: the summary and the windows see one snapshot
         with self._lock, self._conn:
             self._conn.execute("BEGIN")
@@ -440,15 +413,13 @@ class SituationStore:
                 self._blocks.clear()
                 self._summarised.clear()
                 self._data_version = version
-            for kind, raw in RAW_TABLE.items():
-                if kind not in kinds:
-                    continue
-                rowids = self._window_rowids(kind, *bounds) or (1, 0)  # (1, 0): no rowid
-                cur = self._conn.execute(_SELECT_WINDOW[kind], (*rowids, *bounds))
+            for kind, raw in _WINDOW_TABLE.items():
+                rowids = bounds and self._window_rowids(kind, *bounds)
+                args = (*rowids, *bounds) if rowids else (1, 0, 1, 0)  # no row, but the column names
+                cur = self._conn.execute(_SELECT_WINDOW[kind], args)
                 rows = _in_area(cur.fetchall(), raw.lat_column, center, radius_m)
-                names = [d[0] for d in cur.description]
-                setattr(out, raw.slice_list, RawColumns(raw.from_row, names, rows))
-        return out
+                lists[raw.slice_list] = RawColumns([d[0] for d in cur.description], rows)
+        return RawSlice(**lists)
 
     def _window_rowids(self, kind: wire.RecordKind, t_min: int, t_max: int) -> tuple[int, int] | None:
         """The rowids from the first to the last block whose times meet
@@ -473,7 +444,8 @@ class SituationStore:
         return min(hits) << _BLOCK_BITS, ((max(hits) + 1) << _BLOCK_BITS) - 1
 
     def vut_fix_near(self, vut: StationId, t: int, tolerance_ms: int) -> RawVutSensor | None:
-        """The VUT sensor row closest to t within the tolerance, or None."""
+        """The VUT sensor row closest to t within the tolerance, or None; of
+        two equally near, the earlier."""
         with self._lock:
             row = self._conn.execute(
                 "SELECT * FROM raw_vut_sensor WHERE station = ?"
@@ -503,7 +475,7 @@ class SituationStore:
                 " AND timestamp_ms + validity_s * 1000 >= ? ORDER BY timestamp_ms, station",
                 (_sql_int(t), _sql_int(t)),
             ).fetchall()
-        return [_row_to_environment(r).sample for r in rows]
+        return [_environment_from_columns(r[1:15]) for r in rows]
 
     def driver_samples(self, station: StationId) -> list[RawDriverState]:
         with self._lock:
@@ -637,14 +609,11 @@ class SituationStore:
                 " FROM driver_state WHERE situation_id = ?",
                 (sid,),
             ).fetchone()
-            hazards = tuple(
-                HazardEvent(HazardKind(kind), ts, GeoPosition(lat, lon), source)
-                for kind, ts, lat, lon, source in c.execute(
-                    "SELECT kind, timestamp_ms, lat, lon, source FROM hazard"
-                    " WHERE situation_id = ? ORDER BY entry_seq",
-                    (sid,),
-                )
-            )
+            hazards = tuple(map(hazard_from_columns, c.execute(
+                "SELECT source, kind, timestamp_ms, lat, lon FROM hazard"
+                " WHERE situation_id = ? ORDER BY entry_seq",
+                (sid,),
+            )))
             erow = c.execute(
                 "SELECT * FROM environment WHERE situation_id = ?", (sid,)
             ).fetchone()
@@ -657,7 +626,7 @@ class SituationStore:
             objects=objects,
             topology=topology,
             vut_sensor=_row_to_vut_extract(vrow[1:]) if vrow else None,
-            driver=_driver_from_columns(drow) if drow else None,
+            driver=driver_from_columns(drow) if drow else None,
             hazards=hazards,
             environment=_environment_from_columns(erow[1:]) if erow else None,
         )
@@ -690,23 +659,6 @@ def _in_area(rows: list[tuple], lat: int, center: GeoPosition, radius_m: float) 
 # Each mapper reads one table row positionally, in column order.
 
 
-def _row_to_cam(r) -> RawCam:
-    cls = ObjectClassification(r[6])
-    return RawCam(CamExtract(r[0], r[1], GeoPosition(r[2], r[3]), r[4], r[5], cls), r[7], r[8])
-
-
-def _row_to_cpm(r) -> RawCpmDetection:
-    cls = ObjectClassification(r[3])
-    return RawCpmDetection(
-        r[0], r[1], CpmDetection(r[2], cls, GeoPosition(r[4], r[5]), r[6], r[7]), r[8], r[9]
-    )
-
-
-def _row_to_spat(r) -> RawSpat:
-    spat = SpatExtract(r[0], r[1], SignalPhase(r[2]), r[3])
-    return RawSpat(spat, r[4], GeoPosition(r[5], r[6]), r[7], r[8])
-
-
 def _row_to_vut_extract(cols) -> VutSensorExtract:
     return VutSensorExtract(
         cols[0], *map(bool, cols[1:5]), cols[5], tuple(map(DoorState, cols[6:10])),
@@ -719,68 +671,58 @@ def _row_to_vut(r) -> RawVutSensor:
     return RawVutSensor(r[0], _row_to_vut_extract(r[1:22]), r[22], r[23])
 
 
-def _driver_from_columns(cols) -> DriverStateSample:
+def driver_from_columns(cols) -> DriverStateSample:
+    """A driver sample from the _DRIVER_SQL columns."""
     return DriverStateSample(*cols[:4], bool(cols[4]))
 
 
 def _row_to_driver(r) -> RawDriverState:
-    return RawDriverState(r[0], _driver_from_columns(r[1:6]), GeoPosition(r[6], r[7]), r[8], r[9])
+    return RawDriverState(r[0], driver_from_columns(r[1:6]), GeoPosition(r[6], r[7]), r[8], r[9])
 
 
 def _environment_from_columns(cols) -> EnvironmentSample:
     return EnvironmentSample(cols[0], cols[1], GeoPosition(cols[2], cols[3]), *cols[4:14])
 
 
-def _row_to_environment(r) -> RawEnvironment:
-    return RawEnvironment(_environment_from_columns(r[1:15]), r[15], r[16])
-
-
-def _row_to_hazard(r) -> RawHazard:
-    return RawHazard(HazardEvent(HazardKind(r[1]), r[2], GeoPosition(r[3], r[4]), r[0]), r[5], r[6])
+def hazard_from_columns(cols) -> HazardEvent:
+    """A hazard from its columns in raw_hazard order: source, kind, timestamp_ms, lat, lon."""
+    return HazardEvent(HazardKind(cols[1]), cols[2], GeoPosition(cols[3], cols[4]), cols[0])
 
 
 # -- raw tables ---------------------------------------------------------------
 
 
 class RawTable(NamedTuple):
-    """One raw record kind's table; its insert and window statements derive from it."""
+    """One raw record kind's table; its insert statement derives from it, and
+    so do the window statements of the kinds a window reads."""
 
     table: str
     width: int  # column count
-    # the window's ORDER BY: the time the window bounds, then the rest of the
-    # table's UNIQUE key, so windows are in one total order
-    order: tuple[str, ...]
-    lat_column: int  # index of the lat column; lon is the next one
-    from_row: Callable[[tuple], RawRow]
-    slice_list: str  # the RawSlice list a window fills
+    # window kinds only: the window's ORDER BY, the time the window bounds and
+    # then the rest of the table's UNIQUE key, so windows are in one total order
+    order: tuple[str, ...] = ()
+    lat_column: int = 0  # index of the lat column; lon is the next one
+    slice_list: str = ""  # the RawSlice list a window fills
 
 
 RAW_TABLE: dict[wire.RecordKind, RawTable] = {
-    wire.RecordKind.CAM_EXTRACT: RawTable(
-        "raw_cam", 9, ("generation_time", "originator"), 2, _row_to_cam, "cams"
-    ),
+    wire.RecordKind.CAM_EXTRACT: RawTable("raw_cam", 9, ("generation_time", "originator"), 2, "cams"),
     wire.RecordKind.CPM_DETECTION: RawTable(
-        "raw_cpm_detection", 10, ("generation_time", "originator", "object_id"), 4,
-        _row_to_cpm, "cpm_detections",
+        "raw_cpm_detection", 10, ("generation_time", "originator", "object_id"), 4, "cpm_detections"
     ),
     wire.RecordKind.SPAT: RawTable(
-        "raw_spat", 9, ("generation_time", "intersection_id", "signal_group"), 5,
-        _row_to_spat, "spats",
+        "raw_spat", 9, ("generation_time", "intersection_id", "signal_group"), 5, "spats"
     ),
-    wire.RecordKind.VUT_SENSOR: RawTable(
-        "raw_vut_sensor", 24, ("timestamp_ms", "station"), 12, _row_to_vut, "vut_rows"
-    ),
+    wire.RecordKind.VUT_SENSOR: RawTable("raw_vut_sensor", 24),  # vut_fix_near, vut_fixes
     wire.RecordKind.DRIVER_STATE: RawTable(
-        "raw_driver", 10, ("timestamp_ms", "station"), 6, _row_to_driver, "driver_rows"
+        "raw_driver", 10, ("timestamp_ms", "station"), 6, "driver_rows"
     ),
-    wire.RecordKind.ENVIRONMENT: RawTable(
-        "raw_environment", 17, ("timestamp_ms", "station"), 3, _row_to_environment,
-        "environment_rows",
-    ),
+    wire.RecordKind.ENVIRONMENT: RawTable("raw_environment", 17),  # environment_candidates
     wire.RecordKind.HAZARD: RawTable(
-        "raw_hazard", 7, ("timestamp_ms", "source", "kind"), 3, _row_to_hazard, "hazard_rows"
+        "raw_hazard", 7, ("timestamp_ms", "source", "kind"), 3, "hazard_rows"
     ),
 }
+_WINDOW_TABLE = {kind: t for kind, t in RAW_TABLE.items() if t.slice_list}
 RAW_TABLES = tuple(t.table for t in RAW_TABLE.values())
 _INSERT_RAW = {
     kind: f"INSERT OR IGNORE INTO {t.table} VALUES ({', '.join('?' * t.width)})"
@@ -796,10 +738,10 @@ _SUMMARISE = {
     kind: f"WITH f(r) AS (SELECT min(rowid) FROM {t.table} WHERE rowid > ?)"
     f" SELECT min({t.order[0]}), max({t.order[0]}), max(rowid) FROM f, {t.table}"
     f" WHERE {t.table}.rowid BETWEEN f.r AND f.r | {2**_BLOCK_BITS - 1}"
-    for kind, t in RAW_TABLE.items()
+    for kind, t in _WINDOW_TABLE.items()
 }
 _SELECT_WINDOW = {
     kind: f"SELECT * FROM {t.table} WHERE rowid BETWEEN ? AND ?"
     f" AND {t.order[0]} BETWEEN ? AND ? ORDER BY {', '.join(t.order)}"
-    for kind, t in RAW_TABLE.items()
+    for kind, t in _WINDOW_TABLE.items()
 }

@@ -9,6 +9,7 @@ course are reproduction targets; the rest is diagnostic.
 
 import csv
 import math
+import socket
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from situfuse.messages import (
     VutSensorExtract,
 )
 from situfuse.store import RawCam, RawCpmDetection, RawVutSensor, SituationStore
+from situfuse import wire
 from object_decode import table_rows
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -146,6 +148,14 @@ def reference_store(reference_rows):
     store.insert_raw(reference_raw_rows(reference_rows))
     yield store
     store.close()
+
+
+def send_frames(host: str, port: int, envelopes) -> int:
+    """Client side of the ingest listener: push envelopes over one connection."""
+    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
+        sock.connect((host, port))
+        with sock.makefile("wb") as stream:
+            return wire.write_frames(stream, envelopes)
 
 
 # --- independent similarity/grouping oracle ---------------------------------

@@ -6,7 +6,8 @@ frame walked head by head into ``DeltaRecord``s, and typed extracts per
 record.  The tests keep it as the oracle the columnar path must match error
 for error and row for row, and as the inverse of the ``wire.pack_*`` payload
 codecs.  ``table_rows`` turns typed rows into the raw-table rows that
-``SituationStore.insert_raw`` takes, independently of ``wire.raw_rows``.
+``SituationStore.insert_raw`` takes, independently of ``wire.raw_rows``, and
+``typed_rows`` turns a window's table rows back into typed rows.
 """
 
 from __future__ import annotations
@@ -322,6 +323,34 @@ def _table_row(row: RawRow) -> tuple[RecordKind, tuple]:
             row.reporter, row.receive_time,
         )
     raise TypeError(f"not a raw row: {type(row).__name__}")
+
+
+# window kind -> a table row in column order as its typed row
+_TYPED_ROW = {
+    RecordKind.CAM_EXTRACT: lambda r: RawCam(
+        CamExtract(r[0], r[1], GeoPosition(r[2], r[3]), r[4], r[5], ObjectClassification(r[6])),
+        r[7], r[8],
+    ),
+    RecordKind.CPM_DETECTION: lambda r: RawCpmDetection(
+        r[0], r[1], CpmDetection(r[2], ObjectClassification(r[3]), GeoPosition(r[4], r[5]), r[6], r[7]),
+        r[8], r[9],
+    ),
+    RecordKind.SPAT: lambda r: RawSpat(
+        SpatExtract(r[0], r[1], SignalPhase(r[2]), r[3]), r[4], GeoPosition(r[5], r[6]), r[7], r[8]
+    ),
+    RecordKind.DRIVER_STATE: lambda r: RawDriverState(
+        r[0], DriverStateSample(*r[1:5], bool(r[5])), GeoPosition(r[6], r[7]), r[8], r[9]
+    ),
+    RecordKind.HAZARD: lambda r: RawHazard(
+        HazardEvent(HazardKind(r[1]), r[2], GeoPosition(r[3], r[4]), r[0]), r[5], r[6]
+    ),
+}
+
+
+def typed_rows(kind: RecordKind, rows) -> list[RawRow]:
+    """Window rows of one kind (``RawColumns.rows``) as typed rows: the
+    inverse of ``table_rows`` for the kinds a window reads."""
+    return [_TYPED_ROW[kind](r) for r in rows]
 
 
 def table_rows(rows) -> dict[RecordKind, list[tuple]]:

@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import json
+import signal
 import socket
 import sqlite3
 import struct
@@ -13,7 +14,6 @@ from situfuse.cli import (
     EXIT_OK,
     EXIT_USER,
     main,
-    send_frames,
     serve_ingest,
     situation_geojson,
 )
@@ -22,7 +22,7 @@ from situfuse.fusion import SimilarityThresholds, fuse_situation
 from situfuse.simgen import ScenarioConfig, generate
 from situfuse.store import RAW_TABLES, SituationStore
 from situfuse import cli, fusion, metrics, stressmap, wire
-from conftest import REFERENCE_T0, REFERENCE_VUT, reference_raw_rows
+from conftest import REFERENCE_T0, REFERENCE_VUT, reference_raw_rows, send_frames
 
 from test_stressmap import validate_geojson
 
@@ -183,20 +183,34 @@ def test_malformed_config_is_user_error(tmp_path, capsys, config, message):
         ({"rates": {"cam_hz": float("inf")}}, "rates 'cam_hz' must be finite"),
         ({"duration_s": 1e300}, "scenario ends after the last time a record can carry"),
         ({"start_time_ms": 2**63 - 5000}, "scenario ends after the last time a record can carry"),
+        ({"duration_s": 1e9}, "scenario may queue 36000000032 records, more than 1000000"),
+        ({"vehicle_count": 10**9, "duration_s": 1.0}, "scenario may queue 4000000028 records"),
     ],
     ids=[
         "unknown_key", "center_block", "rates_block", "seed_type", "duration_type",
         "count_type", "top_level_number", "negative_count", "duration_infinity",
         "radius_nan", "noise_infinity", "noise_type", "rate_infinity", "duration_past_time_range",
-        "start_past_time_range",
+        "start_past_time_range", "duration_too_long_to_build", "too_many_objects_to_build",
     ],
 )
 def test_malformed_scenario_is_user_error(workdir, capsys, scenario, message):
+    """Each is refused within a second, before any record is built."""
     tmp_path, config, _, _ = workdir
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(scenario))
     out_dir = tmp_path / "batches"
-    assert run("--config", config, "simulate", "--scenario", str(path), "--out", str(out_dir)) == EXIT_USER
+
+    def too_slow(*_):
+        raise AssertionError("simulate ran for over a second")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        status = run("--config", config, "simulate", "--scenario", str(path), "--out", str(out_dir))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert status == EXIT_USER
     err = capsys.readouterr().err
     assert err.startswith("error: ValueError: ") and message in err
     assert "Traceback" not in err and not out_dir.exists()

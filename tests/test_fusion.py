@@ -38,7 +38,7 @@ from situfuse.fusion import (
     link_lanes,
 )
 from situfuse.store import RawCam, RawSpat, RawVutSensor, SituationStore
-from situfuse.wire import MAX_TIME_MS
+from situfuse.wire import MAX_TIME_MS, RecordKind
 from object_decode import table_rows
 from typed_fuse import is_similar, merge_columns, of, query_window
 from conftest import (
@@ -473,7 +473,7 @@ def test_query_window_time_and_radius():
         ])
     )
     window = query_window(100, T0, store)
-    assert [r.cam.originator for r in window.cams] == [1]
+    assert window.cams.column("originator").tolist() == [1]
     store.close()
 
 
@@ -503,13 +503,15 @@ def lane(lane_id, group, heading_east=True):
 
 
 def spat_raw(group, t, phase):
-    return RawSpat(
+    """A raw_spat row, as a window returns it."""
+    (row,) = table_rows([RawSpat(
         spat=SpatExtract(intersection_id=1, signal_group=group, phase=phase, change_time=t + 5000),
         generation_time=t,
         position=CENTER,
         reporter=9,
         receive_time=1,
-    )
+    )])[RecordKind.SPAT]
+    return row
 
 
 def test_join_topology_without_spat_is_unknown():
@@ -669,6 +671,26 @@ def test_fuse_situation_links_every_data_class():
     assert record.vut_sensor is not None
     loaded = store.load_situation(record.situation_id)
     assert loaded == record
+    store.close()
+
+
+def test_fuse_situation_driver_tie_takes_the_later_vut_sample():
+    """Of the VUT's two driver samples equally near t, the later is stored; never another station's."""
+    from situfuse.messages import DriverStateSample
+    from situfuse.store import RawDriverState
+
+    def driver(station, dt, valence):
+        return RawDriverState(station, DriverStateSample(T0 + dt, valence, 3), CENTER, station, 1)
+
+    store = SituationStore(":memory:")
+    store.insert_raw(table_rows([
+        RawVutSensor(100, make_vut_extract(T0, CENTER), 100, 1),
+        driver(100, -450, 1), driver(100, -300, 2), driver(100, 300, 3),
+        driver(200, 0, 4), driver(200, 300, 5), driver(99, 10, 1),
+    ]))
+    record = fuse_situation(100, T0, store)
+    assert record.driver == DriverStateSample(T0 + 300, 3, 3)
+    assert store.load_situation(record.situation_id) == record
     store.close()
 
 

@@ -20,7 +20,7 @@ from situfuse.simgen import (
     score,
 )
 from situfuse.store import SituationStore
-from situfuse import wire
+from situfuse import simgen, wire
 from object_decode import rows_from_envelope
 
 
@@ -124,6 +124,28 @@ def test_record_counts_match_emission_clocks():
     assert counts[wire.RecordKind.CPM_DETECTION] == len(truth.objects) * instants(cfg.rates.cpm_hz)
     assert counts[wire.RecordKind.VUT_SENSOR] == instants(cfg.rates.vut_hz)
     assert counts[wire.RecordKind.DRIVER_STATE] == instants(cfg.rates.driver_hz)
+
+
+def test_scenario_bound_covers_what_generate_queues(monkeypatch):
+    """The bound counts a CAM and a CPM detection of every object at every
+    instant plus the VUT and driver samples: a scene exactly at the limit
+    builds, and one record over it is refused."""
+    cfg = quiet(vehicle_count=9, pedestrian_count=3, cooperative_fraction=1.0)
+    instants = round(cfg.duration_s * 1000) // 1000 + 1  # 1 Hz CAM, CPM and driver clocks
+    bound = 13 * 2 * instants + round(cfg.duration_s * 1000) // 200 + 1 + instants
+    monkeypatch.setattr(simgen, "MAX_SCENARIO_RECORDS", bound)
+    _, envelopes = generate(dataclasses.replace(cfg))
+    # every object in range, every vehicle cooperative; pedestrians send no CAM
+    assert sum(len(env.records) for env in envelopes) == bound - 3 * instants
+    monkeypatch.setattr(simgen, "MAX_SCENARIO_RECORDS", bound - 1)
+    with pytest.raises(ValueError, match=f"may queue {bound} records"):
+        dataclasses.replace(cfg)
+
+
+def test_rate_below_one_per_time_range_emits_once():
+    cfg = quiet(rates=MessageRates(cam_hz=5e-324))
+    counts = [r.kind for env in generate(cfg)[1] for r in env.records].count(wire.RecordKind.CAM_EXTRACT)
+    assert counts == 1 + 3  # the VUT and half of 6 vehicles, at the start only
 
 
 def test_truth_kinematics_advance_along_course():

@@ -119,17 +119,30 @@ def test_interleaved_duplicates_match_key_set(store):
     assert store.stats()["raw_cam"] == len(inserted_keys)
 
 
-def test_query_raw_empty_kinds(store):
-    store.insert_raw(table_rows([cam_row(1, T0)]))
-    assert len(store.query_raw(T0 - 10, T0 + 10, CENTER, 1000.0, kinds=set())) == 0
+def test_query_raw_reads_only_the_fused_kinds(store):
+    """A window holds the five kinds a situation fuses; VUT-sensor and
+    environment rows at the same time and place are left to their own queries."""
+    sample = EnvironmentSample(
+        timestamp=T0, validity_duration_s=60, area_center=CENTER, area_radius_m=500.0,
+        temperature_c=5.0, precipitation_mm_h=0.1, wind_speed_ms=2.0, wind_direction=10.0,
+        illuminance_lux=500.0, visibility_m=2000.0, pressure_hpa=1009.0,
+        humidity_pct=80.0, cloudiness_pct=90.0,
+    )
+    store.insert_raw(table_rows([
+        cam_row(1, T0), RawVutSensor(100, make_vut_extract(T0, CENTER), 100, 1),
+        RawEnvironment(sample, reporter=42, receive_time=1),
+    ]))
+    window = store.query_raw(T0 - 10, T0 + 10, CENTER, 1000.0)
+    assert set(vars(window)) == {"cams", "cpm_detections", "spats", "driver_rows", "hazard_rows"}
+    assert len(window) == len(window.cams) == 1
 
 
 def test_query_raw_time_boundaries_inclusive(store):
     store.insert_raw(table_rows([cam_row(1, T0), cam_row(2, T0 + 100)]))
     out = store.query_raw(T0, T0 + 100, CENTER, 1000.0)
-    assert [r.cam.originator for r in out.cams] == [1, 2]
+    assert out.cams.column("originator").tolist() == [1, 2]
     out = store.query_raw(T0 + 1, T0 + 99, CENTER, 1000.0)
-    assert out.cams == []
+    assert out.cams.rows == []
 
 
 def test_query_raw_rejects_inverted_interval(store):
@@ -161,7 +174,7 @@ def test_query_raw_matches_full_scan_oracle(store):
             if t_min <= r.cam.generation_time <= t_max
             and haversine_distance(CENTER, r.cam.position) <= radius
         }
-        assert {r.cam.originator for r in got.cams} == expected
+        assert set(got.cams.column("originator").tolist()) == expected
 
 
 def test_query_raw_orders_hazards_by_their_whole_key(store):
@@ -177,54 +190,53 @@ def test_query_raw_orders_hazards_by_their_whole_key(store):
         store.insert_raw(table_rows([row]))
     got = store.query_raw(T0, T0 + 10, CENTER, 10.0)
     expected = sorted(rows, key=lambda r: (r.event.timestamp, r.event.source, int(r.event.kind)))
-    assert rows != expected and list(got.hazard_rows) == expected
+    assert rows != expected and got.hazard_rows.rows == table_rows(expected)[wire.RecordKind.HAZARD]
 
 
-def _window_facts(row) -> tuple[str, int, GeoPosition, tuple]:
-    """(RawSlice list, time, position, documented window order) of a typed raw row."""
+def _window_facts(row) -> tuple[wire.RecordKind, int, GeoPosition, tuple]:
+    """(record kind, time, position, documented window order) of a typed raw row."""
+    K = wire.RecordKind
     if isinstance(row, RawCam):
         c = row.cam
-        return "cams", c.generation_time, c.position, (c.generation_time, c.originator)
+        return K.CAM_EXTRACT, c.generation_time, c.position, (c.generation_time, c.originator)
     if isinstance(row, RawCpmDetection):
         key = (row.generation_time, row.originator, row.detection.object_id)
-        return "cpm_detections", row.generation_time, row.detection.position, key
+        return K.CPM_DETECTION, row.generation_time, row.detection.position, key
     if isinstance(row, RawSpat):
         key = (row.generation_time, row.spat.intersection_id, row.spat.signal_group)
-        return "spats", row.generation_time, row.position, key
+        return K.SPAT, row.generation_time, row.position, key
     if isinstance(row, RawVutSensor):
         t = row.extract.timestamp
-        return "vut_rows", t, row.extract.gnss, (t, row.station)
+        return K.VUT_SENSOR, t, row.extract.gnss, (t, row.station)
     if isinstance(row, RawDriverState):
         t = row.sample.timestamp
-        return "driver_rows", t, row.position, (t, row.station)
+        return K.DRIVER_STATE, t, row.position, (t, row.station)
     if isinstance(row, RawEnvironment):
         t = row.sample.timestamp  # the station column holds the reporter
-        return "environment_rows", t, row.sample.area_center, (t, row.reporter)
+        return K.ENVIRONMENT, t, row.sample.area_center, (t, row.reporter)
     h = row.event
-    return "hazard_rows", h.timestamp, h.position, (h.timestamp, h.source, int(h.kind))
+    return K.HAZARD, h.timestamp, h.position, (h.timestamp, h.source, int(h.kind))
 
 
-def _window_oracle(facts, t_min, t_max, radius, kinds=None) -> dict[str, list]:
-    """The full-scan window: per RawSlice list, the typed rows with time in
-    [t_min, t_max] and haversine within the radius, in the documented order."""
-    expected = {name: [] for name in vars(store_module.RawSlice())}
-    kind_of = {raw.slice_list: kind for kind, raw in store_module.RAW_TABLE.items()}
+def _window_oracle(facts, t_min, t_max, radius) -> dict[wire.RecordKind, list]:
+    """The full-scan window: per kind a window reads (a RawSlice list), the
+    typed rows with time in [t_min, t_max] and haversine within the radius,
+    in the documented order."""
+    expected = {kind: [] for kind, raw in store_module.RAW_TABLE.items() if raw.slice_list}
     for r in facts:
-        name, t, position, order = _window_facts(r)
-        if (
-            (kinds is None or kind_of[name] in kinds)
-            and t_min <= t <= t_max
-            and haversine_distance(CENTER, position) <= radius
-        ):
-            expected[name].append((order, r))
-    return {name: [r for _, r in sorted(hits, key=lambda h: h[0])] for name, hits in expected.items()}
+        kind, t, position, order = _window_facts(r)
+        if kind in expected and t_min <= t <= t_max and haversine_distance(CENTER, position) <= radius:
+            expected[kind].append((order, r))
+    return {kind: [r for _, r in sorted(hits, key=lambda h: h[0])] for kind, hits in expected.items()}
 
 
-def _assert_window(store, facts, t_min, t_max, radius, kinds=None) -> dict[str, list]:
-    got = store.query_raw(t_min, t_max, CENTER, radius, kinds=kinds)
-    expected = _window_oracle(facts, t_min, t_max, radius, kinds)
-    for name, rows in expected.items():
-        assert getattr(got, name) == rows, (t_min, t_max, radius, kinds, name)
+def _assert_window(store, facts, t_min, t_max, radius) -> dict[wire.RecordKind, list]:
+    """The window's rows of each kind equal the table rows of the full scan's typed rows."""
+    got = store.query_raw(t_min, t_max, CENTER, radius)
+    expected = _window_oracle(facts, t_min, t_max, radius)
+    for kind, rows in expected.items():
+        got_rows = getattr(got, store_module.RAW_TABLE[kind].slice_list).rows
+        assert got_rows == table_rows(rows).get(kind, []), (t_min, t_max, radius, kind)
     assert len(got) == sum(map(len, expected.values()))
     return expected
 
@@ -234,7 +246,7 @@ EPOCH_MS = 20_000  # an epoch's rows lie in its first 8 s
 
 def test_query_raw_every_kind_matches_full_scan_oracle(tmp_path):
     """Every RawSlice list equals a full scan: time inclusive, haversine within
-    the radius, in the kind's documented order; kinds left out stay empty.
+    the radius, in the kind's documented order.
     Each kind spans three 1024-rowid blocks: epochs go in out of time order
     with windows between the inserts, then the store is reopened."""
     rng = random.Random(41)
@@ -242,15 +254,14 @@ def test_query_raw_every_kind_matches_full_scan_oracle(tmp_path):
     store = SituationStore(path)
     epochs = [1, 0, 2, 5, 3, 4, 7, 6]  # mostly in time order, as arrivals are
     facts, station = [], 0
-    seen = dict.fromkeys(vars(store_module.RawSlice()), 0)
+    seen = dict.fromkeys(store_module.RawSlice.__dataclass_fields__, 0)
 
     def check_random_window(w):
         t_min = T0 - 5000 + rng.randrange(9 * EPOCH_MS)
         t_max = t_min + rng.randrange(30_000)
         radius = rng.uniform(50.0, 800.0)
-        kinds = None if w % 3 else set(rng.sample(list(wire.RecordKind), rng.randrange(0, 8)))
-        for name, rows in _assert_window(store, facts, t_min, t_max, radius, kinds).items():
-            seen[name] += len(rows)
+        for kind, rows in _assert_window(store, facts, t_min, t_max, radius).items():
+            seen[store_module.RAW_TABLE[kind].slice_list] += len(rows)
 
     for epoch in epochs:
         for kind in wire.RecordKind:
@@ -369,7 +380,7 @@ def test_time_bounds_beyond_sqlite_integers_are_clamped(store):
     store.insert_raw(table_rows([
         cam_row(1, top - 5), RawVutSensor(100, make_vut_extract(top - 10, CENTER), 100, 1),
     ]))
-    assert [r.cam.generation_time for r in store.query_raw(top - 5, top + 10**6, CENTER, 10.0).cams] == [top - 5]
+    assert store.query_raw(top - 5, top + 10**6, CENTER, 10.0).cams.column("generation_time").tolist() == [top - 5]
     assert len(store.query_raw(top + 1, 2**64, CENTER, 10.0)) == 0
     assert len(store.query_raw(-(2**64), -(2**63) - 1, CENTER, 10.0)) == 0
     assert store.vut_fix_near(100, top + 5, tolerance_ms=20).extract.timestamp == top - 10
@@ -390,8 +401,8 @@ def test_frame_whose_last_time_is_the_largest_sqlite_integer_stores(store):
     assert wire.encode_batch(env) == frame
     assert store.insert_envelope(env, receive_time=1) == 2
     window = store.query_raw(last - 50, last, CENTER, 1.0)
-    assert [r.cam.generation_time for r in window.cams] == [last - 50]
-    assert [(r.generation_time, r.spat.change_time) for r in window.spats] == [(last, last)]
+    assert window.cams.column("generation_time").tolist() == [last - 50]
+    assert [(r[4], r[3]) for r in window.spats.rows] == [(last, last)]  # generation, change time
 
 
 def test_vut_fix_near(store):
@@ -404,6 +415,15 @@ def test_vut_fix_near(store):
     assert hit.extract.timestamp == T0 - 300
     assert store.vut_fix_near(100, T0 + 10_000, tolerance_ms=2000) is None
     assert store.vut_fix_near(999, T0, tolerance_ms=2000) is None
+
+
+def test_vut_fix_near_tie_takes_the_earlier_fix(store):
+    """Of two fixes equally near t, vut_fix_near returns the earlier one."""
+    store.insert_raw(table_rows([
+        RawVutSensor(100, make_vut_extract(T0 + dt, CENTER), 100, 1) for dt in (400, -400, 900)
+    ]))
+    assert store.vut_fix_near(100, T0, tolerance_ms=2000).extract.timestamp == T0 - 400
+    assert store.vut_fix_near(100, T0 + 1, tolerance_ms=2000).extract.timestamp == T0 + 400
 
 
 def test_environment_candidates(store):
@@ -631,14 +651,19 @@ def test_rows_from_envelope_covers_all_kinds(store):
 
 
 def test_raw_table_entries_match_created_schema(store):
-    """Each RAW_TABLE entry names a created table of its width whose UNIQUE
-    key is the window's order columns (time first, so the order is total), and
+    """Each RAW_TABLE entry names a created table of its width; each entry
+    of a window kind fills one RawSlice list, its table's UNIQUE key is the
+    window's order columns (time first, so the order is total), and it names
     its lat/lon column pair."""
+    window_lists = [raw.slice_list for raw in store_module.RAW_TABLE.values() if raw.slice_list]
+    assert window_lists == list(store_module.RawSlice.__dataclass_fields__)
     for raw in store_module.RAW_TABLE.values():
         info = store._conn.execute(f"PRAGMA table_info({raw.table})").fetchall()
         types = {name: kind for _, name, kind, *_ in info}
         columns = list(types)
         assert len(columns) == raw.width, raw.table
+        if not raw.slice_list:
+            continue
         indexes = store._conn.execute(f"PRAGMA index_list({raw.table})").fetchall()
         (unique,) = [name for _, name, is_unique, *_ in indexes if is_unique]
         key = {name for *_, name in store._conn.execute(f"PRAGMA index_info({unique})")}

@@ -3,10 +3,12 @@
 This is the path that ``fuse_situation`` replaced with numpy columns from
 the window to dedup: typed ``query_raw`` rows -> ``backend_dedup`` ->
 ``observation_from_cam``/``observations_from_cpm`` -> ``dedup`` on the
-observation list -> per-object, per-lane ``link_lanes``.  It also keeps the
-scalar similarity check ``is_similar`` (with ``angular_difference``), the
-scalar ``merge_group_scalar`` and the window query, none of which the
-package has any more.  The tests use them as the oracles the column path
+observation list -> per-object, per-lane ``link_lanes``, with the window's
+SPaT, driver and hazard rows typed too (``object_decode.typed_rows``) and
+joined to the topology by ``join_topology_typed``.  It also keeps the scalar
+similarity check ``is_similar`` (with ``angular_difference``), the scalar
+``merge_group_scalar`` and the window query, none of which the package has
+any more.  The tests use them as the oracles the column path
 must match exactly; ``of`` turns an observation list into the one
 ``ObservationColumns`` block that ``dedup`` takes, and ``merge_columns``
 runs the package's column merge on one group, so tests can build a single
@@ -34,16 +36,27 @@ from situfuse.geo import (
 )
 from situfuse.messages import (
     CpmExtract,
+    MapTopology,
     ObjectClassification,
     ObservationColumns,
     ObservationSource,
+    SignalPhase,
     StationId,
     TrafficObjectObservation,
     observation_from_cam,
     observations_from_cpm,
 )
-from situfuse.situation import FusedObject, ProvenanceEntry, SituationRecord
-from situfuse.store import RawSlice, SituationStore
+from situfuse.situation import (
+    FusedObject,
+    ProvenanceEntry,
+    SignalizedLane,
+    SignalizedTopology,
+    SituationRecord,
+)
+from situfuse.store import RawSlice, RawSpat, SituationStore
+from situfuse.wire import RecordKind
+
+from object_decode import typed_rows
 
 
 def query_window(
@@ -183,6 +196,29 @@ def link_lanes_scalar(objects, topology, max_lateral_m: float = fusion.DEFAULT_M
     return linked
 
 
+def join_topology_typed(topo: MapTopology, spats: Sequence[RawSpat], t: int) -> SignalizedTopology:
+    """join_topology on typed SPaT rows: each lane gets the phase of its
+    signal group nearest to t, of two equally near the later."""
+    by_group: dict[int, RawSpat] = {}
+    for s in spats:
+        if s.spat.intersection_id != topo.intersection_id:
+            continue
+        kept = by_group.get(s.spat.signal_group)
+        if kept is None or (
+            (abs(s.generation_time - t), -s.generation_time)
+            < (abs(kept.generation_time - t), -kept.generation_time)
+        ):
+            by_group[s.spat.signal_group] = s
+    lanes = tuple(
+        SignalizedLane(
+            lane.lane_id, lane.signal_group, lane.polyline, lane.ingress,
+            by_group[lane.signal_group].spat.phase if lane.signal_group in by_group else SignalPhase.UNKNOWN,
+        )
+        for lane in topo.lanes
+    )
+    return SignalizedTopology(topo.intersection_id, lanes)
+
+
 def fuse_situation_typed(
     vut: StationId,
     t: int,
@@ -197,28 +233,33 @@ def fuse_situation_typed(
         raise fusion.NoVutFix(f"no GNSS fix of VUT {vut} near {t}")
     center = fix.extract.gnss
     window = store.query_raw(t - window_ms, t + window_ms, center, radius_m)
+    cams = typed_rows(RecordKind.CAM_EXTRACT, window.cams.rows)
+    cpms = typed_rows(RecordKind.CPM_DETECTION, window.cpm_detections.rows)
+    spats = typed_rows(RecordKind.SPAT, window.spats.rows)
+    drivers = typed_rows(RecordKind.DRIVER_STATE, window.driver_rows.rows)
+    hazard_rows = typed_rows(RecordKind.HAZARD, window.hazard_rows.rows)
 
     observations: list[TrafficObjectObservation] = []
-    for raw in backend_dedup(list(window.cams)):
+    for raw in backend_dedup(cams):
         observations.append(observation_from_cam(raw.cam))
-    for raw in backend_dedup(list(window.cpm_detections)):
+    for raw in backend_dedup(cpms):
         extract = CpmExtract(raw.originator, raw.generation_time, (raw.detection,))
         observations.extend(observations_from_cpm(extract))
     blocks = (of(observations), fusion._vut_observation(store, vut, fix))
     objects = fusion.dedup(ObservationColumns(*map(np.concatenate, zip(*blocks))))
 
     topo = fusion._nearest_topology(store, center, radius_m)
-    topology = fusion.join_topology(topo, backend_dedup(window.spats), t) if topo else None
+    topology = join_topology_typed(topo, backend_dedup(spats), t) if topo else None
     objects = link_lanes_scalar(objects, topology, max_lateral_m)
 
     driver = None
-    driver_rows = [r for r in window.driver_rows if r.station == vut]
+    driver_rows = [r for r in drivers if r.station == vut]
     if driver_rows:
         nearest = min(driver_rows, key=lambda r: (abs(r.sample.timestamp - t), -r.sample.timestamp))
         driver = nearest.sample
     hazards = tuple(
         sorted(
-            (r.event for r in backend_dedup(window.hazard_rows)),
+            (r.event for r in backend_dedup(hazard_rows)),
             key=lambda h: (h.timestamp, h.source, int(h.kind)),
         )
     )
