@@ -21,7 +21,7 @@ import socket
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .config import AppConfig
@@ -133,7 +133,7 @@ def cmd_simulate(config: AppConfig, args) -> int:
     for station, envs in sorted(by_station.items()):
         wire.write_ksb(out / f"station_{station}.ksb", envs)
     with open(out / "ground_truth.json", "w", encoding="utf-8") as fp:
-        json.dump(truth.to_dict(), fp)
+        json.dump(asdict(truth), fp)
     print(
         f"simulated {len(truth.objects)} objects -> {len(envelopes)} batches"
         f" across {len(by_station)} stations in {out}"

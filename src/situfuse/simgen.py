@@ -108,6 +108,7 @@ class ScenarioConfig:
 
     def __post_init__(self):
         check_scalars(self, "scenario")
+        check_scalars(self.center, "center")
         if min(self.vehicle_count, self.pedestrian_count) < 0:
             raise ValueError("vehicle and pedestrian counts must not be negative")
         if not (0.0 <= self.cooperative_fraction <= 1.0):
@@ -125,6 +126,16 @@ class ScenarioConfig:
         bound = (1 + self.vehicle_count + self.pedestrian_count) * (cam + cpm) + vut + driver
         if bound > MAX_SCENARIO_RECORDS:
             raise ValueError(f"scenario may queue {bound} records, more than {MAX_SCENARIO_RECORDS}")
+        if not 0 <= self.vut_station <= 0xFFFFFFFF:
+            raise ValueError(f"vut_station does not fit u32: {self.vut_station}")
+        # one station per sender; cooperative vehicle k (from 1) is VEHICLE_STATION_OFFSET + k
+        vehicles = range(VEHICLE_STATION_OFFSET + 1, VEHICLE_STATION_OFFSET + 1 + self.cooperative_count)
+        if self.vut_station == CAMERA_STATION or self.vut_station in vehicles or CAMERA_STATION in vehicles:
+            raise ValueError(f"stations clash: VUT {self.vut_station}, camera {CAMERA_STATION}, {vehicles}")
+
+    @property
+    def cooperative_count(self) -> int:
+        return round(self.vehicle_count * self.cooperative_fraction)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
@@ -146,34 +157,27 @@ class ScenarioConfig:
 
 
 @dataclass(frozen=True)
-class TrajectorySegment:
-    t_start_ms: int
-    duration_ms: int
-    position: GeoPosition  # at t_start
-    speed: float
-    course: float
-
-
-@dataclass(frozen=True)
 class TruthObject:
     object_id: int
     classification: ObjectClassification
-    cooperative: bool
-    station: StationId | None
-    segments: tuple[TrajectorySegment, ...]
+    station: StationId | None  # None for a road user that sends no CAM
+    t0_ms: int
+    position: GeoPosition  # at t0_ms
+    speed: float
+    course: float
+
+    @property
+    def cooperative(self) -> bool:
+        return self.station is not None
 
     def state_at(self, t_ms: int) -> tuple[GeoPosition, float, float]:
-        """(position, speed, course) under piecewise constant velocity."""
-        seg = self.segments[0]
-        for candidate in self.segments:
-            if candidate.t_start_ms <= t_ms:
-                seg = candidate
-        dt = (t_ms - seg.t_start_ms) / 1000.0
-        east, north = course_to_unit_vector(seg.course)
+        """(position, speed, course) under constant velocity."""
+        dt = (t_ms - self.t0_ms) / 1000.0
+        east, north = course_to_unit_vector(self.course)
         pos = from_local_enu(
-            seg.position, LocalPoint(east * seg.speed * dt, north * seg.speed * dt)
+            self.position, LocalPoint(east * self.speed * dt, north * self.speed * dt)
         )
-        return pos, seg.speed, seg.course
+        return pos, self.speed, self.course
 
 
 @dataclass(frozen=True)
@@ -188,33 +192,6 @@ class GroundTruth:
             if o.object_id == object_id:
                 return o
         raise KeyError(object_id)
-
-    def to_dict(self) -> dict:
-        return {
-            "start_time_ms": self.start_time_ms,
-            "duration_ms": self.duration_ms,
-            "vut_station": self.vut_station,
-            "objects": [
-                {
-                    "object_id": o.object_id,
-                    "classification": int(o.classification),
-                    "cooperative": o.cooperative,
-                    "station": o.station,
-                    "segments": [
-                        {
-                            "t_start_ms": s.t_start_ms,
-                            "duration_ms": s.duration_ms,
-                            "lat": s.position.lat,
-                            "lon": s.position.lon,
-                            "speed": s.speed,
-                            "course": s.course,
-                        }
-                        for s in o.segments
-                    ],
-                }
-                for o in self.objects
-            ],
-        }
 
 
 def _period_ms(rate_hz: float) -> int:
@@ -235,8 +212,6 @@ def _noisy_state(rng, pos: GeoPosition, speed: float, course: float, noise: Nois
 
 
 def _spawn_objects(cfg: ScenarioConfig, rng) -> list[TruthObject]:
-    objects = []
-
     def spawn_position() -> GeoPosition:
         angle = rng.uniform(0.0, 2.0 * math.pi)
         radius = cfg.spawn_radius_m * math.sqrt(rng.uniform(0.0, 1.0))
@@ -244,54 +219,43 @@ def _spawn_objects(cfg: ScenarioConfig, rng) -> list[TruthObject]:
             cfg.center, LocalPoint(radius * math.sin(angle), radius * math.cos(angle))
         )
 
-    duration_ms = round(cfg.duration_s * 1000)
-
-    def segment(position, speed, course):
-        return (
-            TrajectorySegment(
-                t_start_ms=cfg.start_time_ms,
-                duration_ms=duration_ms,
-                position=position,
-                speed=speed,
-                course=course,
-            ),
-        )
-
     # The VUT drives one of the four approaches.
     vut_course = float(rng.choice([0.0, 90.0, 180.0, 270.0]))
-    objects.append(
+    objects = [
         TruthObject(
             object_id=VUT_OBJECT_ID,
             classification=ObjectClassification.PASSENGER_CAR,
-            cooperative=True,
             station=cfg.vut_station,
-            segments=segment(spawn_position(), rng.uniform(5.0, 12.0), vut_course),
+            t0_ms=cfg.start_time_ms,
+            position=spawn_position(),
+            speed=rng.uniform(5.0, 12.0),
+            course=vut_course,
         )
-    )
+    ]
 
-    cooperative_n = round(cfg.vehicle_count * cfg.cooperative_fraction)
-    for k in range(cfg.vehicle_count):
-        oid = 1 + k
+    for oid in range(1, 1 + cfg.vehicle_count):
         course = normalize_course(float(rng.choice([0.0, 90.0, 180.0, 270.0])) + rng.normal(0.0, 5.0))
-        cooperative = k < cooperative_n
         objects.append(
             TruthObject(
                 object_id=oid,
                 classification=ObjectClassification.PASSENGER_CAR,
-                cooperative=cooperative,
-                station=VEHICLE_STATION_OFFSET + oid if cooperative else None,
-                segments=segment(spawn_position(), rng.uniform(3.0, 14.0), course),
+                station=VEHICLE_STATION_OFFSET + oid if oid <= cfg.cooperative_count else None,
+                t0_ms=cfg.start_time_ms,
+                position=spawn_position(),
+                speed=rng.uniform(3.0, 14.0),
+                course=course,
             )
         )
-    for k in range(cfg.pedestrian_count):
-        oid = 1 + cfg.vehicle_count + k
+    for oid in range(1 + cfg.vehicle_count, 1 + cfg.vehicle_count + cfg.pedestrian_count):
         objects.append(
             TruthObject(
                 object_id=oid,
                 classification=ObjectClassification.PEDESTRIAN,
-                cooperative=False,
                 station=None,
-                segments=segment(spawn_position(), rng.uniform(0.5, 2.0), rng.uniform(0.0, 360.0)),
+                t0_ms=cfg.start_time_ms,
+                position=spawn_position(),
+                speed=rng.uniform(0.5, 2.0),
+                course=rng.uniform(0.0, 360.0),
             )
         )
     return objects

@@ -246,12 +246,20 @@ def _course_u16(course: float) -> int:
 # --- per-kind payload codecs ----------------------------------------------
 
 
+def _pack(layout: struct.Struct, *values) -> bytes:
+    """A value that does not fit its field is a BadPayload, not a ``struct.error``."""
+    try:
+        return layout.pack(*values)
+    except struct.error as err:
+        raise BadPayload(f"{err}: {values}") from None
+
+
 def pack_cam(c: CamExtract) -> bytes:
-    return _CAM.pack(c.originator, _speed_u16(c.speed), _course_u16(c.course), int(c.classification))
+    return _pack(_CAM, c.originator, _speed_u16(c.speed), _course_u16(c.course), int(c.classification))
 
 
 def pack_cpm_detection(originator: StationId, d: CpmDetection) -> bytes:
-    return _CPM.pack(
+    return _pack(_CPM,
         originator, d.object_id, _speed_u16(d.speed), _course_u16(d.course), int(d.classification)
     )
 
@@ -259,7 +267,7 @@ def pack_cpm_detection(originator: StationId, d: CpmDetection) -> bytes:
 def pack_spat(s: SpatExtract) -> bytes:
     if not (0 <= s.change_time <= MAX_TIME_MS):
         raise BadPayload(f"change_time out of range 0..MAX_TIME_MS: {s.change_time}")
-    return _SPAT.pack(s.intersection_id, s.signal_group, int(s.phase), s.change_time)
+    return _pack(_SPAT, s.intersection_id, s.signal_group, int(s.phase), s.change_time)
 
 
 def pack_vut_sensor(v: VutSensorExtract) -> bytes:
@@ -273,7 +281,7 @@ def pack_vut_sensor(v: VutSensorExtract) -> bytes:
     doors = 0
     for i, d in enumerate(v.door_positions):
         doors |= (int(d) & 0x3) << (2 * i)
-    return _VUT.pack(
+    return _pack(_VUT,
         flags,
         v.gear,
         doors,
@@ -290,21 +298,18 @@ def pack_vut_sensor(v: VutSensorExtract) -> bytes:
 
 def pack_driver_state(d: DriverStateSample) -> bytes:
     hr = d.heart_rate_bpm if d.heart_rate_bpm is not None else 0
-    return _DRIVER.pack(d.valence, d.arousal, _check_u16(hr, "heart_rate"), 1 if d.self_reported else 0)
+    return _pack(_DRIVER, d.valence, d.arousal, _check_u16(hr, "heart_rate"), 1 if d.self_reported else 0)
 
 
 def pack_environment(e: EnvironmentSample) -> bytes:
-    lux = _q(e.illuminance_lux, 1.0)
-    if not (0 <= lux <= 0xFFFFFFFF):
-        raise BadPayload(f"illuminance does not fit u32: {lux}")
-    return _ENV.pack(
+    return _pack(_ENV,
         _check_u16(e.validity_duration_s, "validity"),
         _check_u16(_q(e.area_radius_m, 1.0), "area_radius"),
         _check_i16(_q(e.temperature_c, 0.1), "temperature"),
         _check_u16(_q(e.precipitation_mm_h, 0.1), "precipitation"),
         _check_u16(_q(e.wind_speed_ms, 0.1), "wind_speed"),
         _course_u16(e.wind_direction),
-        lux,
+        _q(e.illuminance_lux, 1.0),
         _check_u16(_q(e.visibility_m, 1.0), "visibility"),
         _check_u16(_q(e.pressure_hpa, 0.1), "pressure"),
         _q(e.humidity_pct, 1.0),
@@ -313,7 +318,7 @@ def pack_environment(e: EnvironmentSample) -> bytes:
 
 
 def pack_hazard(h: HazardEvent) -> bytes:
-    return _HAZARD.pack(int(h.kind), h.source)
+    return _pack(_HAZARD, int(h.kind), h.source)
 
 
 # --- per-kind codec table ---------------------------------------------------

@@ -49,7 +49,8 @@ def test_pipeline_simulate_ingest_fuse_eval(workdir, capsys):
     assert run("--config", config, "simulate", "--scenario", scenario_path, "--out", str(out_dir)) == EXIT_OK
     ksb_files = sorted(out_dir.glob("*.ksb"))
     assert ksb_files
-    assert (out_dir / "ground_truth.json").exists()
+    truth = json.loads((out_dir / "ground_truth.json").read_text())
+    assert truth == json.loads(json.dumps(dataclasses.asdict(generate(scenario)[0])))
 
     assert run("--config", config, "ingest", *map(str, ksb_files)) == EXIT_OK
     first_report = capsys.readouterr().out.splitlines()[-1]
@@ -185,12 +186,20 @@ def test_malformed_config_is_user_error(tmp_path, capsys, config, message):
         ({"start_time_ms": 2**63 - 5000}, "scenario ends after the last time a record can carry"),
         ({"duration_s": 1e9}, "scenario may queue 36000000032 records, more than 1000000"),
         ({"vehicle_count": 10**9, "duration_s": 1.0}, "scenario may queue 4000000028 records"),
+        ({"vut_station": 4294967296, "duration_s": 2.0}, "vut_station does not fit u32: 4294967296"),
+        ({"vut_station": -5, "duration_s": 2.0}, "vut_station does not fit u32: -5"),
+        ({"vut_station": 201, "duration_s": 5.0, "cooperative_fraction": 1.0}, "stations clash: VUT 201"),
+        ({"vut_station": 500, "duration_s": 2.0}, "stations clash: VUT 500, camera 500"),
+        ({"vehicle_count": 300, "cooperative_fraction": 1.0, "duration_s": 2.0}, "range(201, 501)"),
+        ({"center": {"lat": True, "lon": 7.0}}, "center 'lat' must be float, not True"),
     ],
     ids=[
         "unknown_key", "center_block", "rates_block", "seed_type", "duration_type",
         "count_type", "top_level_number", "negative_count", "duration_infinity",
         "radius_nan", "noise_infinity", "noise_type", "rate_infinity", "duration_past_time_range",
         "start_past_time_range", "duration_too_long_to_build", "too_many_objects_to_build",
+        "vut_station_past_u32", "vut_station_negative", "vut_station_is_a_vehicle_station",
+        "vut_station_is_the_camera_station", "vehicle_station_is_the_camera_station", "center_bool",
     ],
 )
 def test_malformed_scenario_is_user_error(workdir, capsys, scenario, message):

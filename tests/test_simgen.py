@@ -14,7 +14,6 @@ from situfuse.simgen import (
     NoiseSpec,
     GroundTruth,
     ScenarioConfig,
-    TrajectorySegment,
     TruthObject,
     generate,
     score,
@@ -239,7 +238,7 @@ def test_config_round_trip_and_validation():
 
 
 def ground_truth_from_dict(data: dict) -> GroundTruth:
-    """The inverse of GroundTruth.to_dict, the layout of ground_truth.json."""
+    """The inverse of dataclasses.asdict(GroundTruth), the layout of ground_truth.json."""
     return GroundTruth(
         start_time_ms=data["start_time_ms"],
         duration_ms=data["duration_ms"],
@@ -248,18 +247,11 @@ def ground_truth_from_dict(data: dict) -> GroundTruth:
             TruthObject(
                 object_id=o["object_id"],
                 classification=ObjectClassification(o["classification"]),
-                cooperative=o["cooperative"],
                 station=o["station"],
-                segments=tuple(
-                    TrajectorySegment(
-                        t_start_ms=s["t_start_ms"],
-                        duration_ms=s["duration_ms"],
-                        position=GeoPosition(s["lat"], s["lon"]),
-                        speed=s["speed"],
-                        course=s["course"],
-                    )
-                    for s in o["segments"]
-                ),
+                t0_ms=o["t0_ms"],
+                position=GeoPosition(**o["position"]),
+                speed=o["speed"],
+                course=o["course"],
             )
             for o in data["objects"]
         ),
@@ -268,4 +260,4 @@ def ground_truth_from_dict(data: dict) -> GroundTruth:
 
 def test_ground_truth_serialization_round_trip():
     truth, _ = generate(quiet())
-    assert ground_truth_from_dict(json.loads(json.dumps(truth.to_dict()))) == truth
+    assert ground_truth_from_dict(json.loads(json.dumps(dataclasses.asdict(truth)))) == truth

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import random
 import struct
@@ -570,6 +571,24 @@ def test_encoders_refuse_times_above_the_signed_64_bit_range():
         BatchEnvelope(MetaBlock(7, 2**63 - 6, pos), (late,))
     with pytest.raises(BadPayload):
         wire.pack_spat(SpatExtract(4, 2, SignalPhase.GREEN, 2**63))
+
+
+_AT = GeoPosition(49.234, 6.98)
+
+
+@pytest.mark.parametrize(
+    "pack, extract",
+    [
+        (wire.pack_cam, CamExtract(2**32, 1, _AT, 10.0, 90.0, ObjectClassification.PASSENGER_CAR)),
+        (wire.pack_spat, SpatExtract(4, 70000, SignalPhase.GREEN, 1000)),
+        (wire.pack_vut_sensor, dataclasses.replace(object_decode.unpack_vut_sensor(_vut_payload(), 1, _AT), gear=200)),
+        (wire.pack_hazard, HazardEvent(HazardKind.PANIC_BRAKING, 1, _AT, -1)),
+    ],
+    ids=["cam_originator_past_u32", "spat_signal_group_past_u16", "vut_gear_past_i8", "hazard_negative_source"],
+)
+def test_packers_refuse_a_field_that_does_not_fit_with_bad_payload(pack, extract):
+    with pytest.raises(BadPayload):
+        pack(extract)
 
 
 def test_envelope_refuses_more_records_than_the_count_field_holds():
