@@ -2,11 +2,11 @@
 
 Every remote station runs some of these collectors: the traffic data
 aggregator client queues received V2X extracts, the vehicle data aggregator
-samples the CAN extract on per-group schedules, the driver and environment
-collectors queue their samples.  Everything lands in a local store that is
-flushed in delta batches over an acknowledged transport; the local store only
-forgets what the far side has acknowledged, so delivery is at-least-once, and
-the backend store's UNIQUE message keys make storage exactly-once.
+queues each sensor snapshot, the driver and environment collectors queue
+their samples.  Everything lands in a local store that is flushed in delta
+batches over an acknowledged transport; the local store only forgets what the
+far side has acknowledged, so delivery is at-least-once, and the backend
+store's UNIQUE message keys make storage exactly-once.
 """
 
 from __future__ import annotations
@@ -49,28 +49,6 @@ class Transport(Protocol):
         """Deliver one encoded envelope; True means acknowledged."""
 
 
-# Sensor field groups sampled on independent clocks.  The relative ordering
-# (acceleration far more often than the wiper state) is what matters; the
-# absolute periods are configuration.
-DEFAULT_SCHEDULE_MS = {
-    "kinematics": 100,  # speed, accelerations, yaw, steering
-    "brake": 100,
-    "gnss": 200,
-    "body": 1000,  # lights, doors, gear, clutch
-    "rain": 5000,  # rain sensor, wiper
-}
-
-
-@dataclass(frozen=True)
-class TransmitSchedule:
-    periods_ms: dict[str, int] = field(default_factory=lambda: dict(DEFAULT_SCHEDULE_MS))
-
-    def __post_init__(self):
-        for group, period in self.periods_ms.items():
-            if period <= 0:
-                raise ValueError(f"period for {group} must be positive: {period}")
-
-
 @dataclass
 class FlushOutcome:
     delivered_batches: int
@@ -85,7 +63,6 @@ class LocalStore:
     station: StationId
     station_position: GeoPosition | None = None
     pending: list[wire.AbsoluteRecord] = field(default_factory=list)
-    last_emit: dict[str, int] = field(default_factory=dict)
 
     def append(self, record: wire.AbsoluteRecord) -> None:
         # Stations queue in time order almost always; equal times keep arrival order.
@@ -151,33 +128,14 @@ def tdac_ingest_spat(extract: SpatExtract, generation_time: int, local: LocalSto
     return local
 
 
-def vda_tick(
-    now: int,
-    sensors: VutSensorExtract,
-    schedule: TransmitSchedule,
-    local: LocalStore,
-) -> list[str]:
-    """Sample each sensor group whose period has elapsed; returns fired groups.
-
-    Emission is boundary-inclusive: a group fires at exactly
-    last_emit + period.  A tick that fires any group queues one sensor snapshot.
-    """
-    fired = []
-    for group, period in schedule.periods_ms.items():
-        last = local.last_emit.get(group)
-        if last is not None and now < last + period:
-            continue
-        local.last_emit[group] = now
-        fired.append(group)
-    if fired:
-        record = wire.AbsoluteRecord(
-            wire.RecordKind.VUT_SENSOR,
-            sensors.timestamp,
-            sensors.gnss,
-            wire.pack_vut_sensor(sensors),
+def vda_ingest(sensors: VutSensorExtract, local: LocalStore) -> LocalStore:
+    """Queue one vehicle sensor snapshot, georeferenced at its own GNSS fix."""
+    local.append(
+        wire.AbsoluteRecord(
+            wire.RecordKind.VUT_SENSOR, sensors.timestamp, sensors.gnss, wire.pack_vut_sensor(sensors)
         )
-        local.append(record)
-    return fired
+    )
+    return local
 
 
 def dda_ingest(sample: DriverStateSample, position: GeoPosition, local: LocalStore) -> LocalStore:

@@ -142,14 +142,17 @@ def cmd_simulate(config: AppConfig, args) -> int:
 
 
 def cmd_ingest(config: AppConfig, args) -> int:
+    if args.listen is not None:
+        host, _, text = (args.listen or config.listen).rpartition(":")
+        port = int(text)
+        if not 0 <= port <= 0xFFFF:
+            raise ValueError(f"listen port out of range 0..65535: {port}")
     report = IngestReport()
     with SituationStore(config.store_path) as store:
         for path in args.files:
             _ingest_envelopes(store, wire.read_ksb(path), report)
         if args.listen is not None:
-            address = args.listen if args.listen != "" else config.listen
-            host, _, port = address.rpartition(":")
-            serve_ingest(store, host, int(port), connections=args.connections, report=report)
+            serve_ingest(store, host, port, connections=args.connections, report=report)
     rejected = sum(report.rejected.values())
     by_class = ", ".join(f"{name} {n}" for name, n in sorted(report.rejected.items()))
     print(

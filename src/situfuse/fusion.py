@@ -284,12 +284,12 @@ def _merge_groups(c: ObservationColumns, labels: np.ndarray) -> list[FusedObject
 
 def join_topology(topo: MapTopology, spats: Sequence[tuple], t: int) -> SignalizedTopology:
     """Attach to each lane the phase of its signal group nearest to t; of two
-    equally near, the later.  ``spats`` are raw_spat rows, as a window returns them."""
+    equally near, the earlier.  ``spats`` are raw_spat rows, as a window returns them."""
     by_group: dict[int, tuple[int, int]] = {}  # signal group -> (generation time, phase)
     for intersection, group, phase, _, generated, *_ in spats:
         kept = by_group.get(group)
         if intersection == topo.intersection_id and (
-            kept is None or (abs(generated - t), -generated) < (abs(kept[0] - t), -kept[0])
+            kept is None or (abs(generated - t), generated) < (abs(kept[0] - t), kept[0])
         ):
             by_group[group] = generated, phase
     lanes = tuple(
@@ -429,9 +429,9 @@ def fuse_situation(
     topology = join_topology(topo, window.spats.rows, t) if topo else None
     objects = link_lanes(objects, topology, max_lateral_m)
 
-    # the VUT's driver row nearest t; of two equally near, the later
+    # the VUT's driver row nearest t; of two equally near, the earlier
     own = (r for r in window.driver_rows.rows if r[0] == vut)
-    nearest = min(own, key=lambda r: (abs(r[1] - t), -r[1]), default=None)
+    nearest = min(own, key=lambda r: (abs(r[1] - t), r[1]), default=None)
     driver = driver_from_columns(nearest[1:6]) if nearest else None
 
     hazards = tuple(map(hazard_from_columns, window.hazard_rows.rows))

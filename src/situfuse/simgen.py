@@ -31,7 +31,7 @@ from .geo import (
     normalize_course,
 )
 from .config import check_scalars
-from .aggregators import LocalStore, TransmitSchedule, dda_ingest, tdac_ingest, vda_tick
+from .aggregators import LocalStore, dda_ingest, tdac_ingest, vda_ingest
 from .messages import (
     CamExtract,
     CpmDetection,
@@ -115,6 +115,8 @@ class ScenarioConfig:
             raise ValueError(f"cooperative fraction out of [0,1]: {self.cooperative_fraction}")
         if self.duration_s <= 0 or self.camera_radius_m <= 0:
             raise ValueError("duration and camera radius must be positive")
+        if self.spawn_radius_m < 0 or self.start_time_ms < 0:
+            raise ValueError("spawn radius and start time must not be negative")
         end_ms = self.duration_s * 1000  # inf for the largest floats, so compare before round
         if end_ms > wire.MAX_TIME_MS or self.start_time_ms + round(end_ms) > wire.MAX_TIME_MS:
             raise ValueError(f"scenario ends after the last time a record can carry, {wire.MAX_TIME_MS}")
@@ -336,14 +338,12 @@ def generate(cfg: ScenarioConfig) -> tuple[GroundTruth, list[wire.BatchEnvelope]
             cpm = CpmExtract(CAMERA_STATION, t, tuple(detections))
             tdac_ingest(cpm, CAMERA_STATION, stations[CAMERA_STATION])
 
-    # VUT sensor extracts: one schedule group at the VUT period, one per instant.
+    # VUT sensor extracts, one snapshot per instant.
     vut = objects[0]
-    instants = _emission_instants(cfg.start_time_ms, duration_ms, cfg.rates.vut_hz)
-    schedule = TransmitSchedule({"vut": instants.step})
-    for t in instants:
+    for t in _emission_instants(cfg.start_time_ms, duration_ms, cfg.rates.vut_hz):
         pos, speed, course = vut.state_at(t)
         npos, nspeed, _ = _noisy_state(rng, pos, speed, course, cfg.vut_noise)
-        vda_tick(t, _default_vut_extract(t, npos, nspeed), schedule, stations[cfg.vut_station])
+        vda_ingest(_default_vut_extract(t, npos, nspeed), stations[cfg.vut_station])
 
     # Driver samples, georeferenced at the VUT.
     for t in _emission_instants(cfg.start_time_ms, duration_ms, cfg.rates.driver_hz):

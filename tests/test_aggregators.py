@@ -3,10 +3,8 @@ import random
 import pytest
 
 from situfuse.aggregators import (
-    DEFAULT_SCHEDULE_MS,
     FlushOutcome,
     LocalStore,
-    TransmitSchedule,
     TransportError,
     backend_dedup,
     dda_ingest,
@@ -16,7 +14,7 @@ from situfuse.aggregators import (
     message_key,
     tdac_ingest,
     tdac_ingest_spat,
-    vda_tick,
+    vda_ingest,
 )
 from situfuse.geo import GeoPosition
 from situfuse.messages import (
@@ -128,51 +126,17 @@ def test_local_store_keeps_pending_in_time_order():
     assert [r.payload for r in local.pending] == [wire.pack_spat(spats[k]) for k in order]
 
 
-def test_vda_tick_respects_period():
+def test_vda_ingest_queues_one_snapshot():
     local = LocalStore(station=100)
-    schedule = TransmitSchedule()
-    sensors = make_vut_extract(T0, HERE)
-    assert "kinematics" in vda_tick(T0, sensors, schedule, local)
-    assert "kinematics" not in vda_tick(T0 + 50, make_vut_extract(T0 + 50, HERE), schedule, local)
-
-
-def test_vda_tick_boundary_inclusive():
-    local = LocalStore(station=100)
-    schedule = TransmitSchedule(periods_ms={"kinematics": 100})
-    vda_tick(T0, make_vut_extract(T0, HERE), schedule, local)
-    assert vda_tick(T0 + 100, make_vut_extract(T0 + 100, HERE), schedule, local) == ["kinematics"]
-
-
-@pytest.mark.parametrize(
-    "periods",
-    [
-        DEFAULT_SCHEDULE_MS,
-        {"a": 50, "b": 150, "c": 700, "d": 5050},
-        {"only": 60_000},
-    ],
-)
-def test_vda_sample_counts_match_schedule(periods):
-    local = LocalStore(station=100)
-    schedule = TransmitSchedule(periods_ms=dict(periods))
-    counts = {group: 0 for group in schedule.periods_ms}
-    firing_ticks = 0
-    duration = 60_000
-    for now in range(T0, T0 + duration + 1, 50):
-        fired = vda_tick(now, make_vut_extract(now, HERE), schedule, local)
-        firing_ticks += bool(fired)
-        for group in fired:
-            counts[group] += 1
-    for group, period in schedule.periods_ms.items():
-        # boundary-inclusive ticks every 50 ms hit each period multiple exactly
-        expected = duration // (((period + 49) // 50) * 50) + 1
-        assert counts[group] == expected, group
-    # one snapshot per tick on which any group fired
-    assert len(local.pending) == firing_ticks
-
-
-def test_schedule_validation():
-    with pytest.raises(ValueError):
-        TransmitSchedule(periods_ms={"kinematics": 0})
+    for k, t in enumerate((T0, T0 + 50, T0 + 50)):
+        sensors = make_vut_extract(t, HERE, speed=5.0 + k)
+        vda_ingest(sensors, local)
+        assert len(local.pending) == k + 1
+        record = local.pending[-1]
+        assert record.kind is wire.RecordKind.VUT_SENSOR
+        assert record.time_ms == t
+        assert record.position == sensors.gnss
+        assert record.payload == wire.pack_vut_sensor(sensors)
 
 
 class ScriptedTransport:

@@ -192,6 +192,8 @@ def test_malformed_config_is_user_error(tmp_path, capsys, config, message):
         ({"vut_station": 500, "duration_s": 2.0}, "stations clash: VUT 500, camera 500"),
         ({"vehicle_count": 300, "cooperative_fraction": 1.0, "duration_s": 2.0}, "range(201, 501)"),
         ({"center": {"lat": True, "lon": 7.0}}, "center 'lat' must be float, not True"),
+        ({"spawn_radius_m": -50.0, "duration_s": 1.0}, "spawn radius and start time must not be negative"),
+        ({"start_time_ms": -5000}, "spawn radius and start time must not be negative"),
     ],
     ids=[
         "unknown_key", "center_block", "rates_block", "seed_type", "duration_type",
@@ -200,6 +202,7 @@ def test_malformed_config_is_user_error(tmp_path, capsys, config, message):
         "start_past_time_range", "duration_too_long_to_build", "too_many_objects_to_build",
         "vut_station_past_u32", "vut_station_negative", "vut_station_is_a_vehicle_station",
         "vut_station_is_the_camera_station", "vehicle_station_is_the_camera_station", "center_bool",
+        "spawn_radius_negative", "start_time_negative",
     ],
 )
 def test_malformed_scenario_is_user_error(workdir, capsys, scenario, message):
@@ -296,6 +299,28 @@ def test_stats_totals_reflect_deduplicated_ingest(workdir, capsys):
     # identical VUT snapshots sampled by several schedule groups collapse
     assert raw_total <= total_records
     assert raw_total > 0
+
+
+@pytest.mark.parametrize(
+    "listen, config_listen",
+    [("127.0.0.1:99999", None), ("", "127.0.0.1:99999"), ("127.0.0.1:-1", None)],
+    ids=["option", "config", "negative"],
+)
+def test_listen_port_out_of_range_is_user_error(tmp_path, capsys, monkeypatch, listen, config_listen):
+    """A port outside 0..65535 is refused before any socket or store is opened."""
+    def no_socket(*_, **__):
+        raise AssertionError("a socket was opened")
+
+    monkeypatch.setattr(cli.socket, "socket", no_socket)
+    config = {"store_path": str(tmp_path / "store.db")}
+    if config_listen is not None:
+        config["listen"] = config_listen
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert run("--config", str(path), "ingest", "--listen", listen) == EXIT_USER
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError: listen port out of range 0..65535: ")
+    assert "Traceback" not in err and not (tmp_path / "store.db").exists()
 
 
 def test_socket_listener_ingests_frames(workdir):

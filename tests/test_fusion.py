@@ -534,6 +534,14 @@ def test_join_topology_nearest_spat_wins():
     assert join_topology(topo, list(reversed(spats)), T0).lanes[0].phase is SignalPhase.GREEN
 
 
+def test_join_topology_tie_takes_the_earlier_spat():
+    """Of two SPaTs of one group equally near t, the earlier sets the phase."""
+    topo = MapTopology(1, (lane(1, 3),))
+    spats = [spat_raw(3, T0 - 60, SignalPhase.RED), spat_raw(3, T0 + 60, SignalPhase.GREEN)]
+    assert join_topology(topo, spats, T0).lanes[0].phase is SignalPhase.RED
+    assert join_topology(topo, list(reversed(spats)), T0).lanes[0].phase is SignalPhase.RED
+
+
 # --- lane linking ------------------------------------------------------------------
 
 
@@ -674,8 +682,8 @@ def test_fuse_situation_links_every_data_class():
     store.close()
 
 
-def test_fuse_situation_driver_tie_takes_the_later_vut_sample():
-    """Of the VUT's two driver samples equally near t, the later is stored; never another station's."""
+def test_fuse_situation_driver_tie_takes_the_earlier_vut_sample():
+    """Of the VUT's two driver samples equally near t, the earlier is stored; never another station's."""
     from situfuse.messages import DriverStateSample
     from situfuse.store import RawDriverState
 
@@ -689,7 +697,7 @@ def test_fuse_situation_driver_tie_takes_the_later_vut_sample():
         driver(200, 0, 4), driver(200, 300, 5), driver(99, 10, 1),
     ]))
     record = fuse_situation(100, T0, store)
-    assert record.driver == DriverStateSample(T0 + 300, 3, 3)
+    assert record.driver == DriverStateSample(T0 - 300, 2, 3)
     assert store.load_situation(record.situation_id) == record
     store.close()
 

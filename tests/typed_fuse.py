@@ -198,15 +198,15 @@ def link_lanes_scalar(objects, topology, max_lateral_m: float = fusion.DEFAULT_M
 
 def join_topology_typed(topo: MapTopology, spats: Sequence[RawSpat], t: int) -> SignalizedTopology:
     """join_topology on typed SPaT rows: each lane gets the phase of its
-    signal group nearest to t, of two equally near the later."""
+    signal group nearest to t, of two equally near the earlier."""
     by_group: dict[int, RawSpat] = {}
     for s in spats:
         if s.spat.intersection_id != topo.intersection_id:
             continue
         kept = by_group.get(s.spat.signal_group)
         if kept is None or (
-            (abs(s.generation_time - t), -s.generation_time)
-            < (abs(kept.generation_time - t), -kept.generation_time)
+            (abs(s.generation_time - t), s.generation_time)
+            < (abs(kept.generation_time - t), kept.generation_time)
         ):
             by_group[s.spat.signal_group] = s
     lanes = tuple(
@@ -255,7 +255,7 @@ def fuse_situation_typed(
     driver = None
     driver_rows = [r for r in drivers if r.station == vut]
     if driver_rows:
-        nearest = min(driver_rows, key=lambda r: (abs(r.sample.timestamp - t), -r.sample.timestamp))
+        nearest = min(driver_rows, key=lambda r: (abs(r.sample.timestamp - t), r.sample.timestamp))
         driver = nearest.sample
     hazards = tuple(
         sorted(
