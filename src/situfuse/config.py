@@ -22,6 +22,10 @@ _RETIRED_KEYS = frozenset({"speed_floor_ms", "vda_schedule_ms"})
 # the type each scalar field's annotation names; a bool is no number here
 _SCALAR_TYPES = {"int": Integral, "StationId": Integral, "float": Real, "str": str,
                  "str | None": (str, type(None))}
+# Bounded numbers.  A zero TTI speed floor lets a standing object reach a division by its speed.
+_POSITIVE = ("radius_m", "tti_speed_floor_ms", "stress_capacity")
+_NON_NEGATIVE = ("window_ms", "max_lateral_m", "ru_closing_floor_ms", "handover_min_tti_ms",
+                 "handover_near_distance_m", "stress_max_depth")
 
 
 def check_scalars(obj, what: str) -> None:
@@ -61,6 +65,12 @@ class AppConfig:
 
     def __post_init__(self):
         check_scalars(self, "config")
+        for name in (*_POSITIVE, *_NON_NEGATIVE):
+            value, positive = getattr(self, name), name in _POSITIVE
+            if value < 0 or (positive and value == 0):
+                rule = "> 0" if positive else ">= 0"
+                raise ValueError(f"config {name!r} must be {rule}, not {value!r}")
+        self.thresholds()  # refuses a similarity threshold that is not positive
 
     def thresholds(self) -> SimilarityThresholds:
         return SimilarityThresholds(

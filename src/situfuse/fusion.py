@@ -47,13 +47,7 @@ from .messages import (
 # Not used here: perfbench/trace.py wraps these fusion globals by name.
 from .aggregators import backend_dedup  # noqa: F401
 from .messages import observation_from_cam, observations_from_cpm  # noqa: F401
-from .situation import (
-    FusedObject,
-    ProvenanceEntry,
-    SignalizedLane,
-    SignalizedTopology,
-    SituationRecord,
-)
+from .situation import FusedObject, ProvenanceEntry, SituationRecord
 from .aggregators import environment_for
 from .store import RawColumns, SituationStore, driver_from_columns, hazard_from_columns
 from .wire import MAX_TIME_MS
@@ -282,9 +276,10 @@ def _merge_groups(c: ObservationColumns, labels: np.ndarray) -> list[FusedObject
 # --- linking ------------------------------------------------------------------
 
 
-def join_topology(topo: MapTopology, spats: Sequence[tuple], t: int) -> SignalizedTopology:
-    """Attach to each lane the phase of its signal group nearest to t; of two
-    equally near, the earlier.  ``spats`` are raw_spat rows, as a window returns them."""
+def join_topology(topo: MapTopology, spats: Sequence[tuple], t: int) -> MapTopology:
+    """Set each lane's phase from its signal group's SPaT nearest to t (of two
+    equally near, the earlier), UNKNOWN without one.  ``spats`` are raw_spat
+    rows, as a window returns them."""
     by_group: dict[int, tuple[int, int]] = {}  # signal group -> (generation time, phase)
     for intersection, group, phase, _, generated, *_ in spats:
         kept = by_group.get(group)
@@ -292,21 +287,10 @@ def join_topology(topo: MapTopology, spats: Sequence[tuple], t: int) -> Signaliz
             kept is None or (abs(generated - t), generated) < (abs(kept[0] - t), kept[0])
         ):
             by_group[group] = generated, phase
-    lanes = tuple(
-        SignalizedLane(
-            lane_id=lane.lane_id,
-            signal_group=lane.signal_group,
-            polyline=lane.polyline,
-            ingress=lane.ingress,
-            phase=(
-                SignalPhase(by_group[lane.signal_group][1])
-                if lane.signal_group in by_group
-                else SignalPhase.UNKNOWN
-            ),
-        )
-        for lane in topo.lanes
-    )
-    return SignalizedTopology(intersection_id=topo.intersection_id, lanes=lanes)
+    phases = {group: SignalPhase(phase) for group, (_, phase) in by_group.items()}
+    return replace(topo, lanes=tuple(
+        replace(lane, phase=phases.get(lane.signal_group, SignalPhase.UNKNOWN)) for lane in topo.lanes
+    ))
 
 
 def _lane_distances(lat: np.ndarray, lon: np.ndarray, polyline: Sequence[GeoPosition]) -> np.ndarray:

@@ -222,6 +222,7 @@ class MapLane:
     signal_group: int
     polyline: tuple[GeoPosition, ...]
     ingress: bool
+    phase: SignalPhase = SignalPhase.UNKNOWN  # until fusion joins a SPaT
 
     def __post_init__(self):
         if len(self.polyline) < 2:

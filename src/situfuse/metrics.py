@@ -234,22 +234,16 @@ def handover_summary(
     A situation is unsuitable when any path intersection lies closer than the
     TTI threshold or a panic braking event is linked.
     """
-    from .stressmap import color_for
-
     finite = [
         t for r in rows for t in (r.tti_obj_ms, r.tti_vut_ms) if t >= 0
     ]
     min_tti = min(finite) if finite else None
     panic = any(h.kind is HazardKind.PANIC_BRAKING for h in hazards)
     suitable = not panic and (min_tti is None or min_tti >= min_tti_threshold_ms)
-    stress_cell = None
-    if driver is not None:
-        v_round, a_round, _ = color_for(float(driver.valence), float(driver.arousal))
-        stress_cell = (v_round, a_round)
     return HandoverSummary(
         min_tti_ms=min_tti,
         near_object_count=sum(1 for r in rows if r.distance_m < near_distance_m),
         hazard_count=len(hazards),
-        stress_cell=stress_cell,
+        stress_cell=(driver.valence, driver.arousal) if driver is not None else None,
         suitable=suitable,
     )

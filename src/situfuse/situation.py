@@ -16,9 +16,9 @@ from .messages import (
     DriverStateSample,
     EnvironmentSample,
     HazardEvent,
+    MapTopology,
     ObjectClassification,
     ObservationSource,
-    SignalPhase,
     StationId,
     VutSensorExtract,
 )
@@ -48,23 +48,6 @@ class FusedObject:
 
 
 @dataclass(frozen=True)
-class SignalizedLane:
-    lane_id: int
-    signal_group: int
-    polyline: tuple[GeoPosition, ...]
-    ingress: bool
-    phase: SignalPhase
-
-
-@dataclass(frozen=True)
-class SignalizedTopology:
-    """Intersection topology with the signal phase joined onto each lane."""
-
-    intersection_id: int
-    lanes: tuple[SignalizedLane, ...]
-
-
-@dataclass(frozen=True)
 class SituationRecord:
     situation_id: int
     center: GeoPosition
@@ -72,7 +55,7 @@ class SituationRecord:
     timestamp: int
     vut: StationId
     objects: tuple[FusedObject, ...]
-    topology: SignalizedTopology | None = None
+    topology: MapTopology | None = None
     vut_sensor: VutSensorExtract | None = None
     driver: DriverStateSample | None = None
     hazards: tuple[HazardEvent, ...] = ()

@@ -40,13 +40,7 @@ from .messages import (
     StationId,
     VutSensorExtract,
 )
-from .situation import (
-    FusedObject,
-    ProvenanceEntry,
-    SignalizedLane,
-    SignalizedTopology,
-    SituationRecord,
-)
+from .situation import FusedObject, ProvenanceEntry, SituationRecord
 from . import wire
 
 
@@ -329,8 +323,16 @@ def _polyline_json(polyline: tuple[GeoPosition, ...]) -> str:
     return json.dumps([[p.lat, p.lon] for p in polyline])
 
 
-def _polyline_from_json(text: str) -> tuple[GeoPosition, ...]:
-    return tuple(GeoPosition(lat, lon) for lat, lon in json.loads(text))
+def _topologies(rows) -> list[MapTopology]:
+    """Lane rows ``(intersection_id, lane_id, signal_group, ingress, phase, polyline)``,
+    grouped in order into one topology per intersection."""
+    by_intersection: dict[int, list[MapLane]] = {}
+    for intersection_id, lane_id, group, ingress, phase, polyline in rows:
+        by_intersection.setdefault(intersection_id, []).append(MapLane(
+            lane_id, group, tuple(GeoPosition(lat, lon) for lat, lon in json.loads(polyline)),
+            bool(ingress), SignalPhase(phase),
+        ))
+    return [MapTopology(i, tuple(lanes)) for i, lanes in by_intersection.items()]
 
 
 # sqlite binds signed 64-bit integers only
@@ -488,28 +490,23 @@ class SituationStore:
     # -- static topology -----------------------------------------------------
 
     def put_topology(self, topo: MapTopology) -> None:
+        """Replace the intersection's lanes by ``topo``'s; a lane's phase is not stored."""
         with self._lock, self._conn:
-            for lane in topo.lanes:
-                self._conn.execute(
-                    "INSERT OR REPLACE INTO map_topology VALUES (?,?,?,?,?)",
-                    (topo.intersection_id, lane.lane_id, lane.signal_group,
-                     lane.ingress, _polyline_json(lane.polyline)),
-                )
+            self._conn.execute("DELETE FROM map_topology WHERE intersection_id = ?",
+                               (topo.intersection_id,))
+            self._conn.executemany("INSERT INTO map_topology VALUES (?,?,?,?,?)", [
+                (topo.intersection_id, lane.lane_id, lane.signal_group, lane.ingress,
+                 _polyline_json(lane.polyline))
+                for lane in topo.lanes
+            ])
 
     def topologies(self) -> list[MapTopology]:
         with self._lock:
             rows = self._conn.execute(
-                "SELECT * FROM map_topology ORDER BY intersection_id, lane_id"
+                "SELECT intersection_id, lane_id, signal_group, ingress, 0, polyline"
+                " FROM map_topology ORDER BY intersection_id, lane_id"
             ).fetchall()
-        by_intersection: dict[int, list[MapLane]] = {}
-        for intersection_id, lane_id, group, ingress, polyline in rows:
-            by_intersection.setdefault(intersection_id, []).append(
-                MapLane(lane_id, group, _polyline_from_json(polyline), bool(ingress))
-            )
-        return [
-            MapTopology(intersection_id=i, lanes=tuple(lanes))
-            for i, lanes in sorted(by_intersection.items())
-        ]
+        return _topologies(rows)
 
     # -- situations ------------------------------------------------------------
 
@@ -590,17 +587,11 @@ class SituationStore:
                     (sid,),
                 ).fetchall()
             )
-            lanes = c.execute(
+            topology = next(iter(_topologies(c.execute(
                 "SELECT intersection_id, lane_id, signal_group, ingress, phase, polyline"
                 " FROM topology_lane WHERE situation_id = ? ORDER BY lane_id",
                 (sid,),
-            ).fetchall()
-            topology = SignalizedTopology(lanes[0][0], tuple(
-                SignalizedLane(
-                    lane_id, group, _polyline_from_json(polyline), bool(ingress), SignalPhase(phase)
-                )
-                for _, lane_id, group, ingress, phase, polyline in lanes
-            )) if lanes else None
+            ))), None)
             vrow = c.execute(
                 "SELECT * FROM vut_sensor WHERE situation_id = ?", (sid,)
             ).fetchone()

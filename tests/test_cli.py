@@ -154,8 +154,25 @@ def test_bad_config_is_user_error(tmp_path, capsys):
         ({"stress_capacity": True}, "config 'stress_capacity' must be int"),
         ({"radius_m": float("inf")}, "config 'radius_m' must be finite"),
         ({"max_speed_ms": float("nan")}, "config 'max_speed_ms' must be finite"),
+        ({"window_ms": -1}, "config 'window_ms' must be >= 0, not -1"),
+        ({"radius_m": -5.0}, "config 'radius_m' must be > 0, not -5.0"),
+        ({"radius_m": 0.0}, "config 'radius_m' must be > 0, not 0.0"),
+        ({"max_lateral_m": -1.0}, "config 'max_lateral_m' must be >= 0, not -1.0"),
+        ({"tti_speed_floor_ms": -1.0}, "config 'tti_speed_floor_ms' must be > 0, not -1.0"),
+        ({"tti_speed_floor_ms": 0.0}, "config 'tti_speed_floor_ms' must be > 0, not 0.0"),
+        ({"ru_closing_floor_ms": -0.5}, "config 'ru_closing_floor_ms' must be >= 0, not -0.5"),
+        ({"handover_min_tti_ms": -1}, "config 'handover_min_tti_ms' must be >= 0, not -1"),
+        ({"handover_near_distance_m": -1.0}, "config 'handover_near_distance_m' must be >= 0"),
+        ({"stress_capacity": 0}, "config 'stress_capacity' must be > 0, not 0"),
+        ({"stress_max_depth": -1}, "config 'stress_max_depth' must be >= 0, not -1"),
+        ({"max_speed_ms": 0.0}, "thresholds must be positive"),
+        ({"max_position_m": -2.5}, "thresholds must be positive"),
     ],
-    ids=["top_level_number", "str", "optional_str", "int", "bool", "infinity", "nan"],
+    ids=["top_level_number", "str", "optional_str", "int", "bool", "infinity", "nan",
+         "negative_window", "negative_radius", "zero_radius", "negative_lateral",
+         "negative_speed_floor", "zero_speed_floor", "negative_closing_floor",
+         "negative_handover_tti", "negative_handover_distance", "zero_capacity",
+         "negative_depth", "zero_speed_threshold", "negative_position_threshold"],
 )
 def test_malformed_config_is_user_error(tmp_path, capsys, config, message):
     path = tmp_path / "config.json"

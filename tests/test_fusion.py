@@ -40,7 +40,7 @@ from situfuse.fusion import (
 from situfuse.store import RawCam, RawSpat, RawVutSensor, SituationStore
 from situfuse.wire import MAX_TIME_MS, RecordKind
 from object_decode import table_rows
-from typed_fuse import is_similar, merge_columns, of, query_window
+from typed_fuse import is_similar, join_topology_typed, merge_columns, of, query_window
 from conftest import (
     REFERENCE_T0,
     REFERENCE_VUT,
@@ -540,6 +540,29 @@ def test_join_topology_tie_takes_the_earlier_spat():
     spats = [spat_raw(3, T0 - 60, SignalPhase.RED), spat_raw(3, T0 + 60, SignalPhase.GREEN)]
     assert join_topology(topo, spats, T0).lanes[0].phase is SignalPhase.RED
     assert join_topology(topo, list(reversed(spats)), T0).lanes[0].phase is SignalPhase.RED
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_join_topology_changes_only_each_lanes_phase(seed):
+    """Random lanes, some already phased, and SPaT rows: the lanes come back in
+    order, each equal to its input lane but for the phase the typed join picks."""
+    rng = random.Random(seed)
+    topo = MapTopology(rng.choice([1, 2]), tuple(
+        replace(lane(rng.randrange(1, 50), rng.randrange(1, 6), rng.random() < 0.5),
+                ingress=rng.random() < 0.5, phase=rng.choice(list(SignalPhase)))
+        for _ in range(rng.randrange(0, 8))
+    ))
+    spats = [
+        RawSpat(SpatExtract(1, rng.randrange(1, 6), rng.choice(list(SignalPhase)), T0 + 9000),
+                T0 + rng.randrange(-500, 500), CENTER, 9, 1)
+        for _ in range(rng.randrange(0, 12))
+    ]
+    joined = join_topology(topo, table_rows(spats)[RecordKind.SPAT], T0)
+    assert joined.intersection_id == topo.intersection_id
+    assert [replace(l, phase=SignalPhase.UNKNOWN) for l in joined.lanes] == [
+        replace(l, phase=SignalPhase.UNKNOWN) for l in topo.lanes
+    ]
+    assert joined == join_topology_typed(topo, spats, T0)
 
 
 # --- lane linking ------------------------------------------------------------------

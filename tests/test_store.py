@@ -20,13 +20,7 @@ from situfuse.messages import (
     SignalPhase,
     SpatExtract,
 )
-from situfuse.situation import (
-    FusedObject,
-    ProvenanceEntry,
-    SignalizedLane,
-    SignalizedTopology,
-    SituationRecord,
-)
+from situfuse.situation import FusedObject, ProvenanceEntry, SituationRecord
 from situfuse.messages import ObservationSource
 from situfuse.store import (
     RAW_TABLES,
@@ -450,6 +444,27 @@ def test_topology_round_trip(store):
     assert store.topologies() == [topo]
 
 
+def test_put_topology_replaces_the_intersections_lanes(store):
+    """A revised MAP that drops a lane drops it from the store; another
+    intersection keeps its lanes."""
+    line = (CENTER, from_local_enu(CENTER, LocalPoint(0, 50)))
+    other = MapTopology(4, (MapLane(7, 1, line, True),))
+    store.put_topology(other)
+    store.put_topology(MapTopology(3, (MapLane(1, 1, line, True), MapLane(2, 2, line, False))))
+    revised = MapTopology(3, (MapLane(1, 1, line, True),))
+    store.put_topology(revised)
+    assert store.topologies() == [revised, other]
+
+
+def test_put_topology_stores_no_phase(store):
+    line = (CENTER, from_local_enu(CENTER, LocalPoint(50, 0)))
+    lanes = tuple(MapLane(k + 1, k, line, k % 2 == 0, phase) for k, phase in enumerate(SignalPhase))
+    store.put_topology(MapTopology(4, lanes))
+    assert store.topologies() == [
+        MapTopology(4, tuple(replace(lane, phase=SignalPhase.UNKNOWN) for lane in lanes))
+    ]
+
+
 def random_situation(rng, situation_id=0) -> SituationRecord:
     center = from_local_enu(CENTER, LocalPoint(rng.uniform(-100, 100), rng.uniform(-100, 100)))
     objects = tuple(
@@ -475,10 +490,10 @@ def random_situation(rng, situation_id=0) -> SituationRecord:
     )
     topology = None
     if rng.random() < 0.5:
-        topology = SignalizedTopology(
+        topology = MapTopology(
             intersection_id=rng.randrange(1, 9),
             lanes=tuple(
-                SignalizedLane(
+                MapLane(
                     lane_id=k + 1,
                     signal_group=rng.randrange(1, 5),
                     polyline=(

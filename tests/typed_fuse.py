@@ -36,6 +36,7 @@ from situfuse.geo import (
 )
 from situfuse.messages import (
     CpmExtract,
+    MapLane,
     MapTopology,
     ObjectClassification,
     ObservationColumns,
@@ -46,13 +47,7 @@ from situfuse.messages import (
     observation_from_cam,
     observations_from_cpm,
 )
-from situfuse.situation import (
-    FusedObject,
-    ProvenanceEntry,
-    SignalizedLane,
-    SignalizedTopology,
-    SituationRecord,
-)
+from situfuse.situation import FusedObject, ProvenanceEntry, SituationRecord
 from situfuse.store import RawSlice, RawSpat, SituationStore
 from situfuse.wire import RecordKind
 
@@ -196,7 +191,7 @@ def link_lanes_scalar(objects, topology, max_lateral_m: float = fusion.DEFAULT_M
     return linked
 
 
-def join_topology_typed(topo: MapTopology, spats: Sequence[RawSpat], t: int) -> SignalizedTopology:
+def join_topology_typed(topo: MapTopology, spats: Sequence[RawSpat], t: int) -> MapTopology:
     """join_topology on typed SPaT rows: each lane gets the phase of its
     signal group nearest to t, of two equally near the earlier."""
     by_group: dict[int, RawSpat] = {}
@@ -210,13 +205,13 @@ def join_topology_typed(topo: MapTopology, spats: Sequence[RawSpat], t: int) -> 
         ):
             by_group[s.spat.signal_group] = s
     lanes = tuple(
-        SignalizedLane(
+        MapLane(
             lane.lane_id, lane.signal_group, lane.polyline, lane.ingress,
             by_group[lane.signal_group].spat.phase if lane.signal_group in by_group else SignalPhase.UNKNOWN,
         )
         for lane in topo.lanes
     )
-    return SignalizedTopology(topo.intersection_id, lanes)
+    return MapTopology(topo.intersection_id, lanes)
 
 
 def fuse_situation_typed(
