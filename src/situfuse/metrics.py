@@ -86,7 +86,8 @@ def compute_tti(
     party, or either of them practically standing still.  The -1 values are
     always paired.
     """
-    if vut.speed < speed_floor_ms or obj.speed < speed_floor_ms:
+    slowest = min(vut.speed, obj.speed)
+    if slowest == 0.0 or slowest < speed_floor_ms:  # a standing party at any floor
         return (-1, -1)
     u_v = course_to_unit_vector(vut.course)
     u_o = course_to_unit_vector(obj.course)

@@ -8,6 +8,17 @@ a rowid above every existing one, so the store summarises each table's times
 per block of rowids once and a window reads only the blocks its time range
 meets.  A situation is written in a single transaction: either all of its
 child rows land or none do.
+
+A file store runs in sqlite's write-ahead-log mode with ``synchronous`` at its
+WAL default, FULL: each frame, situation or topology is one transaction whose
+commit appends to the log and fsyncs it once (a checkpoint every ~1000 log
+pages also syncs the main file), so it is on disk when its call returns, and
+readers on other connections neither block the writer nor see its rows before
+it commits.  While open, the file needs its ``-wal`` and ``-shm`` siblings
+beside it (so not on a network filesystem); sqlite checkpoints and removes both
+when the last connection closes.  The journal mode is stored in the file, so
+opening a store made in rollback-journal mode converts it.  ``:memory:`` stores
+keep journal mode ``memory``.
 """
 
 from __future__ import annotations
@@ -350,7 +361,8 @@ def _sql_int(t: int) -> int:
 
 
 class SituationStore:
-    """Single-writer storage; all access is serialized through one lock."""
+    """Single-writer storage; all access is serialized through one lock.
+    A file store is opened in WAL mode (see the module docstring)."""
 
     def __init__(self, path: str = ":memory:"):
         self._lock = threading.RLock()
@@ -361,6 +373,7 @@ class SituationStore:
         self._data_version: int | None = None
         try:
             self._conn = sqlite3.connect(path, check_same_thread=False)
+            self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.executescript(_SCHEMA)
             self._conn.commit()
         except sqlite3.Error as e:

@@ -61,6 +61,16 @@ def test_tti_stationary_is_minus_one():
     assert compute_tti(obj, vut) == (-1, -1)
 
 
+def test_tti_standing_party_is_minus_one_at_any_floor():
+    # a standing object 0.0005 deg north-east of a northbound VUT, on a
+    # crossing course: no floor, not even 0, may divide by its speed
+    vut = KinematicState(ORIGIN, 10.0, 0.0)
+    obj = KinematicState(GeoPosition(ORIGIN.lat + 0.0005, ORIGIN.lon + 0.0005), 0.0, 270.0)
+    for floor in (0.5, 0.0):
+        assert compute_tti(vut, obj, floor) == (-1, -1)
+        assert compute_tti(obj, vut, floor) == (-1, -1)
+
+
 def test_tti_crossing_behind_is_minus_one():
     # Paths cross 50 m behind the observer.
     vut = state(0.0, 50.0, 10.0, 0.0)

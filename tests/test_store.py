@@ -1,6 +1,7 @@
 import random
 import sqlite3
 import struct
+import time
 from dataclasses import replace
 
 import pytest
@@ -365,6 +366,69 @@ def test_query_raw_exact_after_foreign_delete_vacuum_insert(tmp_path):
         _assert_window(store, kept, T0 + EPOCH_MS * epoch, T0 + EPOCH_MS * epoch + 8000, 500.0)
     _assert_window(store, kept, T0, T0 + 4 * EPOCH_MS, 500.0)
     store.close()
+
+
+def test_a_reader_does_not_block_ingest(tmp_path):
+    """A raw connection holding a read transaction neither holds insert_raw
+    off nor sees its row before it ends that transaction; a second store that
+    summarised the file before the insert then sees the row in its window."""
+    path = str(tmp_path / "shared.db")
+    store, second = SituationStore(path), SituationStore(path)
+    first = [cam_row(1, T0)]
+    store.insert_raw(table_rows(first))
+    _assert_window(second, first, T0 - 1000, T0 + 1000, 100.0)
+    reader = sqlite3.connect(path, isolation_level=None)
+    reader.execute("BEGIN")
+    assert reader.execute("SELECT count(*) FROM raw_cam").fetchone() == (1,)
+
+    start = time.perf_counter()
+    assert store.insert_raw(table_rows([cam_row(2, T0)])) == 1
+    assert time.perf_counter() - start < 1.0  # not the 5 s busy timeout
+    assert reader.execute("SELECT count(*) FROM raw_cam").fetchone() == (1,)
+    reader.execute("COMMIT")
+    assert reader.execute("SELECT count(*) FROM raw_cam").fetchone() == (2,)
+    reader.close()
+    _assert_window(second, first + [cam_row(2, T0)], T0 - 1000, T0 + 1000, 100.0)
+    store.close()
+    second.close()
+
+
+def _journal_mode(path) -> str:
+    conn = sqlite3.connect(path)
+    try:
+        return conn.execute("PRAGMA journal_mode").fetchone()[0]
+    finally:
+        conn.close()
+
+
+def test_file_store_is_wal_with_full_sync_and_leaves_no_siblings(tmp_path):
+    path = tmp_path / "wal.db"
+    store = SituationStore(str(path))
+    assert store._conn.execute("PRAGMA synchronous").fetchone() == (2,)  # FULL: each commit is on disk
+    store.insert_raw(table_rows([cam_row(1, T0)]))
+    store.close()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["wal.db"]  # no -wal or -shm left
+    assert _journal_mode(path) == "wal"
+    memory = SituationStore(":memory:")
+    assert memory._conn.execute("PRAGMA journal_mode").fetchone() == ("memory",)
+    memory.close()
+
+
+def test_rollback_journal_store_converts_to_wal_keeping_its_rows(tmp_path):
+    path = str(tmp_path / "old.db")
+    rows = [cam_row(i, T0 + 10 * i, east_m=i) for i in range(1, 50)]
+    conn = sqlite3.connect(path)
+    conn.executescript(store_module._SCHEMA)
+    conn.executemany(store_module._INSERT_RAW[wire.RecordKind.CAM_EXTRACT], *table_rows(rows).values())
+    conn.commit()
+    conn.close()
+    assert _journal_mode(path) == "delete"
+
+    store = SituationStore(path)
+    assert store.stats()["raw_cam"] == len(rows)
+    _assert_window(store, rows, T0, T0 + 1000, 300.0)
+    store.close()
+    assert _journal_mode(path) == "wal"
 
 
 def test_time_bounds_beyond_sqlite_integers_are_clamped(store):
