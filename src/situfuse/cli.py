@@ -202,11 +202,7 @@ def _load_situation(config: AppConfig, situation_id: int) -> SituationRecord:
 
 def cmd_eval(config: AppConfig, args) -> int:
     record = _load_situation(config, args.situation)
-    rows = evaluate_situation(
-        record,
-        tti_speed_floor_ms=config.tti_speed_floor_ms,
-        ru_closing_floor_ms=config.ru_closing_floor_ms,
-    )
+    rows = evaluate_situation(record)
     csv_text = rows_to_csv(rows)
     if args.csv:
         Path(args.csv).write_text(csv_text, encoding="utf-8")

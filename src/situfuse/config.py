@@ -7,13 +7,9 @@ import math
 from dataclasses import dataclass, fields
 from numbers import Integral, Real
 
-from .fusion import DEFAULT_MAX_LATERAL_M, DEFAULT_RADIUS_M, DEFAULT_WINDOW_MS, SimilarityThresholds
-from .metrics import (
-    HANDOVER_MIN_TTI_MS,
-    HANDOVER_NEAR_DISTANCE_M,
-    RU_CLOSING_FLOOR_MS,
-    TTI_SPEED_FLOOR_MS,
-)
+from .fusion import (DEFAULT_MAX_LATERAL_M, DEFAULT_RADIUS_M, DEFAULT_WINDOW_MS, MAX_RADIUS_M,
+                     SimilarityThresholds)
+from .metrics import HANDOVER_MIN_TTI_MS, HANDOVER_NEAR_DISTANCE_M
 from .stressmap import DEFAULT_CAPACITY, DEFAULT_MAX_DEPTH
 
 
@@ -22,10 +18,9 @@ _RETIRED_KEYS = frozenset({"speed_floor_ms", "vda_schedule_ms"})
 # the type each scalar field's annotation names; a bool is no number here
 _SCALAR_TYPES = {"int": Integral, "StationId": Integral, "float": Real, "str": str,
                  "str | None": (str, type(None))}
-# Bounded numbers.  A zero TTI speed floor lets a standing object reach a division by its speed.
-_POSITIVE = ("radius_m", "tti_speed_floor_ms", "stress_capacity")
-_NON_NEGATIVE = ("window_ms", "max_lateral_m", "ru_closing_floor_ms", "handover_min_tti_ms",
-                 "handover_near_distance_m", "stress_max_depth")
+_POSITIVE = ("radius_m", "stress_capacity")
+_NON_NEGATIVE = ("window_ms", "max_lateral_m", "handover_min_tti_ms", "handover_near_distance_m",
+                 "stress_max_depth")
 
 
 def check_scalars(obj, what: str) -> None:
@@ -52,9 +47,7 @@ class AppConfig:
     max_speed_ms: float = SimilarityThresholds.max_speed_ms
     max_lateral_m: float = DEFAULT_MAX_LATERAL_M
 
-    # metric floors and handover rule
-    tti_speed_floor_ms: float = TTI_SPEED_FLOOR_MS
-    ru_closing_floor_ms: float = RU_CLOSING_FLOOR_MS
+    # handover rule
     handover_min_tti_ms: int = HANDOVER_MIN_TTI_MS
     handover_near_distance_m: float = HANDOVER_NEAR_DISTANCE_M
 
@@ -70,6 +63,8 @@ class AppConfig:
             if value < 0 or (positive and value == 0):
                 rule = "> 0" if positive else ">= 0"
                 raise ValueError(f"config {name!r} must be {rule}, not {value!r}")
+        if self.radius_m > MAX_RADIUS_M:
+            raise ValueError(f"config 'radius_m' must be <= {MAX_RADIUS_M}, not {self.radius_m!r}")
         self.thresholds()  # refuses a similarity threshold that is not positive
 
     def thresholds(self) -> SimilarityThresholds:

@@ -27,6 +27,7 @@ import numpy as np
 
 from .geo import (
     EARTH_RADIUS_M,
+    MAX_LOCAL_RANGE_M,
     GeoPosition,
     LocalPoint,
     from_local_enu,
@@ -54,6 +55,7 @@ from .wire import MAX_TIME_MS
 
 DEFAULT_WINDOW_MS = 500
 DEFAULT_RADIUS_M = 300.0
+MAX_RADIUS_M = MAX_LOCAL_RANGE_M / 2  # eval projects two objects of an area onto one local plane
 DEFAULT_MAX_LATERAL_M = 2.0
 VUT_FIX_TOLERANCE_MS = 2000
 
@@ -392,11 +394,14 @@ def fuse_situation(
 
     Rerunning on identical store content produces an identical record except
     for the situation identifier.  Raises ValueError for a t outside
-    0..MAX_TIME_MS, the times a record can carry, and for a CAM or CPM window
-    row, or the driver row it picks, that fails the checks of its typed record.
+    0..MAX_TIME_MS, the times a record can carry, a radius_m outside
+    (0, MAX_RADIUS_M], and for a CAM or CPM window row, or the driver row it
+    picks, that fails the checks of its typed record.
     """
     if not 0 <= t <= MAX_TIME_MS:
         raise ValueError(f"t out of range 0..MAX_TIME_MS: {t}")
+    if not 0 < radius_m <= MAX_RADIUS_M:
+        raise ValueError(f"radius_m out of range (0, MAX_RADIUS_M]: {radius_m}")
     fix = store.vut_fix_near(vut, t, VUT_FIX_TOLERANCE_MS)
     if fix is None:
         raise NoVutFix(f"no GNSS fix of VUT {vut} within {VUT_FIX_TOLERANCE_MS} ms of {t}")

@@ -6,10 +6,11 @@ to the vehicle under test:
 * distance: great-circle distance in metres;
 * TTI pair: the milliseconds the object (TTI_OBJ) and the VUT (TTI_VUT) need
   to reach the intersection point of their straight constant-velocity paths,
-  or -1 for both when those paths never cross in the future;
+  or -1 for both when those paths never cross in the future or either party
+  is slower than TTI_SPEED_FLOOR_MS;
 * RU (relative urgency): milliseconds to contact at the current closing
   rate; the slower the approach, the larger the value, with a MAX sentinel
-  when the two are not closing at all.
+  when they close at RU_CLOSING_FLOOR_MS or less.
 
 The CSV export mirrors the evaluation table layout with exactly these
 columns: ID, Classification, Lat, Lon, Speed, Course, Distance, TTI_OBJ,
@@ -74,11 +75,7 @@ class EvaluationRow:
     ru: int | None  # None is the MAX sentinel
 
 
-def compute_tti(
-    vut: KinematicState,
-    obj: KinematicState,
-    speed_floor_ms: float = TTI_SPEED_FLOOR_MS,
-) -> tuple[int, int]:
+def compute_tti(vut: KinematicState, obj: KinematicState) -> tuple[int, int]:
     """Milliseconds both parties need to reach their path intersection point.
 
     Returns (-1, -1) whenever that point does not exist in the future of
@@ -87,7 +84,7 @@ def compute_tti(
     always paired.
     """
     slowest = min(vut.speed, obj.speed)
-    if slowest == 0.0 or slowest < speed_floor_ms:  # a standing party at any floor
+    if slowest < TTI_SPEED_FLOOR_MS:
         return (-1, -1)
     u_v = course_to_unit_vector(vut.course)
     u_o = course_to_unit_vector(obj.course)
@@ -106,11 +103,7 @@ def compute_tti(
     )
 
 
-def compute_ru(
-    vut: KinematicState,
-    obj: KinematicState,
-    closing_floor_ms: float = RU_CLOSING_FLOOR_MS,
-) -> int | None:
+def compute_ru(vut: KinematicState, obj: KinematicState) -> int | None:
     """Milliseconds to contact at the current closing rate, or MAX (None).
 
     The closing rate is the negative time derivative of the inter-object
@@ -126,7 +119,7 @@ def compute_ru(
     rel_east = obj.speed * u_o[0] - vut.speed * u_v[0]
     rel_north = obj.speed * u_o[1] - vut.speed * u_v[1]
     closing = -(r.east * rel_east + r.north * rel_north) / d
-    if closing <= closing_floor_ms:
+    if closing <= RU_CLOSING_FLOOR_MS:
         return RU_MAX
     return max(1, round(1000.0 * d / closing))
 
@@ -155,11 +148,7 @@ def vut_state(s: SituationRecord) -> KinematicState:
     return KinematicState(position=chosen.position, speed=chosen.speed, course=chosen.course)
 
 
-def evaluate_situation(
-    s: SituationRecord,
-    tti_speed_floor_ms: float = TTI_SPEED_FLOOR_MS,
-    ru_closing_floor_ms: float = RU_CLOSING_FLOOR_MS,
-) -> list[EvaluationRow]:
+def evaluate_situation(s: SituationRecord) -> list[EvaluationRow]:
     """One row per traffic object other than the VUT, ordered by object id."""
     vut = vut_state(s)
     rows = []
@@ -167,7 +156,7 @@ def evaluate_situation(
         if is_vut_object(obj, s.vut):
             continue
         state = KinematicState(position=obj.position, speed=obj.speed, course=obj.course)
-        tti_obj, tti_vut = compute_tti(vut, state, tti_speed_floor_ms)
+        tti_obj, tti_vut = compute_tti(vut, state)
         rows.append(
             EvaluationRow(
                 object_id=obj.fused_id,
@@ -179,7 +168,7 @@ def evaluate_situation(
                 distance_m=haversine_distance(vut.position, obj.position),
                 tti_obj_ms=tti_obj,
                 tti_vut_ms=tti_vut,
-                ru=compute_ru(vut, state, ru_closing_floor_ms),
+                ru=compute_ru(vut, state),
             )
         )
     rows.sort(key=lambda r: r.object_id)

@@ -461,6 +461,8 @@ class SituationStore:
     def vut_fix_near(self, vut: StationId, t: int, tolerance_ms: int) -> RawVutSensor | None:
         """The VUT sensor row closest to t within the tolerance, or None; of
         two equally near, the earlier."""
+        if _sql_range(vut, vut) is None:  # no row holds a key sqlite cannot bind
+            return None
         with self._lock:
             row = self._conn.execute(
                 "SELECT * FROM raw_vut_sensor WHERE station = ?"
@@ -472,7 +474,7 @@ class SituationStore:
 
     def vut_fixes(self, vut: StationId, t_min: int, t_max: int) -> list[RawVutSensor]:
         bounds = _sql_range(t_min, t_max)
-        if bounds is None:
+        if bounds is None or _sql_range(vut, vut) is None:
             return []
         with self._lock:
             rows = self._conn.execute(
@@ -493,6 +495,8 @@ class SituationStore:
         return [_environment_from_columns(r[1:15]) for r in rows]
 
     def driver_samples(self, station: StationId) -> list[RawDriverState]:
+        if _sql_range(station, station) is None:
+            return []
         with self._lock:
             rows = self._conn.execute(
                 "SELECT * FROM raw_driver WHERE station = ? ORDER BY timestamp_ms",
@@ -572,6 +576,8 @@ class SituationStore:
                 )
 
     def load_situation(self, situation_id: int) -> SituationRecord | None:
+        if _sql_range(situation_id, situation_id) is None:
+            return None
         with self._lock:
             c = self._conn
             head = c.execute(

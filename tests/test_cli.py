@@ -138,6 +138,32 @@ def test_eval_unknown_situation_is_user_error(workdir, capsys):
     assert run("--config", config, "eval", "--situation", "99") == EXIT_USER
 
 
+BEYOND_SQL_INT = "99999999999999999999"
+
+
+@pytest.mark.parametrize(
+    "command, error",
+    [
+        (["fuse", "--vut", BEYOND_SQL_INT, "--at", "1700000005000"], "error: NoVutFix: "),
+        (["eval", "--situation", BEYOND_SQL_INT], "error: LookupError: no situation "),
+        (["export", "--situation", BEYOND_SQL_INT, "--geojson", "x.json"], "error: LookupError: no situation "),
+        (["stressmap", "--vut", BEYOND_SQL_INT, "--geojson", "s.json"], "error: LookupError: no driver samples "),
+    ],
+    ids=["fuse", "eval", "export", "stressmap"],
+)
+def test_id_beyond_sqlite_integers_is_user_error(workdir, capsys, monkeypatch, command, error):
+    """An id no sqlite row can hold finds nothing; it does not overflow the bind."""
+    tmp_path, config, scenario_path, _ = workdir
+    monkeypatch.chdir(tmp_path)
+    assert run("--config", config, "simulate", "--scenario", scenario_path, "--out", "batches") == EXIT_OK
+    assert run("--config", config, "ingest", *map(str, sorted(tmp_path.glob("batches/*.ksb")))) == EXIT_OK
+    capsys.readouterr()
+    assert run("--config", config, *command) == EXIT_USER
+    err = capsys.readouterr().err
+    assert err.startswith(error) and "Traceback" not in err
+    assert not (tmp_path / "x.json").exists() and not (tmp_path / "s.json").exists()
+
+
 def test_bad_config_is_user_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"no_such_key": 1}))
@@ -157,10 +183,12 @@ def test_bad_config_is_user_error(tmp_path, capsys):
         ({"window_ms": -1}, "config 'window_ms' must be >= 0, not -1"),
         ({"radius_m": -5.0}, "config 'radius_m' must be > 0, not -5.0"),
         ({"radius_m": 0.0}, "config 'radius_m' must be > 0, not 0.0"),
+        ({"radius_m": 20000.0}, "config 'radius_m' must be <= 5000.0, not 20000.0"),
         ({"max_lateral_m": -1.0}, "config 'max_lateral_m' must be >= 0, not -1.0"),
-        ({"tti_speed_floor_ms": -1.0}, "config 'tti_speed_floor_ms' must be > 0, not -1.0"),
-        ({"tti_speed_floor_ms": 0.0}, "config 'tti_speed_floor_ms' must be > 0, not 0.0"),
-        ({"ru_closing_floor_ms": -0.5}, "config 'ru_closing_floor_ms' must be >= 0, not -0.5"),
+        ({"tti_speed_floor_ms": 0.1}, "bad config: unknown config keys: ['tti_speed_floor_ms']"),
+        ({"tti_speed_floor_ms": -1.0}, "bad config: unknown config keys: ['tti_speed_floor_ms']"),
+        ({"tti_speed_floor_ms": 0.0}, "bad config: unknown config keys: ['tti_speed_floor_ms']"),
+        ({"ru_closing_floor_ms": -0.5}, "bad config: unknown config keys: ['ru_closing_floor_ms']"),
         ({"handover_min_tti_ms": -1}, "config 'handover_min_tti_ms' must be >= 0, not -1"),
         ({"handover_near_distance_m": -1.0}, "config 'handover_near_distance_m' must be >= 0"),
         ({"stress_capacity": 0}, "config 'stress_capacity' must be > 0, not 0"),
@@ -169,7 +197,8 @@ def test_bad_config_is_user_error(tmp_path, capsys):
         ({"max_position_m": -2.5}, "thresholds must be positive"),
     ],
     ids=["top_level_number", "str", "optional_str", "int", "bool", "infinity", "nan",
-         "negative_window", "negative_radius", "zero_radius", "negative_lateral",
+         "negative_window", "negative_radius", "zero_radius", "radius_past_local_plane",
+         "negative_lateral", "metric_floor_key",
          "negative_speed_floor", "zero_speed_floor", "negative_closing_floor",
          "negative_handover_tti", "negative_handover_distance", "zero_capacity",
          "negative_depth", "zero_speed_threshold", "negative_position_threshold"],
@@ -255,9 +284,6 @@ def test_app_config_defaults_are_the_library_defaults():
     assert (config.window_ms, config.radius_m, config.max_lateral_m) == (
         fusion.DEFAULT_WINDOW_MS, fusion.DEFAULT_RADIUS_M, fusion.DEFAULT_MAX_LATERAL_M
     )
-    assert (config.tti_speed_floor_ms, config.ru_closing_floor_ms) == (
-        metrics.TTI_SPEED_FLOOR_MS, metrics.RU_CLOSING_FLOOR_MS
-    )
     assert (config.handover_min_tti_ms, config.handover_near_distance_m) == (
         metrics.HANDOVER_MIN_TTI_MS, metrics.HANDOVER_NEAR_DISTANCE_M
     )
@@ -268,8 +294,6 @@ def test_app_config_defaults_are_the_library_defaults():
     for name in ("window_ms", "radius_m", "max_lateral_m"):
         assert _default(fuse_situation, name) == getattr(config, name), name
     assert _default(fusion.link_lanes, "max_lateral_m") == config.max_lateral_m
-    assert _default(metrics.evaluate_situation, "tti_speed_floor_ms") == config.tti_speed_floor_ms
-    assert _default(metrics.evaluate_situation, "ru_closing_floor_ms") == config.ru_closing_floor_ms
     assert _default(metrics.handover_summary, "min_tti_threshold_ms") == config.handover_min_tti_ms
     assert _default(metrics.handover_summary, "near_distance_m") == config.handover_near_distance_m
     assert _default(stressmap.tree_from_samples, "capacity") == config.stress_capacity

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from situfuse.geo import (
     EARTH_RADIUS_M,
+    MAX_LOCAL_RANGE_M,
     GeoPosition,
     LocalPoint,
     from_local_enu,
@@ -638,6 +639,21 @@ def test_fuse_situation_at_the_ends_of_the_time_range():
     assert record.vut_sensor.timestamp == MAX_TIME_MS - 10
     assert len(record.objects) == 1  # the VUT itself
     assert store.load_situation(record.situation_id) == record
+    store.close()
+
+
+def test_fuse_situation_refuses_a_radius_eval_cannot_project():
+    """A radius_m outside (0, MAX_LOCAL_RANGE_M / 2] is refused before anything
+    is read or persisted: evaluation projects two objects of the area onto one
+    local plane, valid to MAX_LOCAL_RANGE_M."""
+    store = SituationStore(":memory:")
+    store.insert_raw(table_rows([RawVutSensor(100, make_vut_extract(T0, CENTER), 100, 1)]))
+    limit = MAX_LOCAL_RANGE_M / 2
+    for radius in (0.0, -1.0, math.nextafter(limit, math.inf), 25_000.0, math.nan):
+        with pytest.raises(ValueError, match="radius_m"):
+            fuse_situation(100, T0, store, radius_m=radius)
+    assert store.load_situation(1) is None
+    assert fuse_situation(100, T0, store, radius_m=limit).radius_m == limit
     store.close()
 
 

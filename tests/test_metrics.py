@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -16,6 +17,8 @@ from situfuse.metrics import (
     EvaluationRow,
     KinematicState,
     MissingVutState,
+    RU_CLOSING_FLOOR_MS,
+    TTI_SPEED_FLOOR_MS,
     compute_ru,
     compute_tti,
     evaluate_situation,
@@ -61,14 +64,17 @@ def test_tti_stationary_is_minus_one():
     assert compute_tti(obj, vut) == (-1, -1)
 
 
-def test_tti_standing_party_is_minus_one_at_any_floor():
-    # a standing object 0.0005 deg north-east of a northbound VUT, on a
-    # crossing course: no floor, not even 0, may divide by its speed
+def test_tti_party_below_the_floor_is_minus_one():
+    # an object 0.0005 deg north-east of a northbound VUT, on a crossing
+    # course: below TTI_SPEED_FLOOR_MS, even at the smallest subnormal speed,
+    # nothing divides by its speed
     vut = KinematicState(ORIGIN, 10.0, 0.0)
-    obj = KinematicState(GeoPosition(ORIGIN.lat + 0.0005, ORIGIN.lon + 0.0005), 0.0, 270.0)
-    for floor in (0.5, 0.0):
-        assert compute_tti(vut, obj, floor) == (-1, -1)
-        assert compute_tti(obj, vut, floor) == (-1, -1)
+    position = GeoPosition(ORIGIN.lat + 0.0005, ORIGIN.lon + 0.0005)
+    for speed in (0.0, 5e-324, math.nextafter(TTI_SPEED_FLOOR_MS, 0.0)):
+        obj = KinematicState(position, speed, 270.0)
+        assert compute_tti(vut, obj) == (-1, -1)
+        assert compute_tti(obj, vut) == (-1, -1)
+    assert -1 not in compute_tti(vut, KinematicState(position, TTI_SPEED_FLOOR_MS, 270.0))
 
 
 def test_tti_crossing_behind_is_minus_one():
@@ -137,6 +143,14 @@ def test_ru_zero_relative_velocity_is_max():
     vut = state(0.0, 0.0, 7.0, 90.0)
     obj = state(0.0, 30.0, 7.0, 90.0)
     assert compute_ru(vut, obj) is None
+
+
+def test_ru_closing_at_or_below_the_floor_is_max():
+    # head-on towards a standing VUT, the closing rate is the object's speed
+    vut = state(0.0, 0.0, 0.0, 0.0)
+    for speed in (5e-324, 0.04):
+        assert compute_ru(vut, state(0.0, 100.0, speed, 180.0)) is None
+    assert compute_ru(vut, state(0.0, 100.0, 2 * RU_CLOSING_FLOOR_MS, 180.0)) is not None
 
 
 def test_ru_monotone_in_closing_rate():

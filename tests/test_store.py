@@ -688,6 +688,18 @@ def test_load_missing_situation(store):
     assert store.load_situation(12345) is None
 
 
+def test_keys_beyond_sqlite_integers_find_nothing(store):
+    """A station or situation id past the signed 64-bit range binds to no
+    row: each read by that key returns nothing instead of overflowing."""
+    store.insert_raw(table_rows([RawVutSensor(100, make_vut_extract(T0, CENTER), 100, 1)]))
+    for key in (2**63, -(2**63) - 1, 10**20):
+        assert store.vut_fix_near(key, T0, tolerance_ms=2000) is None
+        assert store.vut_fixes(key, T0 - 1000, T0 + 1000) == []
+        assert store.driver_samples(key) == []
+        assert store.load_situation(key) is None
+    assert store.vut_fix_near(100, T0, tolerance_ms=2000).extract.timestamp == T0
+
+
 def test_rows_from_envelope_covers_all_kinds(store):
     extract = make_vut_extract(T0, CENTER)
     driver = DriverStateSample(timestamp=T0, valence=2, arousal=3)
