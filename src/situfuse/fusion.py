@@ -14,7 +14,8 @@ chord is at most 2R*sin(r/2R); the chord bounds each coordinate difference,
 and the cube edge is at least that chord, so every similar pair lies in
 adjacent cells, at the poles and across +-180 degrees alike.  The grid is
 therefore a pure optimization: the resulting groups are exactly the connected
-components of the pairwise similarity relation.
+components of the pairwise similarity relation, joined with one relation of
+identity: a station's own sensor row and its own self-report.
 """
 
 from __future__ import annotations
@@ -181,6 +182,17 @@ def _grid_candidate_pairs(lat: np.ndarray, lon: np.ndarray, max_position_m: floa
     return idx_i, idx_j
 
 
+def _identity_pairs(c: ObservationColumns) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs of a station's self-report (CAM) and its own sensor row (same
+    reporter and object id): one object however unlike, as a sensor course
+    from two close GNSS fixes can be tens of degrees off."""
+    cam = np.flatnonzero(c.source == ObservationSource.CAM_SELF_REPORT)
+    own = np.flatnonzero(c.source == ObservationSource.VUT_LOCAL_SENSOR)
+    same = (c.reporter[cam, None] == c.reporter[own]) & (c.object_id[cam, None] == c.object_id[own])
+    i, j = np.nonzero(same)
+    return cam[i], own[j]
+
+
 def dedup(
     c: ObservationColumns,
     th: SimilarityThresholds | None = None,
@@ -189,15 +201,18 @@ def dedup(
 ) -> list[FusedObject]:
     """Merge all observations of the same physical object into one record.
 
-    Groups are the connected components of the similarity relation; the cell
-    grid only prunes pairs that can never be similar.  Output is ordered by
+    Groups are the connected components of the similarity relation joined
+    with the identity pairs (_identity_pairs); the cell grid only prunes
+    pairs that can never be similar.  Output is ordered by
     fused position (lat, lon, then course).  ``cfg`` is deprecated and
     ignored; it once held the course-bucketing widths.
     """
     th = th or SimilarityThresholds()
     idx_i, idx_j = _grid_candidate_pairs(c.lat, c.lon, th.max_position_m)
     similar = _similar_pairs_mask(idx_i, idx_j, c, th)
-    fused = _merge_groups(c, _components(len(c.lat), idx_i[similar], idx_j[similar]))
+    own_i, own_j = _identity_pairs(c)
+    edges = np.concatenate((idx_i[similar], own_i)), np.concatenate((idx_j[similar], own_j))
+    fused = _merge_groups(c, _components(len(c.lat), *edges))
 
     if stats is not None:
         stats.observations = len(c.lat)
@@ -342,11 +357,9 @@ def _vut_observation(store: SituationStore, vut: StationId, fix) -> ObservationC
     """
     extract = fix.extract
     course = 0.0
-    previous = store.vut_fixes(vut, extract.timestamp - VUT_FIX_TOLERANCE_MS, extract.timestamp - 1)
-    if previous:
-        last = previous[-1]
-        if haversine_distance(last.extract.gnss, extract.gnss) > 0.5:
-            course = initial_bearing(last.extract.gnss, extract.gnss)
+    last = store.vut_fixes(vut, extract.timestamp - VUT_FIX_TOLERANCE_MS, extract.timestamp - 1)
+    if last is not None and haversine_distance(last.extract.gnss, extract.gnss) > 0.5:
+        course = initial_bearing(last.extract.gnss, extract.gnss)
     return ObservationColumns.checked(
         [extract.gnss.lat], [extract.gnss.lon], [extract.speed], [course],
         [ObjectClassification.PASSENGER_CAR], [extract.timestamp],
@@ -356,7 +369,7 @@ def _vut_observation(store: SituationStore, vut: StationId, fix) -> ObservationC
 
 def _window_observations(cams: RawColumns, cpms: RawColumns) -> tuple[ObservationColumns, ...]:
     """CAM and CPM window rows as observations (see observation_from_cam and
-    observations_from_cpm); rows are unique per message key, in message key order."""
+    observations_from_cpm); one row per track, in window order."""
 
     def observations(rows: RawColumns, source: ObservationSource, object_id: str):
         return ObservationColumns.checked(
@@ -368,6 +381,21 @@ def _window_observations(cams: RawColumns, cpms: RawColumns) -> tuple[Observatio
         observations(cams, ObservationSource.CAM_SELF_REPORT, "originator"),
         observations(cpms, ObservationSource.CPM_DETECTION, "object_id"),
     )
+
+
+def _predict(c: ObservationColumns, t: int) -> ObservationColumns:
+    """Each observation dead-reckoned from its timestamp to t at constant
+    velocity, by from_local_enu's arithmetic (math's sin and cos, as
+    course_to_unit_vector); one stamped t keeps its position bit for bit."""
+    dt = (t - c.timestamp) / 1000.0
+    rad, lat_rad = np.radians(c.course).tolist(), np.radians(c.lat).tolist()
+    east = np.array(list(map(math.sin, rad))) * c.speed * dt
+    north = np.array(list(map(math.cos, rad))) * c.speed * dt
+    lat = c.lat + np.degrees(north / EARTH_RADIUS_M)
+    lon = c.lon + np.degrees(east / (EARTH_RADIUS_M * np.array(list(map(math.cos, lat_rad)))))
+    lon = np.where(lon > 180.0, lon - 360.0, np.where(lon < -180.0, lon + 360.0, lon))
+    moved = dt != 0
+    return c._replace(lat=np.where(moved, lat, c.lat), lon=np.where(moved, lon, c.lon))
 
 
 def _nearest_topology(store: SituationStore, center: GeoPosition, radius_m: float):
@@ -392,6 +420,9 @@ def fuse_situation(
 ) -> SituationRecord:
     """Build and persist the situation for a VUT and timestamp.
 
+    The situation is the one at t: each CAM and CPM track's report nearest t
+    in the window (``query_raw``) and the VUT's own fix are dead-reckoned to t
+    at constant velocity (``_predict``) before dedup.
     Rerunning on identical store content produces an identical record except
     for the situation identifier.  Raises ValueError for a t outside
     0..MAX_TIME_MS, the times a record can carry, a radius_m outside
@@ -407,12 +438,12 @@ def fuse_situation(
         raise NoVutFix(f"no GNSS fix of VUT {vut} within {VUT_FIX_TOLERANCE_MS} ms of {t}")
     center = fix.extract.gnss
 
-    window = store.query_raw(t - window_ms, t + window_ms, center, radius_m)
+    window = store.query_raw(t, t - window_ms, t + window_ms, center, radius_m)
     blocks = (
         *_window_observations(window.cams, window.cpm_detections),
         _vut_observation(store, vut, fix),
     )
-    objects = dedup(ObservationColumns(*map(np.concatenate, zip(*blocks))), th)
+    objects = dedup(_predict(ObservationColumns(*map(np.concatenate, zip(*blocks))), t), th)
 
     topo = _nearest_topology(store, center, radius_m)
     topology = join_topology(topo, window.spats.rows, t) if topo else None

@@ -119,7 +119,9 @@ class TrafficObjectObservation:
         _check_timestamp(self.timestamp)
 
 
-_CLASS_CODES = np.array([int(c) for c in ObjectClassification])
+# code -> is it a class; codes outside 0..max clip onto the last entry, False
+_KNOWN_CLASS = np.zeros(max(ObjectClassification) + 2, dtype=bool)
+_KNOWN_CLASS[list(ObjectClassification)] = True
 
 
 class ObservationColumns(NamedTuple):
@@ -155,7 +157,8 @@ class ObservationColumns(NamedTuple):
         ):
             if bad.any():
                 check(values[bad.argmax()].item())
-        codes = np.where(np.isin(codes, _CLASS_CODES), codes, int(ObjectClassification.UNKNOWN))
+        known = _KNOWN_CLASS[np.clip(codes, -1, len(_KNOWN_CLASS) - 1)]
+        codes = np.where(known, codes, int(ObjectClassification.UNKNOWN))
         source = np.broadcast_to(np.asarray(source, dtype=np.int64), lat.shape)
         return cls(lat, lon, speed, course, codes, timestamp, source, reporter, object_id)
 

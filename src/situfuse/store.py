@@ -412,13 +412,17 @@ class SituationStore:
 
     # -- raw queries ---------------------------------------------------------
 
-    def query_raw(self, t_min: int, t_max: int, center: GeoPosition, radius_m: float) -> RawSlice:
+    def query_raw(self, t: int, t_min: int, t_max: int, center: GeoPosition, radius_m: float) -> RawSlice:
         """The raw rows of the kinds a situation fuses (CAM, CPM, SPaT, driver,
-        hazard) inside [t_min, t_max] (inclusive) and the given circle; a
-        fetched row's position out of range raises GeoPosition's ValueError."""
+        hazard) inside [t_min, t_max] (inclusive) and the given circle.  Of a
+        CAM or CPM track (``RawTable.track``) only the row nearest t is read,
+        of two equally near the earlier, and none 2**63 ms or more from t; the
+        circle is then tested at that row's stored position.  A fetched row's
+        position out of range raises GeoPosition's ValueError."""
         if t_min > t_max:
             raise ValueError(f"t_min {t_min} > t_max {t_max}")
         bounds = _sql_range(t_min, t_max)
+        near = _sql_range(max(t_min, t - _SQL_INT_MAX), min(t_max, t + _SQL_INT_MAX))
         lists = {}
         # one read transaction: the summary and the windows see one snapshot
         with self._lock, self._conn:
@@ -429,8 +433,11 @@ class SituationStore:
                 self._summarised.clear()
                 self._data_version = version
             for kind, raw in _WINDOW_TABLE.items():
-                rowids = bounds and self._window_rowids(kind, *bounds)
-                args = (*rowids, *bounds) if rowids else (1, 0, 1, 0)  # no row, but the column names
+                span = near if raw.track else bounds
+                rowids = span and self._window_rowids(kind, *span)
+                args = (*rowids, *span) if rowids else (1, 0, 1, 0)  # no row, but the column names
+                if raw.track:  # a t past sqlite's integers lies past every row, as its clamp does
+                    args += (_sql_int(t),) * 2
                 cur = self._conn.execute(_SELECT_WINDOW[kind], args)
                 rows = _in_area(cur.fetchall(), raw.lat_column, center, radius_m)
                 lists[raw.slice_list] = RawColumns([d[0] for d in cur.description], rows)
@@ -472,17 +479,18 @@ class SituationStore:
             ).fetchone()
         return _row_to_vut(row) if row else None
 
-    def vut_fixes(self, vut: StationId, t_min: int, t_max: int) -> list[RawVutSensor]:
+    def vut_fixes(self, vut: StationId, t_min: int, t_max: int) -> RawVutSensor | None:
+        """The VUT's latest sensor row in [t_min, t_max], or None."""
         bounds = _sql_range(t_min, t_max)
         if bounds is None or _sql_range(vut, vut) is None:
-            return []
+            return None
         with self._lock:
-            rows = self._conn.execute(
+            row = self._conn.execute(
                 "SELECT * FROM raw_vut_sensor WHERE station = ?"
-                " AND timestamp_ms BETWEEN ? AND ? ORDER BY timestamp_ms",
+                " AND timestamp_ms BETWEEN ? AND ? ORDER BY timestamp_ms DESC LIMIT 1",
                 (vut, *bounds),
-            ).fetchall()
-        return [_row_to_vut(r) for r in rows]
+            ).fetchone()
+        return _row_to_vut(row) if row else None
 
     def environment_candidates(self, t: int) -> list[EnvironmentSample]:
         """Samples whose validity window contains t, regardless of area."""
@@ -713,12 +721,16 @@ class RawTable(NamedTuple):
     order: tuple[str, ...] = ()
     lat_column: int = 0  # index of the lat column; lon is the next one
     slice_list: str = ""  # the RawSlice list a window fills
+    track: tuple[str, ...] = ()  # if set, a window reads each track's row nearest t
 
 
 RAW_TABLE: dict[wire.RecordKind, RawTable] = {
-    wire.RecordKind.CAM_EXTRACT: RawTable("raw_cam", 9, ("generation_time", "originator"), 2, "cams"),
+    wire.RecordKind.CAM_EXTRACT: RawTable(
+        "raw_cam", 9, ("generation_time", "originator"), 2, "cams", ("originator",)
+    ),
     wire.RecordKind.CPM_DETECTION: RawTable(
-        "raw_cpm_detection", 10, ("generation_time", "originator", "object_id"), 4, "cpm_detections"
+        "raw_cpm_detection", 10, ("generation_time", "originator", "object_id"), 4, "cpm_detections",
+        ("originator", "object_id"),
     ),
     wire.RecordKind.SPAT: RawTable(
         "raw_spat", 9, ("generation_time", "intersection_id", "signal_group"), 5, "spats"
@@ -750,8 +762,14 @@ _SUMMARISE = {
     f" WHERE {t.table}.rowid BETWEEN f.r AND f.r | {2**_BLOCK_BITS - 1}"
     for kind, t in _WINDOW_TABLE.items()
 }
+
+# A kind with a track keeps each track's row nearest t, the least (|time - t|, time > t): the query's one
+# min(), in HAVING, gives every bare column from the row that holds it.  The key is one integer, and the
+# -2**62 keeps it inside 64 bits for |time - t| < 2**63, where sqlite would turn it into an inexact REAL.
+_PICK = " GROUP BY {0} HAVING min((abs({1} - ?) - %d) * 2 + ({1} > ?)) NOT NULL" % 2**62
 _SELECT_WINDOW = {
-    kind: f"SELECT * FROM {t.table} WHERE rowid BETWEEN ? AND ?"
-    f" AND {t.order[0]} BETWEEN ? AND ? ORDER BY {', '.join(t.order)}"
+    kind: f"SELECT * FROM {t.table} WHERE rowid BETWEEN ? AND ? AND {t.order[0]} BETWEEN ? AND ?"
+    + (_PICK.format(", ".join(t.track), t.order[0]) if t.track else "")
+    + f" ORDER BY {', '.join(t.order)}"
     for kind, t in _WINDOW_TABLE.items()
 }

@@ -22,8 +22,10 @@ from situfuse.messages import (
     DoorState,
     ExteriorLight,
     ObjectClassification,
+    ObservationSource,
     VutSensorExtract,
 )
+from situfuse.simgen import MessageRates, ScenarioConfig, generate
 from situfuse.store import RawCam, RawCpmDetection, RawVutSensor, SituationStore
 from situfuse import wire
 from object_decode import table_rows
@@ -118,6 +120,21 @@ def reference_raw_rows(rows: list[ReferenceRow]):
         )
     )
     return table_rows(raw)
+
+
+def simulated_scene(seed: int, cam_hz: float, cpm_hz: float):
+    """A simgen scene of 12 vehicles and 4 pedestrians at the given CAM and
+    CPM rates, the VUT's fixes at 10 Hz, ingested into an in-memory store:
+    (config, ground truth, store)."""
+    cfg = ScenarioConfig(
+        seed=seed, vehicle_count=12, pedestrian_count=4,
+        rates=MessageRates(cam_hz=cam_hz, cpm_hz=cpm_hz, vut_hz=10.0, driver_hz=1.0),
+    )
+    truth, envelopes = generate(cfg)
+    store = SituationStore(":memory:")
+    for k, env in enumerate(envelopes):
+        store.insert_envelope(env, receive_time=k)
+    return cfg, truth, store
 
 
 def make_vut_extract(timestamp: int, gnss: GeoPosition, speed: float = 5.0) -> VutSensorExtract:
@@ -218,6 +235,13 @@ def oracle_components(observations, max_pos=2.5, max_course=15.0, max_speed=1.5)
     )
     dist = 2 * 6_371_008.8 * np.arcsin(np.minimum(1.0, np.sqrt(h)))
     similar &= dist <= max_pos
+    # a station's self-report and its own sensor row are one object by identity
+    own = [(o.source, o.reporter, o.object_id) for o in observations]
+    for k, (source, reporter, object_id) in enumerate(own):
+        if source is ObservationSource.CAM_SELF_REPORT:
+            for m, other in enumerate(own):
+                if other == (ObservationSource.VUT_LOCAL_SENSOR, reporter, object_id):
+                    similar[k, m] = similar[m, k] = True
 
     seen = [False] * n
     components = []

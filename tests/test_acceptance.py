@@ -32,6 +32,7 @@ from conftest import (
     REFERENCE_VUT,
     oracle_components,
     reference_raw_rows,
+    simulated_scene,
 )
 from test_metrics import trilaterate_vut
 from test_fusion import four_heading_sample, grouping_from_components, grouping_from_fused, random_instance
@@ -354,3 +355,20 @@ def test_criterion_10_store_guarantees():
     assert orphans == 0
     store.close()
     report(10, "idempotent re-ingestion, 1000 situation round trips, no partial rows on failure")
+
+
+def test_criterion_11_situation_at_any_offset_and_rate():
+    """P and R >= 0.95 at +0, +100 and +500 ms from an emission instant, at 1
+    and 10 Hz CAM/CPM, on two seeds: each track's report nearest t,
+    dead-reckoned to t, stands where its object stands at t."""
+    cells = []
+    for seed in (42, 7):
+        for hz in (1.0, 10.0):
+            cfg, truth, store = simulated_scene(seed, hz, hz)
+            for offset in (0, 100, 500):
+                t = cfg.start_time_ms + 5000 + offset
+                result = score(truth, fuse_situation(cfg.vut_station, t, store))
+                assert min(result.precision, result.recall) >= 0.95, (seed, hz, offset, result)
+                cells.append(min(result.precision, result.recall))
+            store.close()
+    report(11, f"P and R >= 0.95 in all {len(cells)} seed x rate x offset cells (lowest {min(cells):.2f})")

@@ -32,14 +32,15 @@ from situfuse.messages import (
     MapLane,
     MapTopology,
     ObjectClassification,
+    ObservationColumns,
     ObservationSource,
     SignalPhase,
     SpatExtract,
 )
-from situfuse.simgen import VUT_OBJECT_ID, MessageRates, ScenarioConfig, generate
+from situfuse.simgen import VUT_OBJECT_ID
 from situfuse.store import RawHazard, RawSpat, RawVutSensor, SituationStore
 
-from conftest import make_vut_extract, oracle_components
+from conftest import make_vut_extract, oracle_components, simulated_scene
 from object_decode import table_rows
 from test_fusion import CENTER, T0, obs, random_instance
 from typed_fuse import (
@@ -50,18 +51,6 @@ from typed_fuse import (
     merge_group_scalar,
     of,
 )
-
-
-def _scene(seed: int, hz: float, **kwargs):
-    cfg = ScenarioConfig(
-        seed=seed, vehicle_count=12, pedestrian_count=4,
-        rates=MessageRates(cam_hz=hz, cpm_hz=hz, vut_hz=10.0, driver_hz=1.0), **kwargs,
-    )
-    truth, envelopes = generate(cfg)
-    store = SituationStore(":memory:")
-    for k, env in enumerate(envelopes):
-        store.insert_envelope(env, receive_time=k)
-    return cfg, truth, store
 
 
 def _assert_same_record(cfg, store, t):
@@ -76,7 +65,7 @@ def _assert_same_record(cfg, store, t):
 @pytest.mark.parametrize("hz", [1.0, 10.0])
 def test_fuse_situation_equals_typed_path(seed, hz):
     """Every offset {0, +100, +500} ms from an emission instant."""
-    cfg, _, store = _scene(seed, hz)
+    cfg, _, store = simulated_scene(seed, hz, hz)
     for offset in (0, 100, 500):
         record = _assert_same_record(cfg, store, cfg.start_time_ms + 5000 + offset)
         sources = {e.source for o in record.objects for e in o.provenance}
@@ -100,7 +89,7 @@ def _lanes_along(truth, t) -> MapTopology:
 
 
 def test_fuse_situation_links_lanes_like_typed_path():
-    cfg, truth, store = _scene(42, 10.0)
+    cfg, truth, store = simulated_scene(42, 10.0, 10.0)
     t = cfg.start_time_ms + 5000
     store.put_topology(_lanes_along(truth, t))
     record = _assert_same_record(cfg, store, t + 40)
@@ -115,7 +104,7 @@ def test_fuse_situation_trusts_the_store_keys_for_spat_and_hazards():
     keys and window order give the record that backend_dedup and a sort give
     the typed path."""
     rng = random.Random(64)
-    cfg, truth, store = _scene(42, 1.0)
+    cfg, truth, store = simulated_scene(42, 1.0, 1.0)
     t = cfg.start_time_ms + 5000
     store.put_topology(_lanes_along(truth, t))
     here = truth.object_by_id(VUT_OBJECT_ID).state_at(t)[0]
@@ -157,10 +146,12 @@ def test_dedup_equals_scalar_merge_of_oracle_components():
     rng = random.Random(61)
     for _ in range(30):
         sample = random_instance(rng, rng.randrange(1, 300))
-        for k, o in enumerate(sample):  # every source, clashing times
-            source = rng.choice(list(ObservationSource))
+        for k, o in enumerate(sample):  # every source, clashing times, stations on themselves
+            source, reporter = rng.choice(list(ObservationSource)), rng.randrange(3)
+            own = source is not ObservationSource.CPM_DETECTION and rng.random() < 0.5
             sample[k] = replace(
-                o, source=source, reporter=rng.randrange(3), timestamp=T0 + rng.randrange(3)
+                o, source=source, reporter=reporter, timestamp=T0 + rng.randrange(3),
+                object_id=reporter if own else o.object_id,
             )
         components = oracle_components(sample)
         expected = [merge_group_scalar([sample[i] for i in sorted(c)]) for c in components]
@@ -288,3 +279,20 @@ def test_stored_unknown_class_code_reads_unknown(tmp_path):
     merged = by_source[frozenset(pair)]
     assert merged.classification is ObjectClassification.PASSENGER_CAR
     store.close()
+
+
+def test_stored_class_codes_read_as_the_enum_reads_them(tmp_path):
+    """Every classification code reads as itself; -1, 2**40 and the gaps of
+    the table read UNKNOWN, as ObjectClassification(code) does: in the
+    checked columns and in the fused record."""
+    codes = [-1, 2**40, 9, 10, 12, *map(int, ObjectClassification)]
+    n = len(codes)
+    zeros = [0] * n
+    checked = ObservationColumns.checked(zeros, zeros, zeros, zeros, codes, [1] * n, 0, zeros, zeros)
+    assert checked.classification.tolist() == [int(ObjectClassification(code)) for code in codes]
+    rows = [_cpm(object_id=k, code=code, east=-100.0 + 10.0 * k) for k, code in enumerate(codes)]
+    store = _raw_store(tmp_path, rows)
+    record = fuse_situation(100, TW, store)
+    store.close()
+    got = {o.fused_id: o.classification for o in record.objects if o.fused_id != 100}
+    assert got == {k: ObjectClassification(code) for k, code in enumerate(codes)}

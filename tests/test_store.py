@@ -67,6 +67,12 @@ def cam_row(originator, t, east_m=0.0, north_m=0.0, receive_time=1, speed=10.0, 
     )
 
 
+def cpm_row(originator, object_id, t, east_m=0.0, north_m=0.0):
+    position = from_local_enu(CENTER, LocalPoint(east_m, north_m))
+    detection = CpmDetection(object_id, ObjectClassification.PEDESTRIAN, position, 1.5, 180.0)
+    return RawCpmDetection(originator, t, detection, reporter=originator, receive_time=1)
+
+
 def spat_row(intersection, group, t, receive_time=1):
     return RawSpat(
         spat=SpatExtract(intersection, group, SignalPhase.GREEN, t + 5000),
@@ -127,22 +133,22 @@ def test_query_raw_reads_only_the_fused_kinds(store):
         cam_row(1, T0), RawVutSensor(100, make_vut_extract(T0, CENTER), 100, 1),
         RawEnvironment(sample, reporter=42, receive_time=1),
     ]))
-    window = store.query_raw(T0 - 10, T0 + 10, CENTER, 1000.0)
+    window = store.query_raw(T0, T0 - 10, T0 + 10, CENTER, 1000.0)
     assert set(vars(window)) == {"cams", "cpm_detections", "spats", "driver_rows", "hazard_rows"}
     assert len(window) == len(window.cams) == 1
 
 
 def test_query_raw_time_boundaries_inclusive(store):
     store.insert_raw(table_rows([cam_row(1, T0), cam_row(2, T0 + 100)]))
-    out = store.query_raw(T0, T0 + 100, CENTER, 1000.0)
+    out = store.query_raw(T0, T0, T0 + 100, CENTER, 1000.0)
     assert out.cams.column("originator").tolist() == [1, 2]
-    out = store.query_raw(T0 + 1, T0 + 99, CENTER, 1000.0)
+    out = store.query_raw(T0, T0 + 1, T0 + 99, CENTER, 1000.0)
     assert out.cams.rows == []
 
 
 def test_query_raw_rejects_inverted_interval(store):
     with pytest.raises(ValueError):
-        store.query_raw(T0, T0 - 1, CENTER, 10.0)
+        store.query_raw(T0, T0, T0 - 1, CENTER, 10.0)
 
 
 def test_query_raw_matches_full_scan_oracle(store):
@@ -162,7 +168,7 @@ def test_query_raw_matches_full_scan_oracle(store):
         t_min = T0 + rng.randrange(0, 8000)
         t_max = t_min + rng.randrange(0, 3000)
         radius = rng.uniform(50, 600)
-        got = store.query_raw(t_min, t_max, CENTER, radius)
+        got = store.query_raw(t_min, t_min, t_max, CENTER, radius)
         expected = {
             r.cam.originator
             for r in rows
@@ -183,7 +189,7 @@ def test_query_raw_orders_hazards_by_their_whole_key(store):
     rng.shuffle(rows)
     for row in rows:  # one insert each, so the rowids follow the shuffle
         store.insert_raw(table_rows([row]))
-    got = store.query_raw(T0, T0 + 10, CENTER, 10.0)
+    got = store.query_raw(T0, T0, T0 + 10, CENTER, 10.0)
     expected = sorted(rows, key=lambda r: (r.event.timestamp, r.event.source, int(r.event.kind)))
     assert rows != expected and got.hazard_rows.rows == table_rows(expected)[wire.RecordKind.HAZARD]
 
@@ -213,25 +219,47 @@ def _window_facts(row) -> tuple[wire.RecordKind, int, GeoPosition, tuple]:
     return K.HAZARD, h.timestamp, h.position, (h.timestamp, h.source, int(h.kind))
 
 
-def _window_oracle(facts, t_min, t_max, radius) -> dict[wire.RecordKind, list]:
+def _track(row):
+    """The track a CAM or CPM row reports on; None for the kinds whose windows keep every row."""
+    if isinstance(row, RawCam):
+        return row.cam.originator
+    if isinstance(row, RawCpmDetection):
+        return row.originator, row.detection.object_id
+    return None
+
+
+def _window_oracle(facts, t, t_min, t_max, radius) -> dict[wire.RecordKind, list]:
     """The full-scan window: per kind a window reads (a RawSlice list), the
-    typed rows with time in [t_min, t_max] and haversine within the radius,
-    in the documented order."""
-    expected = {kind: [] for kind, raw in store_module.RAW_TABLE.items() if raw.slice_list}
+    typed rows with time in [t_min, t_max]; of CAM and CPM rows only each
+    track's row nearest t (of two equally near the earlier, and none 2**63 ms
+    or more from t); then the rows haversine within the radius, in the
+    documented order."""
+    picked = {kind: {} for kind, raw in store_module.RAW_TABLE.items() if raw.slice_list}
     for r in facts:
-        kind, t, position, order = _window_facts(r)
-        if kind in expected and t_min <= t <= t_max and haversine_distance(CENTER, position) <= radius:
-            expected[kind].append((order, r))
-    return {kind: [r for _, r in sorted(hits, key=lambda h: h[0])] for kind, hits in expected.items()}
+        kind, time, position, order = _window_facts(r)
+        track, rank = _track(r), (abs(time - t), time)
+        if kind not in picked or not t_min <= time <= t_max:
+            continue
+        if track is None:
+            picked[kind][order] = (rank, order, position, r)
+        elif rank[0] < 2**63 and (track not in picked[kind] or rank < picked[kind][track][0]):
+            picked[kind][track] = (rank, order, position, r)
+    return {
+        kind: [r for _, _, position, r in sorted(hits.values(), key=lambda h: h[1])
+               if haversine_distance(CENTER, position) <= radius]
+        for kind, hits in picked.items()
+    }
 
 
-def _assert_window(store, facts, t_min, t_max, radius) -> dict[wire.RecordKind, list]:
-    """The window's rows of each kind equal the table rows of the full scan's typed rows."""
-    got = store.query_raw(t_min, t_max, CENTER, radius)
-    expected = _window_oracle(facts, t_min, t_max, radius)
+def _assert_window(store, facts, t_min, t_max, radius, t=None) -> dict[wire.RecordKind, list]:
+    """The window's rows of each kind equal the table rows of the full scan's
+    typed rows; t is the window's middle unless given."""
+    t = (t_min + t_max) // 2 if t is None else t
+    got = store.query_raw(t, t_min, t_max, CENTER, radius)
+    expected = _window_oracle(facts, t, t_min, t_max, radius)
     for kind, rows in expected.items():
         got_rows = getattr(got, store_module.RAW_TABLE[kind].slice_list).rows
-        assert got_rows == table_rows(rows).get(kind, []), (t_min, t_max, radius, kind)
+        assert got_rows == table_rows(rows).get(kind, []), (t, t_min, t_max, radius, kind)
     assert len(got) == sum(map(len, expected.values()))
     return expected
 
@@ -255,7 +283,8 @@ def test_query_raw_every_kind_matches_full_scan_oracle(tmp_path):
         t_min = T0 - 5000 + rng.randrange(9 * EPOCH_MS)
         t_max = t_min + rng.randrange(30_000)
         radius = rng.uniform(50.0, 800.0)
-        for kind, rows in _assert_window(store, facts, t_min, t_max, radius).items():
+        t = rng.randrange(t_min - 1000, t_max + 1001)
+        for kind, rows in _assert_window(store, facts, t_min, t_max, radius, t).items():
             seen[store_module.RAW_TABLE[kind].slice_list] += len(rows)
 
     for epoch in epochs:
@@ -438,13 +467,15 @@ def test_time_bounds_beyond_sqlite_integers_are_clamped(store):
     store.insert_raw(table_rows([
         cam_row(1, top - 5), RawVutSensor(100, make_vut_extract(top - 10, CENTER), 100, 1),
     ]))
-    assert store.query_raw(top - 5, top + 10**6, CENTER, 10.0).cams.column("generation_time").tolist() == [top - 5]
-    assert len(store.query_raw(top + 1, 2**64, CENTER, 10.0)) == 0
-    assert len(store.query_raw(-(2**64), -(2**63) - 1, CENTER, 10.0)) == 0
+    for t, cams in ((top - 5, [top - 5]), (top + 10**6, [top - 5]), (2**64, [])):  # 2**63 + 6 from t
+        window = store.query_raw(t, top - 5, top + 10**6, CENTER, 10.0)
+        assert window.cams.column("generation_time").tolist() == cams
+    assert len(store.query_raw(top + 1, top + 1, 2**64, CENTER, 10.0)) == 0
+    assert len(store.query_raw(-(2**63), -(2**64), -(2**63) - 1, CENTER, 10.0)) == 0
     assert store.vut_fix_near(100, top + 5, tolerance_ms=20).extract.timestamp == top - 10
     assert store.vut_fix_near(100, top + 5, tolerance_ms=10) is None
-    assert [f.extract.timestamp for f in store.vut_fixes(100, top - 10, 2**64)] == [top - 10]
-    assert store.vut_fixes(100, 2**63, 2**64) == []
+    assert store.vut_fixes(100, top - 10, 2**64).extract.timestamp == top - 10
+    assert store.vut_fixes(100, 2**63, 2**64) is None
     assert store.environment_candidates(2**64) == []
     assert store.environment_candidates(-(2**64)) == []
 
@@ -458,9 +489,71 @@ def test_frame_whose_last_time_is_the_largest_sqlite_integer_stores(store):
     env = wire.decode_batch(frame)
     assert wire.encode_batch(env) == frame
     assert store.insert_envelope(env, receive_time=1) == 2
-    window = store.query_raw(last - 50, last, CENTER, 1.0)
+    window = store.query_raw(last, last - 50, last, CENTER, 1.0)
     assert window.cams.column("generation_time").tolist() == [last - 50]
     assert [(r[4], r[3]) for r in window.spats.rows] == [(last, last)]  # generation, change time
+
+
+def test_query_raw_reads_each_tracks_report_nearest_t(tmp_path):
+    """Few tracks with many reports each, stored over several rowid blocks
+    and out of time order: every window equals the nearest-per-track oracle,
+    for t inside, on the edges of and outside [t_min, t_max], and for radii
+    that leave a track's nearest report outside the circle."""
+    rng = random.Random(46)
+    store = SituationStore(str(tmp_path / "tracks.db"))
+    facts, keys = [], set()
+    for _ in range(8):
+        start, batch = T0 + rng.randrange(20_000), []
+        for _ in range(400):
+            t, east, north = start + rng.randrange(5000), rng.uniform(-300, 300), rng.uniform(-300, 300)
+            if rng.random() < 0.5:
+                row = cam_row(rng.randrange(1, 6), t, east, north)
+                key = ("cam", row.cam.originator, t)
+            else:
+                row = cpm_row(rng.randrange(1, 3), rng.randrange(1, 5), t, east, north)
+                key = ("cpm", row.originator, row.detection.object_id, t)
+            if key not in keys:
+                keys.add(key)
+                batch.append(row)
+        store.insert_raw(table_rows(batch))
+        facts += batch
+    assert store.stats()["raw_cam"] > 1024 and store.stats()["raw_cpm_detection"] > 1024
+    for _ in range(60):
+        t_min = T0 + rng.randrange(-2000, 26_000)
+        t_max = t_min + rng.choice((0, 1, 50, 1000, 8000))
+        t = rng.choice((t_min, t_max, (t_min + t_max) // 2, rng.randrange(t_min - 3000, t_max + 3000)))
+        _assert_window(store, facts, t_min, t_max, rng.choice((150.0, 1000.0)), t)
+    store.close()
+
+
+MAX = wire.MAX_TIME_MS
+
+
+@pytest.mark.parametrize(
+    "t, offsets, window_ms, picked",
+    [
+        (T0, (300, 100, -100), 500, -100),
+        (T0, (-499, 500, 501), 500, -499),
+        (MAX, (-7, -3), 500, -3),
+        (0, (2**62 + 1, -(2**62) - 1, 2**62 + 2), MAX, -(2**62) - 1),
+        (0, (2**62 + 3, 2**62 + 2), MAX, 2**62 + 2),
+        (MAX, (-MAX - 1,), 2**64, None),
+        (MAX, (-MAX - 1, -MAX), 2**64, -MAX),
+    ],
+    ids=["tie", "window_edge", "max_time", "tie_past_64_bits", "nearer_past_64_bits",
+         "2**63_from_t", "2**63_less_1_from_t"],
+)
+def test_query_raw_pick_is_exact(store, t, offsets, window_ms, picked):
+    """Each track's report nearest t: of two equally near, the earlier; at
+    2*|time - t| beyond 64 bits still to the millisecond; a report 2**63 ms or
+    more from t is not read."""
+    rows = [cam_row(1, t + d) for d in offsets] + [cpm_row(9, 4, t + d) for d in offsets]
+    store.insert_raw(table_rows(rows))
+    window = store.query_raw(t, t - window_ms, t + window_ms, CENTER, 10.0)
+    expected = [] if picked is None else [t + picked]
+    for kind_rows in (window.cams, window.cpm_detections):
+        assert kind_rows.column("generation_time").tolist() == expected
+    _assert_window(store, rows, t - window_ms, t + window_ms, 10.0, t)
 
 
 def test_vut_fix_near(store):
@@ -694,7 +787,7 @@ def test_keys_beyond_sqlite_integers_find_nothing(store):
     store.insert_raw(table_rows([RawVutSensor(100, make_vut_extract(T0, CENTER), 100, 1)]))
     for key in (2**63, -(2**63) - 1, 10**20):
         assert store.vut_fix_near(key, T0, tolerance_ms=2000) is None
-        assert store.vut_fixes(key, T0 - 1000, T0 + 1000) == []
+        assert store.vut_fixes(key, T0 - 1000, T0 + 1000) is None
         assert store.driver_samples(key) == []
         assert store.load_situation(key) is None
     assert store.vut_fix_near(100, T0, tolerance_ms=2000).extract.timestamp == T0

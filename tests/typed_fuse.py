@@ -1,11 +1,14 @@
 """Reference fusion path: one typed object per window row.
 
 This is the path that ``fuse_situation`` replaced with numpy columns from
-the window to dedup: typed ``query_raw`` rows -> ``backend_dedup`` ->
-``observation_from_cam``/``observations_from_cpm`` -> ``dedup`` on the
-observation list -> per-object, per-lane ``link_lanes``, with the window's
-SPaT, driver and hazard rows typed too (``object_decode.typed_rows``) and
-joined to the topology by ``join_topology_typed``.  It also keeps the scalar
+the window to dedup: each CAM and CPM track's report nearest t, picked from a
+full scan of the time window and kept inside the circle
+(``nearest_reports``) -> ``observation_from_cam``/``observations_from_cpm``
+-> each observation and the VUT's own dead-reckoned to t (``predict``) ->
+``dedup`` on the observation list -> per-object, per-lane ``link_lanes``,
+with the window's SPaT, driver and hazard rows typed too
+(``object_decode.typed_rows``) and joined to the topology by
+``join_topology_typed``.  It also keeps the scalar
 similarity check ``is_similar`` (with ``angular_difference``), the scalar
 ``merge_group_scalar`` and the window query, none of which the package has
 any more.  The tests use them as the oracles the column path
@@ -29,6 +32,7 @@ from situfuse.fusion import SimilarityThresholds
 from situfuse.geo import (
     GeoPosition,
     LocalPoint,
+    course_to_unit_vector,
     from_local_enu,
     haversine_distance,
     normalize_course,
@@ -48,7 +52,7 @@ from situfuse.messages import (
     observations_from_cpm,
 )
 from situfuse.situation import FusedObject, ProvenanceEntry, SituationRecord
-from situfuse.store import RawSlice, RawSpat, SituationStore
+from situfuse.store import RAW_TABLE, RawSlice, RawSpat, SituationStore
 from situfuse.wire import RecordKind
 
 from object_decode import typed_rows
@@ -65,7 +69,39 @@ def query_window(
     fix = store.vut_fix_near(vut, t, fusion.VUT_FIX_TOLERANCE_MS)
     if fix is None:
         raise fusion.NoVutFix(f"no GNSS fix of VUT {vut} near {t}")
-    return store.query_raw(t - window_ms, t + window_ms, fix.extract.gnss, radius_m)
+    return store.query_raw(t, t - window_ms, t + window_ms, fix.extract.gnss, radius_m)
+
+
+def nearest_reports(store: SituationStore, kind: RecordKind, t: int, window_ms: int,
+                    center: GeoPosition, radius_m: float) -> list:
+    """Typed CAM or CPM rows: of each track's rows within window_ms of t, read
+    by a full scan of the table, the one nearest t (of two equally near, the
+    earlier), if it lies within the circle."""
+    table = RAW_TABLE[kind].table
+    rows = store._conn.execute(
+        f"SELECT * FROM {table} WHERE generation_time BETWEEN ? AND ?", (t - window_ms, t + window_ms)
+    ).fetchall()
+    nearest = {}
+    for r in typed_rows(kind, rows):
+        if kind is RecordKind.CAM_EXTRACT:
+            track, time, position = r.cam.originator, r.cam.generation_time, r.cam.position
+        else:
+            track, time = (r.originator, r.detection.object_id), r.generation_time
+            position = r.detection.position
+        if track not in nearest or (abs(time - t), time) < nearest[track][0]:
+            nearest[track] = (abs(time - t), time), position, r
+    return [r for _, position, r in nearest.values() if haversine_distance(center, position) <= radius_m]
+
+
+def predict(o: TrafficObjectObservation, t: int) -> TrafficObjectObservation:
+    """An observation dead-reckoned to t at constant velocity, as simgen's
+    TruthObject.state_at moves a truth object; one stamped t is unchanged."""
+    dt = (t - o.timestamp) / 1000.0
+    if dt == 0:
+        return o
+    east, north = course_to_unit_vector(o.course)
+    step = LocalPoint(east * o.speed * dt, north * o.speed * dt)
+    return replace(o, position=from_local_enu(o.position, step))
 
 
 def angular_difference(a_deg: float, b_deg: float) -> float:
@@ -227,21 +263,26 @@ def fuse_situation_typed(
     if fix is None:
         raise fusion.NoVutFix(f"no GNSS fix of VUT {vut} near {t}")
     center = fix.extract.gnss
-    window = store.query_raw(t - window_ms, t + window_ms, center, radius_m)
-    cams = typed_rows(RecordKind.CAM_EXTRACT, window.cams.rows)
-    cpms = typed_rows(RecordKind.CPM_DETECTION, window.cpm_detections.rows)
+    window = store.query_raw(t, t - window_ms, t + window_ms, center, radius_m)
+    cams = nearest_reports(store, RecordKind.CAM_EXTRACT, t, window_ms, center, radius_m)
+    cpms = nearest_reports(store, RecordKind.CPM_DETECTION, t, window_ms, center, radius_m)
     spats = typed_rows(RecordKind.SPAT, window.spats.rows)
     drivers = typed_rows(RecordKind.DRIVER_STATE, window.driver_rows.rows)
     hazard_rows = typed_rows(RecordKind.HAZARD, window.hazard_rows.rows)
 
     observations: list[TrafficObjectObservation] = []
-    for raw in backend_dedup(cams):
+    for raw in cams:
         observations.append(observation_from_cam(raw.cam))
-    for raw in backend_dedup(cpms):
+    for raw in cpms:
         extract = CpmExtract(raw.originator, raw.generation_time, (raw.detection,))
         observations.extend(observations_from_cpm(extract))
-    blocks = (of(observations), fusion._vut_observation(store, vut, fix))
-    objects = fusion.dedup(ObservationColumns(*map(np.concatenate, zip(*blocks))))
+    vut_block = fusion._vut_observation(store, vut, fix)
+    lat, lon, speed, course, code, stamp, source, reporter, vut_id = (a.item() for a in vut_block)
+    observations.append(TrafficObjectObservation(
+        vut_id, ObjectClassification(code), GeoPosition(lat, lon), speed, course, stamp,
+        ObservationSource(source), reporter,
+    ))
+    objects = fusion.dedup(of([predict(o, t) for o in observations]))
 
     topo = fusion._nearest_topology(store, center, radius_m)
     topology = join_topology_typed(topo, backend_dedup(spats), t) if topo else None
