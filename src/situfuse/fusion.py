@@ -39,6 +39,7 @@ from .geo import (
     to_local_enu_arrays,
 )
 from .messages import (
+    MapLane,
     MapTopology,
     ObjectClassification,
     ObservationColumns,
@@ -310,21 +311,23 @@ def join_topology(topo: MapTopology, spats: Sequence[tuple], t: int) -> MapTopol
     ))
 
 
-def _lane_distances(lat: np.ndarray, lon: np.ndarray, polyline: Sequence[GeoPosition]) -> np.ndarray:
-    """Minimum distance from each position to a lane centerline, on the local
-    plane at the polyline's first point."""
-    origin = polyline[0]
-    px, py = to_local_enu_arrays(origin.lat, origin.lon, lat, lon)
-    qx, qy = to_local_enu_arrays(
-        origin.lat, origin.lon, [q.lat for q in polyline], [q.lon for q in polyline]
-    )
+def _lane_distances(lat: np.ndarray, lon: np.ndarray, lanes: Sequence[MapLane]) -> np.ndarray:
+    """Minimum distance from each position (columns) to each lane's centerline
+    (rows), on the local plane at the lane polyline's first point."""
+    points = [(q.lat, q.lon, lane.polyline[0].lat, lane.polyline[0].lon, k)
+              for k, lane in enumerate(lanes) for q in lane.polyline]
+    qlat, qlon, olat, olon, owner = np.array(points).T
+    qx, qy = to_local_enu_arrays(olat, olon, qlat, qlon)
+    a = np.flatnonzero(owner[1:] == owner[:-1])  # a segment starts at each point but a lane's last
+    px, py = to_local_enu_arrays(olat[a, None], olon[a, None], lat, lon)
     # segments down the rows, positions along the columns
-    ax, ay = qx[:-1, None], qy[:-1, None]
-    dx, dy = np.diff(qx)[:, None], np.diff(qy)[:, None]
+    ax, ay = qx[a, None], qy[a, None]
+    dx, dy = (qx[a + 1] - qx[a])[:, None], (qy[a + 1] - qy[a])[:, None]
     seg2 = dx * dx + dy * dy
     num = (px - ax) * dx + (py - ay) * dy
     u = np.clip(np.divide(num, seg2, out=np.zeros_like(num), where=seg2 > 0.0), 0.0, 1.0)
-    return np.hypot(px - (ax + u * dx), py - (ay + u * dy)).min(axis=0)
+    d = np.hypot(px - (ax + u * dx), py - (ay + u * dy))
+    return np.minimum.reduceat(d, np.flatnonzero(np.diff(owner[a], prepend=-1)), axis=0)
 
 
 def link_lanes(objects, topology, max_lateral_m: float = DEFAULT_MAX_LATERAL_M):
@@ -336,7 +339,7 @@ def link_lanes(objects, topology, max_lateral_m: float = DEFAULT_MAX_LATERAL_M):
     lanes = sorted(topology.lanes, key=lambda lane: lane.lane_id)
     lat = np.array([o.position.lat for o in objects])
     lon = np.array([o.position.lon for o in objects])
-    d = np.array([_lane_distances(lat, lon, lane.polyline) for lane in lanes])
+    d = _lane_distances(lat, lon, lanes)
     within = d <= max_lateral_m
     nearest = np.where(within, d, np.inf).argmin(axis=0)
     return [

@@ -90,14 +90,14 @@ def to_local_enu(origin: GeoPosition, p: GeoPosition) -> LocalPoint:
 
 def to_local_enu_arrays(origin_lat, origin_lon, lat, lon) -> tuple[np.ndarray, np.ndarray]:
     """:func:`to_local_enu` elementwise over broadcast arrays of degrees: the
-    scalar arithmetic (``math.cos`` included), so the same floats and, for the
-    first point out of range, the same RangeExceeded."""
+    scalar arithmetic (``math.cos`` included, once per origin element), so the
+    same floats and, for the first point out of range, the same RangeExceeded."""
+    cos_lat = np.reshape(list(map(math.cos, np.radians(origin_lat).ravel().tolist())), np.shape(origin_lat))
     origin_lat, origin_lon, lat, lon = np.broadcast_arrays(origin_lat, origin_lon, lat, lon)
     dlon = lon - origin_lon
     dlon = np.where(dlon >= 180.0, dlon - 360.0, np.where(dlon < -180.0, dlon + 360.0, dlon))
     north = EARTH_RADIUS_M * np.radians(lat - origin_lat)
-    cos_lat = np.array(list(map(math.cos, np.radians(origin_lat).ravel().tolist())))
-    east = EARTH_RADIUS_M * np.radians(dlon) * cos_lat.reshape(origin_lat.shape)
+    east = EARTH_RADIUS_M * np.radians(dlon) * cos_lat
     far = east * east + north * north >= MAX_LOCAL_RANGE_M * MAX_LOCAL_RANGE_M
     if far.any():
         k = np.unravel_index(far.argmax(), far.shape)

@@ -3,11 +3,14 @@
 Raw aggregated data and fused situations live in separate table families.
 Raw tables are append-only: nothing here deletes or updates a raw row, and
 re-ingesting a message that is already present (same message key) is silently
-skipped, so ingestion is idempotent.  Window reads depend on it: a new row gets
-a rowid above every existing one, so the store summarises each table's times
-per block of rowids once and a window reads only the blocks its time range
-meets.  A situation is written in a single transaction: either all of its
-child rows land or none do.
+skipped, so ingestion is idempotent.  A CAM or CPM window seeks the table's
+message-key index, originator first: one seek per distinct originator in the
+table plus the window's entries, so it gains as the reports per track in the
+window grow.  The SPaT, driver and hazard windows depend on append-only: a new
+row gets a rowid above every existing one, so the store summarises those
+tables' times per block of rowids once and a window reads only the blocks its
+time range meets.  A situation is written in a single transaction: either all
+of its child rows land or none do.
 
 A file store runs in sqlite's write-ahead-log mode with ``synchronous`` at its
 WAL default, FULL: each frame, situation or topology is one transaction whose
@@ -366,8 +369,8 @@ class SituationStore:
 
     def __init__(self, path: str = ":memory:"):
         self._lock = threading.RLock()
-        # per raw kind: rowid block -> (min, max) of its window time, and the
-        # highest rowid summarised; valid while data_version is unchanged
+        # per window kind without a track: rowid block -> (min, max) of its window
+        # time, and the highest rowid summarised; valid while data_version is unchanged
         self._blocks: dict[wire.RecordKind, dict[int, tuple[int, int]]] = {}
         self._summarised: dict[wire.RecordKind, int] = {}
         self._data_version: int | None = None
@@ -433,11 +436,11 @@ class SituationStore:
                 self._summarised.clear()
                 self._data_version = version
             for kind, raw in _WINDOW_TABLE.items():
-                span = near if raw.track else bounds
-                rowids = span and self._window_rowids(kind, *span)
-                args = (*rowids, *span) if rowids else (1, 0, 1, 0)  # no row, but the column names
                 if raw.track:  # a t past sqlite's integers lies past every row, as its clamp does
-                    args += (_sql_int(t),) * 2
+                    args = (*(near or (1, 0)), *(_sql_int(t),) * 2)
+                else:
+                    rowids = bounds and self._window_rowids(kind, *bounds)
+                    args = (*rowids, *bounds) if rowids else (1, 0, 1, 0)  # no row, but the column names
                 cur = self._conn.execute(_SELECT_WINDOW[kind], args)
                 rows = _in_area(cur.fetchall(), raw.lat_column, center, radius_m)
                 lists[raw.slice_list] = RawColumns([d[0] for d in cur.description], rows)
@@ -721,7 +724,7 @@ class RawTable(NamedTuple):
     order: tuple[str, ...] = ()
     lat_column: int = 0  # index of the lat column; lon is the next one
     slice_list: str = ""  # the RawSlice list a window fills
-    track: tuple[str, ...] = ()  # if set, a window reads each track's row nearest t
+    track: tuple[str, ...] = ()  # if set, a window reads each track's row nearest t; track[0] leads the key
 
 
 RAW_TABLE: dict[wire.RecordKind, RawTable] = {
@@ -750,26 +753,34 @@ _INSERT_RAW = {
     kind: f"INSERT OR IGNORE INTO {t.table} VALUES ({', '.join('?' * t.width)})"
     for kind, t in RAW_TABLE.items()
 }
-# Window reads rely on the raw tables being append-only (module docstring):
-# a window reads the rowid range of the blocks of 2**_BLOCK_BITS rowids
-# whose window times meet it.  _SUMMARISE gives the time range and the last
-# rowid of the rows from the first rowid above ? to the end of its block; one
-# statement per block needs no sort, where a GROUP BY over the table would.
+# The windows of kinds without a track rely on the raw tables being append-only (module docstring): such
+# a window reads the rowid range of the blocks of 2**_BLOCK_BITS rowids whose window times meet it.
+# _SUMMARISE gives the time range and the last rowid of the rows from the first rowid above ? to the end of
+# its block; one statement per block needs no sort, where a GROUP BY over the table would.
 _BLOCK_BITS = 10
 _SUMMARISE = {
     kind: f"WITH f(r) AS (SELECT min(rowid) FROM {t.table} WHERE rowid > ?)"
     f" SELECT min({t.order[0]}), max({t.order[0]}), max(rowid) FROM f, {t.table}"
     f" WHERE {t.table}.rowid BETWEEN f.r AND f.r | {2**_BLOCK_BITS - 1}"
-    for kind, t in _WINDOW_TABLE.items()
+    for kind, t in _WINDOW_TABLE.items() if not t.track
 }
 
-# A kind with a track keeps each track's row nearest t, the least (|time - t|, time > t): the query's one
-# min(), in HAVING, gives every bare column from the row that holds it.  The key is one integer, and the
-# -2**62 keeps it inside 64 bits for |time - t| < 2**63, where sqlite would turn it into an inexact REAL.
-_PICK = " GROUP BY {0} HAVING min((abs({1} - ?) - %d) * 2 + ({1} > ?)) NOT NULL" % 2**62
+# A track kind's window walks its UNIQUE (originator, time, ...) index: a recursive loose scan lists the
+# originators, one seek each; each one's window is an index range, of which each track keeps the rowid of
+# its row nearest t, the least (|time - t|, time > t), as the bare column of the query's one min(), in
+# HAVING.  The key is one integer, and the -2**62 keeps it inside 64 bits for |time - t| < 2**63, where
+# sqlite would turn it into an inexact REAL.  Only the kept rows are then read, by rowid.
+_TRACK_WINDOW = (
+    "WITH RECURSIVE k(x) AS (SELECT min({o}) FROM {t} UNION ALL"
+    " SELECT (SELECT min({o}) FROM {t} WHERE {o} > x) FROM k WHERE x NOT NULL),"
+    " p(r) AS (SELECT {t}.rowid FROM k CROSS JOIN {t} WHERE {o} = x AND {time} BETWEEN ? AND ?"
+    " GROUP BY {track} HAVING min((abs({time} - ?) - %d) * 2 + ({time} > ?)) NOT NULL)"
+    " SELECT {t}.* FROM p CROSS JOIN {t} ON {t}.rowid = r" % 2**62
+)
 _SELECT_WINDOW = {
-    kind: f"SELECT * FROM {t.table} WHERE rowid BETWEEN ? AND ? AND {t.order[0]} BETWEEN ? AND ?"
-    + (_PICK.format(", ".join(t.track), t.order[0]) if t.track else "")
+    kind: (_TRACK_WINDOW.format(t=t.table, o=t.track[0], time=t.order[0], track=", ".join(t.track))
+           if t.track else
+           f"SELECT * FROM {t.table} WHERE rowid BETWEEN ? AND ? AND {t.order[0]} BETWEEN ? AND ?")
     + f" ORDER BY {', '.join(t.order)}"
     for kind, t in _WINDOW_TABLE.items()
 }

@@ -176,15 +176,20 @@ def test_merge_group_equals_scalar_merge():
 
 
 def test_link_lanes_equals_scalar_linking():
-    """Random lanes, among them one polyline under two ids, and objects on
-    its points: at distance 0 from both lanes, the lower id wins."""
+    """Random lanes of 2-6 points, some with a repeated point (a zero-length
+    segment) or only one point twice, among them one polyline under two ids,
+    and objects on its points: at distance 0 from both lanes, the lower id
+    wins."""
     rng = random.Random(63)
     for _ in range(40):
-        points = [
-            [LocalPoint(rng.uniform(-60, 60), rng.uniform(-60, 60))
-             for _ in range(rng.randrange(2, 5))]
-            for _ in range(rng.randrange(1, 6))
-        ]
+        points = []
+        for _ in range(rng.randrange(1, 6)):
+            line = [LocalPoint(rng.uniform(-60, 60), rng.uniform(-60, 60))
+                    for _ in range(rng.randrange(2, 7))]
+            if rng.random() < 0.4:
+                k = rng.randrange(len(line))
+                line.insert(k, line[k])
+            points.append(line[:1] * 2 if rng.random() < 0.1 else line)
         lanes = [
             MapLane(rng.randrange(1, 9), 1, tuple(from_local_enu(CENTER, p) for p in line), True)
             for line in points

@@ -606,9 +606,14 @@ def test_link_lane_tie_breaks_to_lower_id():
 
 
 def test_lane_distance_perpendicular():
+    """A point 7 m to the side of a lane's middle is 7 m from it, in that
+    lane's row, whatever other lanes are measured with it."""
     polyline = (CENTER, from_local_enu(CENTER, LocalPoint(100.0, 0.0)))
+    other = (from_local_enu(CENTER, LocalPoint(0.0, 20.0)), from_local_enu(CENTER, LocalPoint(0.0, 90.0)))
     p = from_local_enu(CENTER, LocalPoint(50.0, 7.0))
-    assert _lane_distances([p.lat], [p.lon], polyline)[0] == pytest.approx(7.0, abs=0.01)
+    lanes = [MapLane(1, 1, polyline, True), MapLane(2, 1, other, True)]
+    assert _lane_distances([p.lat], [p.lon], lanes)[0, 0] == pytest.approx(7.0, abs=0.01)
+    assert _lane_distances([p.lat], [p.lon], lanes[::-1])[1, 0] == pytest.approx(7.0, abs=0.01)
 
 
 # --- situation assembly ------------------------------------------------------------

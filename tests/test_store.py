@@ -498,7 +498,10 @@ def test_query_raw_reads_each_tracks_report_nearest_t(tmp_path):
     """Few tracks with many reports each, stored over several rowid blocks
     and out of time order: every window equals the nearest-per-track oracle,
     for t inside, on the edges of and outside [t_min, t_max], and for radii
-    that leave a track's nearest report outside the circle."""
+    that leave a track's nearest report outside the circle.  So do windows
+    over an empty CAM table (which still names its columns), over the
+    originators -2**63, 0 and 2**63 - 1, and beside many originators with no
+    row in the window."""
     rng = random.Random(46)
     store = SituationStore(str(tmp_path / "tracks.db"))
     facts, keys = [], set()
@@ -524,6 +527,49 @@ def test_query_raw_reads_each_tracks_report_nearest_t(tmp_path):
         t = rng.choice((t_min, t_max, (t_min + t_max) // 2, rng.randrange(t_min - 3000, t_max + 3000)))
         _assert_window(store, facts, t_min, t_max, rng.choice((150.0, 1000.0)), t)
     store.close()
+
+    # the loose scan over originators: one table empty, then the extreme keys
+    # sqlite holds, then many originators without a row in the window
+    store = SituationStore(str(tmp_path / "originators.db"))
+    facts = [cpm_row(o, 1, T0 + dt) for o in (0, 5) for dt in (-200, 300)]
+    store.insert_raw(table_rows(facts))
+    window = store.query_raw(T0, T0 - 500, T0 + 500, CENTER, 10.0)
+    assert window.cams.names == CAM_COLUMNS and window.cams.column("originator").tolist() == []
+    assert len(_assert_window(store, facts, T0 - 500, T0 + 500, 10.0, T0)[wire.RecordKind.CPM_DETECTION]) == 2
+    extremes = (-(2**63), 0, 2**63 - 1)
+    rows = [row(o, T0 + dt) for o in extremes for dt in (-100, 40, 700) for row in (cam_row, cpm_row_7)]
+    rows += [row(o, T0 - 90_000) for o in range(1, 400) for row in (cam_row, cpm_row_7)]
+    store.insert_raw(table_rows(rows))
+    facts += rows
+    for t in (T0 - 100, T0, T0 + 40, T0 + 600):
+        picked = _assert_window(store, facts, t - 500, t + 500, 10.0, t)
+        assert [r.cam.originator for r in picked[wire.RecordKind.CAM_EXTRACT]] == list(extremes)
+    assert _assert_window(store, facts, T0 - 91_000, T0 - 89_000, 10.0, T0 - 90_000)[
+        wire.RecordKind.CAM_EXTRACT
+    ] == [cam_row(o, T0 - 90_000) for o in range(1, 400)]
+    store.close()
+
+
+@pytest.mark.parametrize("kind", [wire.RecordKind.CAM_EXTRACT, wire.RecordKind.CPM_DETECTION])
+def test_track_window_seeks_the_key_index_per_originator(store, kind):
+    """A CAM or CPM window reads its table through the UNIQUE key index, one
+    (originator, time range) seek per originator, and never scans the table."""
+    table = store_module.RAW_TABLE[kind].table
+    sql = store_module._SELECT_WINDOW[kind]
+    plan = [row[3] for row in store._conn.execute("EXPLAIN QUERY PLAN " + sql, (0,) * sql.count("?"))]
+    seek = f"INDEX sqlite_autoindex_{table}_1 (originator=? AND generation_time>? AND generation_time<?)"
+    assert any(step.startswith(f"SEARCH {table} USING ") and step.endswith(seek) for step in plan), plan
+    assert not any(step.startswith(f"SCAN {table}") for step in plan), plan
+
+
+CAM_COLUMNS = [
+    "originator", "generation_time", "lat", "lon", "speed", "course", "classification",
+    "reporter", "receive_time",
+]
+
+
+def cpm_row_7(originator, t):
+    return cpm_row(originator, 7, t)
 
 
 MAX = wire.MAX_TIME_MS
