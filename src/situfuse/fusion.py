@@ -39,6 +39,8 @@ from .geo import (
     to_local_enu_arrays,
 )
 from .messages import (
+    CLASSIFICATION_BY_CODE,
+    SOURCE_BY_CODE,
     MapLane,
     MapTopology,
     ObjectClassification,
@@ -228,7 +230,6 @@ def dedup(
 # A group's winner comes from its highest-ranked source; rank 0 never wins.
 _WINNER_RANK = np.zeros(max(ObservationSource) + 1, dtype=np.int64)
 _WINNER_RANK[[ObservationSource.VUT_LOCAL_SENSOR, ObservationSource.CAM_SELF_REPORT]] = 1, 2
-_SOURCE = {int(s): s for s in ObservationSource}
 _NO_CLASS = np.iinfo(np.int64).max
 
 
@@ -257,7 +258,7 @@ def _merge_groups(c: ObservationColumns, labels: np.ndarray) -> list[FusedObject
     codes = np.where(codes == _NO_CLASS, 0, codes).tolist()
     entries = np.lexsort((c.object_id, c.reporter, c.source, labels))
     provenance = list(map(
-        ProvenanceEntry, map(_SOURCE.__getitem__, c.source[entries].tolist()),
+        ProvenanceEntry, map(SOURCE_BY_CODE.__getitem__, c.source[entries].tolist()),
         c.reporter[entries].tolist(), c.object_id[entries].tolist(),
     ))
     # member positions on the plane at their group's first member (at their
@@ -285,7 +286,7 @@ def _merge_groups(c: ObservationColumns, labels: np.ndarray) -> list[FusedObject
             merged = (w_id[g], GeoPosition(w_lat[g], w_lon[g]), w_speed[g], w_course[g])
         fused_id, position, fused_speed, fused_course = merged
         fused.append(FusedObject(
-            fused_id, ObjectClassification(codes[g]), position, fused_speed, fused_course,
+            fused_id, CLASSIFICATION_BY_CODE[codes[g]], position, fused_speed, fused_course,
             tuple(provenance[a:b]),
         ))
     return fused

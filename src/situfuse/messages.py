@@ -47,6 +47,22 @@ class ObservationSource(enum.IntEnum):
     VUT_LOCAL_SENSOR = 3
 
 
+class CodeTable(dict):
+    """code -> member of one IntEnum, by dict lookup; a code outside the enum
+    goes to the enum call (its ValueError, or the member of its ``_missing_``)."""
+
+    def __init__(self, members: type[enum.IntEnum]):
+        super().__init__((int(m), m) for m in members)
+        self.members = members
+
+    def __missing__(self, code):
+        return self.members(code)
+
+
+CLASSIFICATION_BY_CODE = CodeTable(ObjectClassification)
+SOURCE_BY_CODE = CodeTable(ObservationSource)
+
+
 class SignalPhase(enum.IntEnum):
     UNKNOWN = 0
     RED = 1

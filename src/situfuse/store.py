@@ -30,13 +30,16 @@ import json
 import sqlite3
 import threading
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, groupby
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
 
 from .geo import GeoPosition, haversine_distances
 from .messages import (
+    CLASSIFICATION_BY_CODE,
+    SOURCE_BY_CODE,
     CamExtract,
     CpmDetection,
     DoorState,
@@ -47,8 +50,6 @@ from .messages import (
     HazardKind,
     MapLane,
     MapTopology,
-    ObjectClassification,
-    ObservationSource,
     SignalPhase,
     SpatExtract,
     StationId,
@@ -597,19 +598,18 @@ class SituationStore:
             if head is None:
                 return None
             sid, vut, timestamp, clat, clon, radius = head
-            provenance: dict[int, list[ProvenanceEntry]] = {}
-            for seq, src, reporter, obj_id in c.execute(
-                "SELECT seq, source, reporter, source_object_id FROM provenance"
-                " WHERE situation_id = ? ORDER BY seq, entry_seq",
-                (sid,),
-            ):
-                provenance.setdefault(seq, []).append(
-                    ProvenanceEntry(ObservationSource(src), reporter, obj_id)
-                )
+            provenance = {
+                seq: tuple([ProvenanceEntry(SOURCE_BY_CODE[src], rep, oid) for _, src, rep, oid in entries])
+                for seq, entries in groupby(c.execute(
+                    "SELECT seq, source, reporter, source_object_id FROM provenance"
+                    " WHERE situation_id = ? ORDER BY seq, entry_seq",
+                    (sid,),
+                ), key=itemgetter(0))
+            }
             objects = tuple(
                 FusedObject(
-                    fused_id, ObjectClassification(cls), GeoPosition(lat, lon), speed,
-                    course, tuple(provenance.get(seq, ())), lane_id,
+                    fused_id, CLASSIFICATION_BY_CODE[cls], GeoPosition(lat, lon), speed,
+                    course, provenance.get(seq, ()), lane_id,
                 )
                 for seq, fused_id, cls, lat, lon, speed, course, lane_id in c.execute(
                     "SELECT seq, fused_id, classification, lat, lon, speed, course, lane_id"

@@ -4,7 +4,14 @@ import random
 import numpy as np
 import pytest
 
-from situfuse.geo import GeoPosition, LocalPoint, from_local_enu, haversine_distance, to_local_enu
+from situfuse.geo import (
+    GeoPosition,
+    LocalPoint,
+    RangeExceeded,
+    from_local_enu,
+    haversine_distance,
+    to_local_enu,
+)
 from situfuse.messages import (
     DriverStateSample,
     HazardEvent,
@@ -75,6 +82,20 @@ def test_tti_party_below_the_floor_is_minus_one():
         assert compute_tti(vut, obj) == (-1, -1)
         assert compute_tti(obj, vut) == (-1, -1)
     assert -1 not in compute_tti(vut, KinematicState(position, TTI_SPEED_FLOOR_MS, 270.0))
+
+
+def test_tti_of_a_standing_party_is_minus_one_at_any_distance():
+    # 20 km lies beyond the projection's range: a standing party needs no
+    # projection, while RU, which always projects, refuses the pair
+    far = from_local_enu(ORIGIN, LocalPoint(0.0, 20_000.0))
+    vut = KinematicState(ORIGIN, 10.0, 0.0)
+    standing = KinematicState(far, 0.0, 180.0)
+    assert compute_tti(vut, standing) == (-1, -1)
+    assert compute_tti(KinematicState(far, 0.0, 0.0), KinematicState(ORIGIN, 10.0, 0.0)) == (-1, -1)
+    with pytest.raises(RangeExceeded):
+        compute_ru(vut, standing)
+    with pytest.raises(RangeExceeded):
+        compute_tti(vut, KinematicState(far, 5.0, 180.0))
 
 
 def test_tti_crossing_behind_is_minus_one():

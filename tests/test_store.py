@@ -761,6 +761,30 @@ def test_persist_load_round_trip(store):
         assert replace(loaded, situation_id=0) == replace(record, situation_id=0)
 
 
+def test_stored_codes_outside_the_enums_load_as_the_enum_call_reads_them(store):
+    """Rows written with raw SQL around persist_situation: a provenance
+    source code outside ObservationSource raises its ValueError, a class
+    code outside ObjectClassification reads UNKNOWN, as the enum calls do."""
+    rng = random.Random(7)
+    record = random_situation(rng)
+    while len(record.objects) < 2:
+        record = random_situation(rng)
+    sid = store.persist_situation(record)
+    store._conn.execute(
+        "UPDATE fused_object SET classification = 99 WHERE situation_id = ? AND seq = 1", (sid,)
+    )
+    loaded = store.load_situation(sid)
+    assert ObjectClassification(99) is ObjectClassification.UNKNOWN
+    assert loaded.objects[1].classification is ObjectClassification.UNKNOWN
+    assert replace(loaded.objects[1], classification=record.objects[1].classification) == record.objects[1]
+    store._conn.execute(
+        "UPDATE provenance SET source = 99 WHERE situation_id = ? AND seq = 1 AND entry_seq = 0",
+        (sid,),
+    )
+    with pytest.raises(ValueError, match="99 is not a valid ObservationSource"):
+        store.load_situation(sid)
+
+
 def test_persist_assigns_ascending_ids(store):
     rng = random.Random(5)
     first = store.persist_situation(random_situation(rng))
