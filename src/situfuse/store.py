@@ -6,11 +6,9 @@ re-ingesting a message that is already present (same message key) is silently
 skipped, so ingestion is idempotent.  A CAM or CPM window seeks the table's
 message-key index, originator first: one seek per distinct originator in the
 table plus the window's entries, so it gains as the reports per track in the
-window grow.  The SPaT, driver and hazard windows depend on append-only: a new
-row gets a rowid above every existing one, so the store summarises those
-tables' times per block of rowids once and a window reads only the blocks its
-time range meets.  A situation is written in a single transaction: either all
-of its child rows land or none do.
+window grow.  A SPaT, driver or hazard window reads its table's time index and
+costs the index entries in its time range.  A situation is written in a single
+transaction: either all of its child rows land or none do.
 
 A file store runs in sqlite's write-ahead-log mode with ``synchronous`` at its
 WAL default, FULL: each frame, situation or topology is one transaction whose
@@ -370,15 +368,10 @@ class SituationStore:
 
     def __init__(self, path: str = ":memory:"):
         self._lock = threading.RLock()
-        # per window kind without a track: rowid block -> (min, max) of its window
-        # time, and the highest rowid summarised; valid while data_version is unchanged
-        self._blocks: dict[wire.RecordKind, dict[int, tuple[int, int]]] = {}
-        self._summarised: dict[wire.RecordKind, int] = {}
-        self._data_version: int | None = None
         try:
             self._conn = sqlite3.connect(path, check_same_thread=False)
             self._conn.execute("PRAGMA journal_mode=WAL")
-            self._conn.executescript(_SCHEMA)
+            self._conn.executescript(_SCHEMA + _WINDOW_INDEX)
             self._conn.commit()
         except sqlite3.Error as e:
             raise StorageFailure(f"cannot open store at {path}: {e}") from e
@@ -428,46 +421,18 @@ class SituationStore:
         bounds = _sql_range(t_min, t_max)
         near = _sql_range(max(t_min, t - _SQL_INT_MAX), min(t_max, t + _SQL_INT_MAX))
         lists = {}
-        # one read transaction: the summary and the windows see one snapshot
+        # one read transaction: the five windows see one snapshot
         with self._lock, self._conn:
             self._conn.execute("BEGIN")
-            (version,) = self._conn.execute("PRAGMA data_version").fetchone()
-            if version != self._data_version:  # another connection committed
-                self._blocks.clear()
-                self._summarised.clear()
-                self._data_version = version
             for kind, raw in _WINDOW_TABLE.items():
                 if raw.track:  # a t past sqlite's integers lies past every row, as its clamp does
                     args = (*(near or (1, 0)), *(_sql_int(t),) * 2)
                 else:
-                    rowids = bounds and self._window_rowids(kind, *bounds)
-                    args = (*rowids, *bounds) if rowids else (1, 0, 1, 0)  # no row, but the column names
+                    args = bounds or (1, 0)  # no row, but the column names
                 cur = self._conn.execute(_SELECT_WINDOW[kind], args)
                 rows = _in_area(cur.fetchall(), raw.lat_column, center, radius_m)
                 lists[raw.slice_list] = RawColumns([d[0] for d in cur.description], rows)
         return RawSlice(**lists)
-
-    def _window_rowids(self, kind: wire.RecordKind, t_min: int, t_max: int) -> tuple[int, int] | None:
-        """The rowids from the first to the last block whose times meet
-        [t_min, t_max], after summarising the rows added since the last call;
-        None if no block meets it."""
-        blocks = self._blocks.setdefault(kind, {})
-        done = self._summarised.get(kind, 0)
-        while True:
-            lo, hi, top = self._conn.execute(_SUMMARISE[kind], (done,)).fetchone()
-            if top is None:
-                break
-            block = top >> _BLOCK_BITS
-            if block in blocks:  # the block was partly summarised before
-                old_lo, old_hi = blocks[block]
-                lo, hi = min(lo, old_lo), max(hi, old_hi)
-            blocks[block] = (lo, hi)
-            done = top
-        self._summarised[kind] = done
-        hits = [block for block, (lo, hi) in blocks.items() if lo <= t_max and hi >= t_min]
-        if not hits:
-            return None
-        return min(hits) << _BLOCK_BITS, ((max(hits) + 1) << _BLOCK_BITS) - 1
 
     def vut_fix_near(self, vut: StationId, t: int, tolerance_ms: int) -> RawVutSensor | None:
         """The VUT sensor row closest to t within the tolerance, or None; of
@@ -715,12 +680,13 @@ def hazard_from_columns(cols) -> HazardEvent:
 
 class RawTable(NamedTuple):
     """One raw record kind's table; its insert statement derives from it, and
-    so do the window statements of the kinds a window reads."""
+    so do the window statements and time indexes of the kinds a window reads."""
 
     table: str
     width: int  # column count
     # window kinds only: the window's ORDER BY, the time the window bounds and
-    # then the rest of the table's UNIQUE key, so windows are in one total order
+    # then the rest of the table's UNIQUE key, so windows are in one total order;
+    # for a kind without a track also the columns of its time index
     order: tuple[str, ...] = ()
     lat_column: int = 0  # index of the lat column; lon is the next one
     slice_list: str = ""  # the RawSlice list a window fills
@@ -753,17 +719,12 @@ _INSERT_RAW = {
     kind: f"INSERT OR IGNORE INTO {t.table} VALUES ({', '.join('?' * t.width)})"
     for kind, t in RAW_TABLE.items()
 }
-# The windows of kinds without a track rely on the raw tables being append-only (module docstring): such
-# a window reads the rowid range of the blocks of 2**_BLOCK_BITS rowids whose window times meet it.
-# _SUMMARISE gives the time range and the last rowid of the rows from the first rowid above ? to the end of
-# its block; one statement per block needs no sort, where a GROUP BY over the table would.
-_BLOCK_BITS = 10
-_SUMMARISE = {
-    kind: f"WITH f(r) AS (SELECT min(rowid) FROM {t.table} WHERE rowid > ?)"
-    f" SELECT min({t.order[0]}), max({t.order[0]}), max(rowid) FROM f, {t.table}"
-    f" WHERE {t.table}.rowid BETWEEN f.r AND f.r | {2**_BLOCK_BITS - 1}"
-    for kind, t in _WINDOW_TABLE.items() if not t.track
-}
+# A window of a kind without a track reads the time range of its table's time index, whose columns are
+# the window order, so the rows come back in order with no sort.
+_WINDOW_INDEX = "".join(
+    f"CREATE INDEX IF NOT EXISTS {t.table}_window ON {t.table} ({', '.join(t.order)});"
+    for t in _WINDOW_TABLE.values() if not t.track
+)
 
 # A track kind's window walks its UNIQUE (originator, time, ...) index: a recursive loose scan lists the
 # originators, one seek each; each one's window is an index range, of which each track keeps the rowid of
@@ -780,7 +741,7 @@ _TRACK_WINDOW = (
 _SELECT_WINDOW = {
     kind: (_TRACK_WINDOW.format(t=t.table, o=t.track[0], time=t.order[0], track=", ".join(t.track))
            if t.track else
-           f"SELECT * FROM {t.table} WHERE rowid BETWEEN ? AND ? AND {t.order[0]} BETWEEN ? AND ?")
+           f"SELECT * FROM {t.table} WHERE {t.order[0]} BETWEEN ? AND ?")
     + f" ORDER BY {', '.join(t.order)}"
     for kind, t in _WINDOW_TABLE.items()
 }

@@ -270,8 +270,9 @@ EPOCH_MS = 20_000  # an epoch's rows lie in its first 8 s
 def test_query_raw_every_kind_matches_full_scan_oracle(tmp_path):
     """Every RawSlice list equals a full scan: time inclusive, haversine within
     the radius, in the kind's documented order.
-    Each kind spans three 1024-rowid blocks: epochs go in out of time order
-    with windows between the inserts, then the store is reopened."""
+    Each kind holds 2400 rows stored in eight batches, epochs out of time
+    order, with windows between the inserts, at single instants, between
+    epochs and past every row, then again after the store is reopened."""
     rng = random.Random(41)
     path = str(tmp_path / "window.db")
     store = SituationStore(path)
@@ -304,10 +305,10 @@ def test_query_raw_every_kind_matches_full_scan_oracle(tmp_path):
             facts += rows_from_envelope(env, receive_time=station)
         for w in range(4):
             check_random_window(w)
-    assert {store.stats()[table] for table in RAW_TABLES} == {2400}  # 3 blocks per kind
+    assert {store.stats()[table] for table in RAW_TABLES} == {2400}
 
     last = max(_window_facts(r)[1] for r in facts)
-    for t_min, t_max in [(T0 - 10_000, T0 - 1), (last + 1, last + 60_000)]:  # meet no block
+    for t_min, t_max in [(T0 - 10_000, T0 - 1), (last + 1, last + 60_000)]:  # before and past every row
         assert not any(_assert_window(store, facts, t_min, t_max, 1e6).values())
     for r in rng.sample(facts, 20):  # single instants
         t = _window_facts(r)[1]
@@ -316,7 +317,7 @@ def test_query_raw_every_kind_matches_full_scan_oracle(tmp_path):
     _assert_window(store, facts, T0, last, 300.0)
 
     store.close()
-    store = SituationStore(path)  # the summary starts again from no block
+    store = SituationStore(path)
     _assert_window(store, facts, T0 + 3 * EPOCH_MS, T0 + 3 * EPOCH_MS + 5000, 600.0)
     for w in range(12):
         check_random_window(w)
@@ -326,14 +327,14 @@ def test_query_raw_every_kind_matches_full_scan_oracle(tmp_path):
 
 
 def test_query_raw_windows_on_block_edges(tmp_path):
-    """Rows in time order, so each rowid block holds its own time span: a
-    window on the first or last row of a block, or on a row added after the
-    last summary, meets that block at its edge."""
+    """Rows in time order, one report per CAM track: a window on a single row
+    finds it, whether it came in with an earlier batch, alone after a window
+    was read, or later, and a two-row window finds both."""
     store = SituationStore(str(tmp_path / "edges.db"))
     rows = [cam_row(n, T0 + 10 * n) for n in range(1, 3001)]  # the n-th row has rowid n
     store.insert_raw(table_rows(rows[:2047]))
     _assert_window(store, rows[:2047], T0, T0 + 10 * 2047, 10.0)
-    store.insert_raw(table_rows(rows[2047:2048]))  # alone past the summary, first of its block
+    store.insert_raw(table_rows(rows[2047:2048]))  # alone, after a window was read
     _assert_window(store, rows[:2048], T0 + 10 * 2048, T0 + 10 * 2048, 10.0)
     store.insert_raw(table_rows(rows[2048:]))
     for n in (1, 1023, 1024, 2047, 2048, 2500, 3000):
@@ -359,7 +360,7 @@ def test_query_raw_includes_rows_another_store_appends(tmp_path):
     rows = _cam_epoch(rng, 0, 1500, 1)
     first.insert_raw(table_rows(rows))
     _assert_window(first, rows, T0, T0 + 4 * EPOCH_MS, 300.0)
-    more = _cam_epoch(rng, 1, 1500, 5000)  # into the partly summarised block and past it
+    more = _cam_epoch(rng, 1, 1500, 5000)
     second.insert_raw(table_rows(more))
     for epoch in (0, 1):
         _assert_window(first, rows + more, T0 + EPOCH_MS * epoch, T0 + EPOCH_MS * epoch + 3000, 300.0)
@@ -400,7 +401,7 @@ def test_query_raw_exact_after_foreign_delete_vacuum_insert(tmp_path):
 def test_a_reader_does_not_block_ingest(tmp_path):
     """A raw connection holding a read transaction neither holds insert_raw
     off nor sees its row before it ends that transaction; a second store that
-    summarised the file before the insert then sees the row in its window."""
+    read a window before the insert then sees the row in its window."""
     path = str(tmp_path / "shared.db")
     store, second = SituationStore(path), SituationStore(path)
     first = [cam_row(1, T0)]
@@ -495,8 +496,8 @@ def test_frame_whose_last_time_is_the_largest_sqlite_integer_stores(store):
 
 
 def test_query_raw_reads_each_tracks_report_nearest_t(tmp_path):
-    """Few tracks with many reports each, stored over several rowid blocks
-    and out of time order: every window equals the nearest-per-track oracle,
+    """Few tracks with many reports each, stored in eight batches, each
+    out of time order: every window equals the nearest-per-track oracle,
     for t inside, on the edges of and outside [t_min, t_max], and for radii
     that leave a track's nearest report outside the circle.  So do windows
     over an empty CAM table (which still names its columns), over the
@@ -560,6 +561,72 @@ def test_track_window_seeks_the_key_index_per_originator(store, kind):
     seek = f"INDEX sqlite_autoindex_{table}_1 (originator=? AND generation_time>? AND generation_time<?)"
     assert any(step.startswith(f"SEARCH {table} USING ") and step.endswith(seek) for step in plan), plan
     assert not any(step.startswith(f"SCAN {table}") for step in plan), plan
+
+
+@pytest.mark.parametrize(
+    "kind", [wire.RecordKind.SPAT, wire.RecordKind.DRIVER_STATE, wire.RecordKind.HAZARD],
+    ids=["SPAT", "DRIVER_STATE", "HAZARD"],
+)
+def test_time_window_reads_the_time_index(store, kind):
+    """A SPaT, driver or hazard window reads the time range of its table's
+    time index, in window order: no scan of the table and no sort."""
+    raw = store_module.RAW_TABLE[kind]
+    sql = store_module._SELECT_WINDOW[kind]
+    plan = [row[3] for row in store._conn.execute("EXPLAIN QUERY PLAN " + sql, (0,) * sql.count("?"))]
+    seek = f"INDEX {raw.table}_window ({raw.order[0]}>? AND {raw.order[0]}<?)"
+    assert any(step.startswith(f"SEARCH {raw.table} USING ") and step.endswith(seek) for step in plan), plan
+    assert not any(step.startswith(f"SCAN {raw.table}") for step in plan), plan
+    assert not any("USE TEMP B-TREE" in step for step in plan), plan
+
+
+def test_store_file_without_time_indexes_gains_them_on_open(tmp_path):
+    """A file made with the table schema alone, as stores were before the
+    time indexes, gets them the first time it is opened; its windows equal
+    the full scan, and opening it again changes nothing."""
+    rng = random.Random(47)
+    path = str(tmp_path / "older.db")
+    facts = [spat_row(rng.randrange(1, 4), rng.randrange(1, 9), T0 + 10 * n) for n in range(300)]
+    facts += [
+        RawDriverState(rng.randrange(1, 6), DriverStateSample(T0 + 7 * n, 1 + n % 5, 3, 70, False),
+                       from_local_enu(CENTER, LocalPoint(rng.uniform(-300, 300), 0.0)), 9, 1)
+        for n in range(300)
+    ]
+    facts += [
+        RawHazard(HazardEvent(rng.choice(list(HazardKind)), T0 + 13 * n,
+                              from_local_enu(CENTER, LocalPoint(0.0, rng.uniform(-300, 300))),
+                              rng.randrange(1, 4)), 9, 1)
+        for n in range(300)
+    ]
+    rng.shuffle(facts)  # each row's time is its own, so no two rows share a key
+    conn = sqlite3.connect(path)
+    conn.executescript(store_module._SCHEMA)
+    for kind, rows in table_rows(facts).items():
+        conn.executemany(store_module._INSERT_RAW[kind], rows)
+    conn.commit()
+    conn.close()
+
+    def window_indexes():
+        conn = sqlite3.connect(path)
+        try:
+            return conn.execute(
+                "SELECT name, sql FROM sqlite_master WHERE name LIKE '%_window' ORDER BY name"
+            ).fetchall()
+        finally:
+            conn.close()
+
+    assert window_indexes() == []
+    store = SituationStore(path)
+    indexes = window_indexes()
+    assert [name for name, _ in indexes] == ["raw_driver_window", "raw_hazard_window", "raw_spat_window"]
+    for _ in range(20):
+        t_min = T0 + rng.randrange(-500, 4500)
+        _assert_window(store, facts, t_min, t_min + rng.choice((0, 10, 300, 2000)), rng.uniform(50, 400))
+    store.close()
+    store = SituationStore(path)
+    assert window_indexes() == indexes
+    assert all(_assert_window(store, facts, T0 - 1, T0 + 5000, 1e6)[kind] for kind in (
+        wire.RecordKind.SPAT, wire.RecordKind.DRIVER_STATE, wire.RecordKind.HAZARD))
+    store.close()
 
 
 CAM_COLUMNS = [
