@@ -9,7 +9,7 @@ ground truth.
 """
 
 from situfuse import ScenarioConfig, SituationStore, fuse_situation, generate, rows_to_csv, score
-from situfuse.metrics import evaluate_situation, handover_summary
+from situfuse.metrics import HANDOVER_NEAR_DISTANCE_M, evaluate_situation, handover_summary
 from situfuse.simgen import NoiseSpec
 
 cfg = ScenarioConfig(
@@ -43,7 +43,8 @@ rows = evaluate_situation(record)
 print(rows_to_csv(rows))
 summary = handover_summary(rows, driver=record.driver, hazards=record.hazards)
 print("handover:", "SUITABLE" if summary.suitable else "UNSUITABLE",
-      f"(min TTI {summary.min_tti_ms} ms, {summary.near_object_count} objects closer than 25 m)")
+      f"(min TTI {summary.min_tti_ms} ms, {summary.near_object_count} objects"
+      f" closer than {HANDOVER_NEAR_DISTANCE_M:g} m)")
 
 print("\n== score against ground truth ==")
 result = score(truth, record)

@@ -32,9 +32,6 @@ from .situation import FusedObject, SituationRecord
 from .fusion import SimilarityThresholds, dedup, fuse_situation
 from .metrics import (
     EvaluationRow,
-    KinematicState,
-    compute_ru,
-    compute_tti,
     evaluate_situation,
     rows_to_csv,
 )
@@ -59,7 +56,6 @@ __all__ = [
     "GroundTruth",
     "HazardEvent",
     "HazardKind",
-    "KinematicState",
     "LocalPoint",
     "MapLane",
     "MapTopology",
@@ -78,8 +74,6 @@ __all__ = [
     "TrafficObjectObservation",
     "VutSensorExtract",
     "color_for",
-    "compute_ru",
-    "compute_tti",
     "decode_batch",
     "dedup",
     "encode_batch",

@@ -213,7 +213,6 @@ def cmd_eval(config: AppConfig, args) -> int:
         driver=record.driver,
         hazards=record.hazards,
         min_tti_threshold_ms=config.handover_min_tti_ms,
-        near_distance_m=config.handover_near_distance_m,
     )
     verdict = "SUITABLE" if summary.suitable else "UNSUITABLE"
     print(

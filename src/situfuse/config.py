@@ -9,7 +9,7 @@ from numbers import Integral, Real
 
 from .fusion import (DEFAULT_MAX_LATERAL_M, DEFAULT_RADIUS_M, DEFAULT_WINDOW_MS, MAX_RADIUS_M,
                      SimilarityThresholds)
-from .metrics import HANDOVER_MIN_TTI_MS, HANDOVER_NEAR_DISTANCE_M
+from .metrics import HANDOVER_MIN_TTI_MS
 from .stressmap import DEFAULT_CAPACITY, DEFAULT_MAX_DEPTH
 
 
@@ -19,8 +19,7 @@ _RETIRED_KEYS = frozenset({"speed_floor_ms", "vda_schedule_ms"})
 _SCALAR_TYPES = {"int": Integral, "StationId": Integral, "float": Real, "str": str,
                  "str | None": (str, type(None))}
 _POSITIVE = ("radius_m", "stress_capacity")
-_NON_NEGATIVE = ("window_ms", "max_lateral_m", "handover_min_tti_ms", "handover_near_distance_m",
-                 "stress_max_depth")
+_NON_NEGATIVE = ("window_ms", "max_lateral_m", "handover_min_tti_ms", "stress_max_depth")
 
 
 def check_scalars(obj, what: str) -> None:
@@ -49,7 +48,6 @@ class AppConfig:
 
     # handover rule
     handover_min_tti_ms: int = HANDOVER_MIN_TTI_MS
-    handover_near_distance_m: float = HANDOVER_NEAR_DISTANCE_M
 
     # stress map
     stress_matrix_path: str | None = None

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geo import EARTH_RADIUS_M, GeoPosition, course_to_unit_vector, to_local_enu_arrays
+from .geo import EARTH_RADIUS_M, course_to_unit_vector, to_local_enu_arrays
 from .messages import (
     DriverStateSample,
     HazardEvent,
@@ -59,17 +59,6 @@ class MissingVutState(LookupError):
     """The situation contains no object identifiable as the VUT."""
 
 
-@dataclass(frozen=True)
-class KinematicState:
-    position: GeoPosition
-    speed: float
-    course: float
-
-    def __post_init__(self):
-        if self.speed < 0:
-            raise ValueError(f"negative speed: {self.speed}")
-
-
 class EvaluationRow(NamedTuple):
     object_id: int
     classification: ObjectClassification
@@ -83,11 +72,14 @@ class EvaluationRow(NamedTuple):
     ru: int | None  # None is the MAX sentinel
 
 
-def _relations(vut: KinematicState, objects) -> list[tuple[float, int, int, int | None]]:
+def _relations(vut: FusedObject, objects) -> list[tuple[float, int, int, int | None]]:
     """(distance, TTI_OBJ, TTI_VUT, RU) of each object relative to ``vut`` in one
     numpy pass, with the scalar formulas' floats: math's sin, cos, asin and hypot
     mapped over lists and haversine's squares as Python ``** 2`` (numpy's differ in
-    the last bit), ``round`` on kept values only; a far object raises RangeExceeded."""
+    the last bit), ``round`` on kept values only.  A negative speed raises ValueError,
+    the VUT's before any object's; then a far object raises RangeExceeded."""
+    if vut.speed < 0:
+        raise ValueError(f"negative speed: {vut.speed}")
     lat, lon, speed, course = np.array(
         [(o.position.lat, o.position.lon, o.speed, o.course) for o in objects], dtype=float
     ).reshape(-1, 4).T
@@ -123,30 +115,6 @@ def _relations(vut: KinematicState, objects) -> list[tuple[float, int, int, int 
     return list(zip(distance.tolist(), tti_obj.tolist(), tti_vut.tolist(), ru.tolist()))
 
 
-def compute_tti(vut: KinematicState, obj: KinematicState) -> tuple[int, int]:
-    """Milliseconds both parties need to reach their path intersection point.
-
-    Returns (-1, -1) whenever that point does not exist in the future of
-    both: parallel or anti-parallel courses, the crossing lying behind either
-    party, or either of them practically standing still.  The -1 values are
-    always paired.
-    """
-    if min(vut.speed, obj.speed) < TTI_SPEED_FLOOR_MS:
-        return (-1, -1)  # without projecting: a standing party has no crossing at any distance
-    ((_, tti_obj, tti_vut, _),) = _relations(vut, [obj])
-    return (tti_obj, tti_vut)
-
-
-def compute_ru(vut: KinematicState, obj: KinematicState) -> int | None:
-    """Milliseconds to contact at the current closing rate, or MAX (None).
-
-    The closing rate is the negative time derivative of the inter-object
-    distance under constant velocities; receding or parallel-moving objects
-    are not closing and yield MAX.
-    """
-    return _relations(vut, [obj])[0][3]
-
-
 def _vut_mark(obj: FusedObject, vut_station: int) -> int:
     """2 when the VUT's own sensors report ``obj``, else 1 when its CAM does, else 0."""
     mark = 0
@@ -171,11 +139,10 @@ def evaluate_situation(s: SituationRecord) -> list[EvaluationRow]:
     if not any(marks):
         raise MissingVutState(f"situation {s.situation_id} has no object of VUT {s.vut}")
     chosen = s.objects[marks.index(max(marks))]
-    vut = KinematicState(position=chosen.position, speed=chosen.speed, course=chosen.course)
     others = [o for o, mark in zip(s.objects, marks) if not mark]
     rows = [
         EvaluationRow(o.fused_id, o.classification, o.position.lat, o.position.lon, o.speed, o.course, *relation)
-        for o, relation in zip(others, _relations(vut, others))
+        for o, relation in zip(others, _relations(chosen, others))
     ]
     rows.sort(key=itemgetter(0))
     return rows
@@ -214,7 +181,6 @@ def handover_summary(
     driver: DriverStateSample | None = None,
     hazards: tuple[HazardEvent, ...] = (),
     min_tti_threshold_ms: int = HANDOVER_MIN_TTI_MS,
-    near_distance_m: float = HANDOVER_NEAR_DISTANCE_M,
 ) -> HandoverSummary:
     """Condense a situation for the handover decision.
 
@@ -229,7 +195,7 @@ def handover_summary(
     suitable = not panic and (min_tti is None or min_tti >= min_tti_threshold_ms)
     return HandoverSummary(
         min_tti_ms=min_tti,
-        near_object_count=sum(1 for r in rows if r.distance_m < near_distance_m),
+        near_object_count=sum(1 for r in rows if r.distance_m < HANDOVER_NEAR_DISTANCE_M),
         hazard_count=len(hazards),
         stress_cell=(driver.valence, driver.arousal) if driver is not None else None,
         suitable=suitable,

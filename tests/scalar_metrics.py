@@ -2,29 +2,41 @@
 
 This is the evaluator that ``metrics.evaluate_situation`` replaced with one
 numpy pass over the situation (``metrics._relations``): ``compute_tti`` and
-``compute_ru`` on one pair of ``KinematicState``s, each projecting the object
-with ``to_local_enu``, and ``evaluate_situation`` calling them object by
-object after finding the VUT with ``is_vut_object``.  The tests use it as the
-oracle that the array pass must match float bit for float bit, and error
-for error.
+``compute_ru`` on one pair of ``KinematicState``s (a state type of this
+module, which refuses a negative speed as the array pass does), each
+projecting the object with ``to_local_enu``, and ``evaluate_situation``
+calling them object by object after finding the VUT with ``is_vut_object``.
+The tests use it as the oracle that the array pass must match float bit for
+float bit, and error for error.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
-from situfuse.geo import course_to_unit_vector, haversine_distance, to_local_enu
+from situfuse.geo import GeoPosition, course_to_unit_vector, haversine_distance, to_local_enu
 from situfuse.messages import ObservationSource
 from situfuse.metrics import (
     RU_CLOSING_FLOOR_MS,
     RU_MAX,
     TTI_SPEED_FLOOR_MS,
     EvaluationRow,
-    KinematicState,
     MissingVutState,
     _PARALLEL_EPS,
 )
 from situfuse.situation import FusedObject, SituationRecord
+
+
+@dataclass(frozen=True)
+class KinematicState:
+    position: GeoPosition
+    speed: float
+    course: float
+
+    def __post_init__(self):
+        if self.speed < 0:
+            raise ValueError(f"negative speed: {self.speed}")
 
 
 def compute_tti(vut: KinematicState, obj: KinematicState) -> tuple[int, int]:

@@ -15,13 +15,7 @@ import pytest
 
 from situfuse.geo import GeoPosition, LocalPoint, from_local_enu
 from situfuse.fusion import DedupStats, dedup, fuse_situation
-from situfuse.metrics import (
-    KinematicState,
-    compute_ru,
-    compute_tti,
-    evaluate_situation,
-    rows_to_csv,
-)
+from situfuse.metrics import evaluate_situation, rows_to_csv
 from situfuse.simgen import NoiseSpec, ScenarioConfig, generate, score
 from situfuse.store import SituationStore, StorageFailure
 from situfuse.stressmap import Bounds, StressMatrix, StressQuadTree, color_for
@@ -34,7 +28,7 @@ from conftest import (
     reference_raw_rows,
     simulated_scene,
 )
-from test_metrics import trilaterate_vut
+from test_metrics import State, trilaterate_vut, tti_ru
 from test_fusion import four_heading_sample, grouping_from_components, grouping_from_fused, random_instance
 from test_store import random_situation
 from test_stressmap import flat_oracle, random_sample
@@ -199,26 +193,26 @@ def test_criterion_06_tti_closed_form(reference_rows):
         vut_local = _behind(crossing, course_vut, dist_vut)
         obj_local = _behind(crossing, course_obj, dist_obj)
         base = from_local_enu(ORIGIN, vut_local)
-        vut = KinematicState(base, speed_vut, course_vut)
-        obj = KinematicState(
+        vut = State(base, speed_vut, course_vut)
+        obj = State(
             from_local_enu(
                 base, LocalPoint(obj_local.east - vut_local.east, obj_local.north - vut_local.north)
             ),
             speed_obj,
             course_obj,
         )
-        tti_obj, tti_vut = compute_tti(vut, obj)
+        tti_obj, tti_vut = tti_ru(vut, obj)[:2]
         assert abs(tti_obj - 1000.0 * dist_obj / speed_obj) <= 1.0, f"trial {trial}"
         assert abs(tti_vut - 1000.0 * dist_vut / speed_vut) <= 1.0, f"trial {trial}"
 
     # degenerate geometries return the paired sentinel
-    vut = KinematicState(vut_position, 10.0, 45.0)
-    parallel = KinematicState(from_local_enu(vut_position, LocalPoint(10, 0)), 5.0, 45.0)
-    anti = KinematicState(from_local_enu(vut_position, LocalPoint(10, 0)), 5.0, 225.0)
-    stationary = KinematicState(from_local_enu(vut_position, LocalPoint(10, 0)), 0.0, 120.0)
-    behind_cross = KinematicState(from_local_enu(vut_position, LocalPoint(-10, 10)), 5.0, 315.0)
+    vut = State(vut_position, 10.0, 45.0)
+    parallel = State(from_local_enu(vut_position, LocalPoint(10, 0)), 5.0, 45.0)
+    anti = State(from_local_enu(vut_position, LocalPoint(10, 0)), 5.0, 225.0)
+    stationary = State(from_local_enu(vut_position, LocalPoint(10, 0)), 0.0, 120.0)
+    behind_cross = State(from_local_enu(vut_position, LocalPoint(-10, 10)), 5.0, 315.0)
     for other in (parallel, anti, stationary, behind_cross):
-        assert compute_tti(vut, other) == (-1, -1)
+        assert tti_ru(vut, other)[:2] == (-1, -1)
 
     # the paired contract holds on every evaluated situation row
     store = SituationStore(":memory:")
@@ -235,7 +229,7 @@ def test_criterion_07_ru_contract():
     # receding objects always yield the MAX sentinel
     for _ in range(200):
         vut_pos = from_local_enu(ORIGIN, LocalPoint(rng.uniform(-50, 50), rng.uniform(-50, 50)))
-        vut = KinematicState(vut_pos, rng.uniform(0, 10), rng.uniform(0, 359.9))
+        vut = State(vut_pos, rng.uniform(0, 10), rng.uniform(0, 359.9))
         # object moving exactly away from the VUT, faster than it
         away = rng.uniform(0, 359.9)
         obj_pos = from_local_enu(
@@ -245,15 +239,15 @@ def test_criterion_07_ru_contract():
                 rng.uniform(5, 80) * math.cos(math.radians(away)),
             ),
         )
-        obj = KinematicState(obj_pos, vut.speed + rng.uniform(0.5, 10.0), away)
-        assert compute_ru(vut, obj) is None
+        obj = State(obj_pos, vut.speed + rng.uniform(0.5, 10.0), away)
+        assert tti_ru(vut, obj)[2] is None
 
     # for fixed geometry, a faster approach is strictly more urgent
-    vut = KinematicState(ORIGIN, 0.0, 0.0)
+    vut = State(ORIGIN, 0.0, 0.0)
     values = []
     for speed in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0):
-        obj = KinematicState(from_local_enu(ORIGIN, LocalPoint(0.0, 120.0)), speed, 180.0)
-        values.append(compute_ru(vut, obj))
+        obj = State(from_local_enu(ORIGIN, LocalPoint(0.0, 120.0)), speed, 180.0)
+        values.append(tti_ru(vut, obj)[2])
     assert all(v is not None for v in values)
     assert all(a > b for a, b in zip(values, values[1:]))
     report(7, "receding objects always MAX; urgency strictly increases with closing rate")

@@ -190,7 +190,8 @@ def test_bad_config_is_user_error(tmp_path, capsys):
         ({"tti_speed_floor_ms": 0.0}, "bad config: unknown config keys: ['tti_speed_floor_ms']"),
         ({"ru_closing_floor_ms": -0.5}, "bad config: unknown config keys: ['ru_closing_floor_ms']"),
         ({"handover_min_tti_ms": -1}, "config 'handover_min_tti_ms' must be >= 0, not -1"),
-        ({"handover_near_distance_m": -1.0}, "config 'handover_near_distance_m' must be >= 0"),
+        ({"handover_near_distance_m": -1.0},
+         "bad config: unknown config keys: ['handover_near_distance_m']"),
         ({"stress_capacity": 0}, "config 'stress_capacity' must be > 0, not 0"),
         ({"stress_max_depth": -1}, "config 'stress_max_depth' must be >= 0, not -1"),
         ({"max_speed_ms": 0.0}, "thresholds must be positive"),
@@ -284,9 +285,7 @@ def test_app_config_defaults_are_the_library_defaults():
     assert (config.window_ms, config.radius_m, config.max_lateral_m) == (
         fusion.DEFAULT_WINDOW_MS, fusion.DEFAULT_RADIUS_M, fusion.DEFAULT_MAX_LATERAL_M
     )
-    assert (config.handover_min_tti_ms, config.handover_near_distance_m) == (
-        metrics.HANDOVER_MIN_TTI_MS, metrics.HANDOVER_NEAR_DISTANCE_M
-    )
+    assert config.handover_min_tti_ms == metrics.HANDOVER_MIN_TTI_MS
     assert (config.stress_capacity, config.stress_max_depth) == (
         stressmap.DEFAULT_CAPACITY, stressmap.DEFAULT_MAX_DEPTH
     )
@@ -295,7 +294,6 @@ def test_app_config_defaults_are_the_library_defaults():
         assert _default(fuse_situation, name) == getattr(config, name), name
     assert _default(fusion.link_lanes, "max_lateral_m") == config.max_lateral_m
     assert _default(metrics.handover_summary, "min_tti_threshold_ms") == config.handover_min_tti_ms
-    assert _default(metrics.handover_summary, "near_distance_m") == config.handover_near_distance_m
     assert _default(stressmap.tree_from_samples, "capacity") == config.stress_capacity
     assert _default(stressmap.tree_from_samples, "max_depth") == config.stress_max_depth
 

@@ -17,13 +17,11 @@ from situfuse.messages import ObjectClassification, ObservationSource
 from situfuse.metrics import (
     RU_CLOSING_FLOOR_MS,
     TTI_SPEED_FLOOR_MS,
-    KinematicState,
-    compute_ru,
-    compute_tti,
     evaluate_situation,
     rows_to_csv,
 )
 from situfuse.situation import FusedObject, ProvenanceEntry, SituationRecord
+from test_metrics import State, pair_situation
 
 VUT = 100
 ORIGINS = [GeoPosition(49.234, 6.98), GeoPosition(-33.9, 151.2), GeoPosition(10.0, 179.9995)]
@@ -162,19 +160,22 @@ def test_edge_geometries_equal_scalar_path(origin):
 
 def test_errors_equal_scalar_path():
     """The first far object in situation order raises RangeExceeded (a slow
-    one too), a negative speed its ValueError, a VUT-less situation
-    MissingVutState: each with the scalar path's message."""
+    one too), a negative speed its ValueError (the VUT's before any other
+    object's error), a VUT-less situation MissingVutState: each with the
+    scalar path's message."""
     origin = ORIGINS[0]
     near = obj(1, from_local_enu(origin, LocalPoint(50.0, 0.0)), 5.0, 0.0)
     slow_far = obj(2, from_local_enu(origin, LocalPoint(0.0, 12_000.0)), 0.0, 0.0)
     fast_far = obj(3, from_local_enu(origin, LocalPoint(15_000.0, 0.0)), 5.0, 0.0)
     vut = obj(VUT, origin, 5.0, 90.0, ObservationSource.VUT_LOCAL_SENSOR)
     backwards = obj(4, from_local_enu(origin, LocalPoint(5.0, 0.0)), -1.0, 0.0)
+    vut_backwards = obj(VUT, origin, -2.0, 90.0, ObservationSource.VUT_LOCAL_SENSOR)
     cases = [
         [near, vut, slow_far, fast_far],
         [fast_far, near, vut, slow_far],
         [vut, near, backwards],
         [near, slow_far],
+        [fast_far, backwards, near, vut_backwards],
     ]
     for objects in cases:
         s = situation(objects)
@@ -183,15 +184,18 @@ def test_errors_equal_scalar_path():
         assert outcome(evaluate_situation, s) == expected
     with pytest.raises(RangeExceeded, match=r"lat=49\.341"):
         evaluate_situation(situation(cases[0]))
+    with pytest.raises(ValueError, match=r"^negative speed: -2\.0$"):
+        evaluate_situation(situation(cases[4]))
 
 
-def test_compute_tti_and_ru_equal_scalar_path():
+def test_two_object_situations_equal_scalar_path():
     rng = random.Random(12)
     for _ in range(2000):
         origin = rng.choice(ORIGINS)
-        a = KinematicState(origin, random_speed(rng), rng.choice([*COURSES, rng.uniform(0, 360)]))
+        a = State(origin, random_speed(rng), rng.choice([*COURSES, rng.uniform(0, 360)]))
         p = from_local_enu(origin, LocalPoint(rng.uniform(-300, 300), rng.uniform(-300, 300)))
         course = rng.choice([a.course, (a.course + 180.0) % 360.0, rng.uniform(0, 360)])
-        b = KinematicState(p if rng.random() < 0.9 else origin, random_speed(rng), course)
-        assert bits(compute_tti(a, b)) == bits(scalar_metrics.compute_tti(a, b))
-        assert bits([compute_ru(a, b)]) == bits([scalar_metrics.compute_ru(a, b)])
+        b = State(p if rng.random() < 0.9 else origin, random_speed(rng), course)
+        s = pair_situation(a, b)
+        expected = scalar_metrics.evaluate_situation(s)
+        assert outcome(evaluate_situation, s) == [bits(r) for r in expected]

@@ -1,5 +1,6 @@
 import math
 import random
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -22,12 +23,9 @@ from situfuse.messages import (
 from situfuse.metrics import (
     CSV_HEADER,
     EvaluationRow,
-    KinematicState,
     MissingVutState,
     RU_CLOSING_FLOOR_MS,
     TTI_SPEED_FLOOR_MS,
-    compute_ru,
-    compute_tti,
     evaluate_situation,
     handover_summary,
     rows_to_csv,
@@ -38,10 +36,28 @@ ORIGIN = GeoPosition(49.234, 6.98)
 T0 = 1_700_000_000_000
 
 
+class State(NamedTuple):
+    position: GeoPosition
+    speed: float
+    course: float
+
+
 def state(east, north, speed, course):
-    return KinematicState(
-        position=from_local_enu(ORIGIN, LocalPoint(east, north)), speed=speed, course=course
-    )
+    return State(from_local_enu(ORIGIN, LocalPoint(east, north)), speed, course)
+
+
+def pair_situation(vut: State, obj: State) -> SituationRecord:
+    """The VUT, reported by its own sensors, at ``vut`` and a detected object at ``obj``."""
+    own = ProvenanceEntry(ObservationSource.VUT_LOCAL_SENSOR, 500, 100)
+    seen = ProvenanceEntry(ObservationSource.CPM_DETECTION, 500, 1)
+    return situation([FusedObject(100, ObjectClassification.PASSENGER_CAR, *vut, (own,)),
+                      FusedObject(1, ObjectClassification.PASSENGER_CAR, *obj, (seen,))])
+
+
+def tti_ru(vut: State, obj: State) -> tuple[int, int, int | None]:
+    """(TTI_OBJ, TTI_VUT, RU) of ``obj`` relative to ``vut``, from ``evaluate_situation``."""
+    ((*_, tti_obj, tti_vut, ru),) = evaluate_situation(pair_situation(vut, obj))
+    return tti_obj, tti_vut, ru
 
 
 def test_tti_crossing_paths_matches_closed_form():
@@ -50,8 +66,8 @@ def test_tti_crossing_paths_matches_closed_form():
     vut = state(0.0, -100.0, 10.0, 0.0)
     obj = state(-50.0, 0.0, 5.0, 90.0)
     # crossing point at the observer's (0, 0): (50 m / 5 m/s, 100 m / 10 m/s)
-    vut_origin = KinematicState(position=vut.position, speed=10.0, course=0.0)
-    tti_obj, tti_vut = compute_tti(vut_origin, obj)
+    vut_origin = State(vut.position, 10.0, 0.0)
+    tti_obj, tti_vut = tti_ru(vut_origin, obj)[:2]
     assert abs(tti_obj - 10000) <= 1
     assert abs(tti_vut - 10000) <= 1
 
@@ -59,50 +75,46 @@ def test_tti_crossing_paths_matches_closed_form():
 def test_tti_parallel_is_minus_one():
     vut = state(0.0, 0.0, 10.0, 45.0)
     obj = state(10.0, 0.0, 8.0, 45.0)
-    assert compute_tti(vut, obj) == (-1, -1)
+    assert tti_ru(vut, obj)[:2] == (-1, -1)
     anti = state(10.0, 0.0, 8.0, 225.0)
-    assert compute_tti(vut, anti) == (-1, -1)
+    assert tti_ru(vut, anti)[:2] == (-1, -1)
 
 
 def test_tti_stationary_is_minus_one():
     vut = state(0.0, 0.0, 10.0, 0.0)
     obj = state(10.0, 10.0, 0.0, 90.0)
-    assert compute_tti(vut, obj) == (-1, -1)
-    assert compute_tti(obj, vut) == (-1, -1)
+    assert tti_ru(vut, obj)[:2] == (-1, -1)
+    assert tti_ru(obj, vut)[:2] == (-1, -1)
 
 
 def test_tti_party_below_the_floor_is_minus_one():
     # an object 0.0005 deg north-east of a northbound VUT, on a crossing
     # course: below TTI_SPEED_FLOOR_MS, even at the smallest subnormal speed,
     # nothing divides by its speed
-    vut = KinematicState(ORIGIN, 10.0, 0.0)
+    vut = State(ORIGIN, 10.0, 0.0)
     position = GeoPosition(ORIGIN.lat + 0.0005, ORIGIN.lon + 0.0005)
     for speed in (0.0, 5e-324, math.nextafter(TTI_SPEED_FLOOR_MS, 0.0)):
-        obj = KinematicState(position, speed, 270.0)
-        assert compute_tti(vut, obj) == (-1, -1)
-        assert compute_tti(obj, vut) == (-1, -1)
-    assert -1 not in compute_tti(vut, KinematicState(position, TTI_SPEED_FLOOR_MS, 270.0))
+        obj = State(position, speed, 270.0)
+        assert tti_ru(vut, obj)[:2] == (-1, -1)
+        assert tti_ru(obj, vut)[:2] == (-1, -1)
+    assert -1 not in tti_ru(vut, State(position, TTI_SPEED_FLOOR_MS, 270.0))[:2]
 
 
-def test_tti_of_a_standing_party_is_minus_one_at_any_distance():
-    # 20 km lies beyond the projection's range: a standing party needs no
-    # projection, while RU, which always projects, refuses the pair
+def test_a_party_beyond_the_projection_range_is_refused():
+    # 20 km lies beyond the projection's range: evaluation always projects,
+    # so a standing party there is refused as a moving one is
     far = from_local_enu(ORIGIN, LocalPoint(0.0, 20_000.0))
-    vut = KinematicState(ORIGIN, 10.0, 0.0)
-    standing = KinematicState(far, 0.0, 180.0)
-    assert compute_tti(vut, standing) == (-1, -1)
-    assert compute_tti(KinematicState(far, 0.0, 0.0), KinematicState(ORIGIN, 10.0, 0.0)) == (-1, -1)
-    with pytest.raises(RangeExceeded):
-        compute_ru(vut, standing)
-    with pytest.raises(RangeExceeded):
-        compute_tti(vut, KinematicState(far, 5.0, 180.0))
+    vut = State(ORIGIN, 10.0, 0.0)
+    for speed in (0.0, 5.0):
+        with pytest.raises(RangeExceeded):
+            tti_ru(vut, State(far, speed, 180.0))
 
 
 def test_tti_crossing_behind_is_minus_one():
     # Paths cross 50 m behind the observer.
     vut = state(0.0, 50.0, 10.0, 0.0)
     obj = state(-50.0, 0.0, 5.0, 90.0)
-    assert compute_tti(vut, obj) == (-1, -1)
+    assert tti_ru(vut, obj)[:2] == (-1, -1)
 
 
 def test_tti_minus_one_always_paired():
@@ -110,7 +122,7 @@ def test_tti_minus_one_always_paired():
     for _ in range(500):
         vut = state(rng.uniform(-200, 200), rng.uniform(-200, 200), rng.uniform(0, 20), rng.uniform(0, 359.9))
         obj = state(rng.uniform(-200, 200), rng.uniform(-200, 200), rng.uniform(0, 20), rng.uniform(0, 359.9))
-        tti_obj, tti_vut = compute_tti(vut, obj)
+        tti_obj, tti_vut = tti_ru(vut, obj)[:2]
         assert (tti_obj == -1) == (tti_vut == -1)
         if tti_obj != -1:
             assert tti_obj >= 0 and tti_vut >= 0
@@ -125,8 +137,8 @@ def test_tti_translation_invariance():
         obj_a = state(e, n, 6.0, 200.0)
         vut_b = state(0.0 + de, -80.0 + dn, 8.0, 10.0)
         obj_b = state(e + de, n + dn, 6.0, 200.0)
-        a = compute_tti(vut_a, obj_a)
-        b = compute_tti(vut_b, obj_b)
+        a = tti_ru(vut_a, obj_a)[:2]
+        b = tti_ru(vut_b, obj_b)[:2]
         for x, y in zip(a, b):
             if x == -1 or y == -1:
                 assert x == y
@@ -137,11 +149,11 @@ def test_tti_translation_invariance():
 def test_tti_scaling_halves_with_double_speed():
     vut = state(0.0, -100.0, 5.0, 0.0)
     obj = state(-60.0, 0.0, 4.0, 90.0)
-    base = compute_tti(vut, obj)
-    double = compute_tti(
-        KinematicState(vut.position, vut.speed * 2, vut.course),
-        KinematicState(obj.position, obj.speed * 2, obj.course),
-    )
+    base = tti_ru(vut, obj)[:2]
+    double = tti_ru(
+        State(vut.position, vut.speed * 2, vut.course),
+        State(obj.position, obj.speed * 2, obj.course),
+    )[:2]
     assert base != (-1, -1)
     assert abs(double[0] - base[0] / 2) <= 1
     assert abs(double[1] - base[1] / 2) <= 1
@@ -151,27 +163,27 @@ def test_ru_head_on_closing():
     # 50 m apart, closing at a combined 10 m/s
     vut = state(0.0, 0.0, 5.0, 0.0)
     obj = state(0.0, 50.0, 5.0, 180.0)
-    assert compute_ru(vut, obj) == 5000
+    assert tti_ru(vut, obj)[2] == 5000
 
 
 def test_ru_receding_is_max():
     vut = state(0.0, 0.0, 5.0, 180.0)
     obj = state(0.0, 50.0, 5.0, 0.0)
-    assert compute_ru(vut, obj) is None
+    assert tti_ru(vut, obj)[2] is None
 
 
 def test_ru_zero_relative_velocity_is_max():
     vut = state(0.0, 0.0, 7.0, 90.0)
     obj = state(0.0, 30.0, 7.0, 90.0)
-    assert compute_ru(vut, obj) is None
+    assert tti_ru(vut, obj)[2] is None
 
 
 def test_ru_closing_at_or_below_the_floor_is_max():
     # head-on towards a standing VUT, the closing rate is the object's speed
     vut = state(0.0, 0.0, 0.0, 0.0)
     for speed in (5e-324, 0.04):
-        assert compute_ru(vut, state(0.0, 100.0, speed, 180.0)) is None
-    assert compute_ru(vut, state(0.0, 100.0, 2 * RU_CLOSING_FLOOR_MS, 180.0)) is not None
+        assert tti_ru(vut, state(0.0, 100.0, speed, 180.0))[2] is None
+    assert tti_ru(vut, state(0.0, 100.0, 2 * RU_CLOSING_FLOOR_MS, 180.0))[2] is not None
 
 
 def test_ru_monotone_in_closing_rate():
@@ -179,7 +191,7 @@ def test_ru_monotone_in_closing_rate():
     previous = None
     for speed in (1.0, 2.0, 4.0, 8.0, 16.0):
         obj = state(0.0, 100.0, speed, 180.0)
-        ru = compute_ru(KinematicState(vut.position, 0.0, 0.0), obj)
+        ru = tti_ru(State(vut.position, 0.0, 0.0), obj)[2]
         assert ru is not None
         if previous is not None:
             assert ru < previous
