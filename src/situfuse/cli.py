@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import socket
 import sys
 import time
@@ -325,7 +326,12 @@ def main(argv=None) -> int:
         print(f"error: bad config: {e}", file=sys.stderr)
         return EXIT_USER
     try:
-        return args.run(config, args)
+        status = args.run(config, args)
+        sys.stdout.flush()  # a reader that closed stdout fails here, not at exit
+        return status
+    except BrokenPipeError:  # stdout's reader left early, as ``| head`` does: stop quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (NoVutFix, LookupError, FileNotFoundError, wire.WireError, ValueError) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_USER

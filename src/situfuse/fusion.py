@@ -295,18 +295,11 @@ def _merge_groups(c: ObservationColumns, labels: np.ndarray) -> list[FusedObject
 # --- linking ------------------------------------------------------------------
 
 
-def join_topology(topo: MapTopology, spats: Sequence[tuple], t: int) -> MapTopology:
-    """Set each lane's phase from its signal group's SPaT nearest to t (of two
-    equally near, the earlier), UNKNOWN without one.  ``spats`` are raw_spat
-    rows, as a window returns them."""
-    by_group: dict[int, tuple[int, int]] = {}  # signal group -> (generation time, phase)
-    for intersection, group, phase, _, generated, *_ in spats:
-        kept = by_group.get(group)
-        if intersection == topo.intersection_id and (
-            kept is None or (abs(generated - t), generated) < (abs(kept[0] - t), kept[0])
-        ):
-            by_group[group] = generated, phase
-    phases = {group: SignalPhase(phase) for group, (_, phase) in by_group.items()}
+def join_topology(topo: MapTopology, spats: Sequence[tuple]) -> MapTopology:
+    """Set each lane's phase from its signal group's SPaT row, UNKNOWN without
+    one.  ``spats`` are raw_spat rows of the topology's intersection, one per
+    signal group, as a window returns them."""
+    phases = {group: SignalPhase(phase) for _, group, phase, *_ in spats}
     return replace(topo, lanes=tuple(
         replace(lane, phase=phases.get(lane.signal_group, SignalPhase.UNKNOWN)) for lane in topo.lanes
     ))
@@ -403,14 +396,12 @@ def _predict(c: ObservationColumns, t: int) -> ObservationColumns:
 
 
 def _nearest_topology(store: SituationStore, center: GeoPosition, radius_m: float):
-    best = None
-    for topo in store.topologies():
-        d = min(
-            min(haversine_distance(center, p) for p in lane.polyline) for lane in topo.lanes
-        )
-        if d <= radius_m and (best is None or d < best[0]):
-            best = (d, topo)
-    return best[1] if best else None
+    """The topology with a lane point nearest center, if within radius_m; of equally near, the first."""
+    def distance(topo: MapTopology) -> float:
+        return min(haversine_distance(center, p) for lane in topo.lanes for p in lane.polyline)
+
+    best = min(store.topologies(), key=distance, default=None)
+    return best if best is not None and distance(best) <= radius_m else None
 
 
 def fuse_situation(
@@ -426,7 +417,8 @@ def fuse_situation(
 
     The situation is the one at t: each CAM and CPM track's report nearest t
     in the window (``query_raw``) and the VUT's own fix are dead-reckoned to t
-    at constant velocity (``_predict``) before dedup.
+    at constant velocity (``_predict``) before dedup; lanes take each signal
+    group's SPaT nearest t, and the driver is the VUT's sample nearest t.
     Rerunning on identical store content produces an identical record except
     for the situation identifier.  Raises ValueError for a t outside
     0..MAX_TIME_MS, the times a record can carry, a radius_m outside
@@ -441,22 +433,19 @@ def fuse_situation(
     if fix is None:
         raise NoVutFix(f"no GNSS fix of VUT {vut} within {VUT_FIX_TOLERANCE_MS} ms of {t}")
     center = fix.extract.gnss
+    topo = _nearest_topology(store, center, radius_m)
 
-    window = store.query_raw(t, t - window_ms, t + window_ms, center, radius_m)
+    window = store.query_raw(t, t - window_ms, t + window_ms, center, radius_m, vut,
+                             topo.intersection_id if topo else None)
     blocks = (
         *_window_observations(window.cams, window.cpm_detections),
         _vut_observation(store, vut, fix),
     )
     objects = dedup(_predict(ObservationColumns(*map(np.concatenate, zip(*blocks))), t), th)
 
-    topo = _nearest_topology(store, center, radius_m)
-    topology = join_topology(topo, window.spats.rows, t) if topo else None
+    topology = join_topology(topo, window.spats.rows) if topo else None
     objects = link_lanes(objects, topology, max_lateral_m)
-
-    # the VUT's driver row nearest t; of two equally near, the earlier
-    own = (r for r in window.driver_rows.rows if r[0] == vut)
-    nearest = min(own, key=lambda r: (abs(r[1] - t), r[1]), default=None)
-    driver = driver_from_columns(nearest[1:6]) if nearest else None
+    driver = next((driver_from_columns(r[1:6]) for r in window.driver_rows.rows), None)
 
     hazards = tuple(map(hazard_from_columns, window.hazard_rows.rows))
 

@@ -3,12 +3,12 @@
 Raw aggregated data and fused situations live in separate table families.
 Raw tables are append-only: nothing here deletes or updates a raw row, and
 re-ingesting a message that is already present (same message key) is silently
-skipped, so ingestion is idempotent.  A CAM or CPM window seeks the table's
-message-key index, originator first: one seek per distinct originator in the
-table plus the window's entries, so it gains as the reports per track in the
-window grow.  A SPaT, driver or hazard window reads its table's time index and
-costs the index entries in its time range.  A situation is written in a single
-transaction: either all of its child rows land or none do.
+skipped, so ingestion is idempotent.  Every read of "the row at t" (of a CAM
+or CPM track, a signal group of one intersection, the VUT's fixes and driver
+samples) seeks the table's message-key index once per track, inside the key if
+any, and each track keeps its row nearest t.  A hazard window reads its table's
+time index.  A situation is written in a single transaction: either all of its
+child rows land or none do.
 
 A file store runs in sqlite's write-ahead-log mode with ``synchronous`` at its
 WAL default, FULL: each frame, situation or topology is one transaction whose
@@ -63,9 +63,8 @@ class StorageFailure(Exception):
 
 # --- raw row types ----------------------------------------------------------
 #
-# ``wire.raw_rows`` builds the table rows from payloads.  A window returns
-# them as rows (RawColumns); the typed rows below are what the VUT-fix and
-# driver-sample reads and ``aggregators.backend_dedup`` take.
+# ``wire.raw_rows`` builds the table rows from payloads.  A window returns them as rows (RawColumns);
+# the VUT-fix reads and ``driver_samples`` return the typed rows below, and ``backend_dedup`` takes them.
 
 
 # The column lists a raw table shares with its situation copy, each declared
@@ -200,8 +199,8 @@ class RawSlice:
 
     cams: RawColumns
     cpm_detections: RawColumns
-    spats: RawColumns
-    driver_rows: RawColumns
+    spats: RawColumns  # the chosen intersection's only
+    driver_rows: RawColumns  # the VUT's only: none or one
     hazard_rows: RawColumns
 
     def __len__(self) -> int:
@@ -409,57 +408,54 @@ class SituationStore:
 
     # -- raw queries ---------------------------------------------------------
 
-    def query_raw(self, t: int, t_min: int, t_max: int, center: GeoPosition, radius_m: float) -> RawSlice:
-        """The raw rows of the kinds a situation fuses (CAM, CPM, SPaT, driver,
-        hazard) inside [t_min, t_max] (inclusive) and the given circle.  Of a
-        CAM or CPM track (``RawTable.track``) only the row nearest t is read,
-        of two equally near the earlier, and none 2**63 ms or more from t; the
-        circle is then tested at that row's stored position.  A fetched row's
-        position out of range raises GeoPosition's ValueError."""
+    def query_raw(self, t: int, t_min: int, t_max: int, center: GeoPosition, radius_m: float,
+                  vut: StationId, intersection: int | None) -> RawSlice:
+        """The raw rows of the kinds a situation fuses inside [t_min, t_max]
+        (inclusive): each CAM or CPM track's, each signal group's of the
+        intersection (none if it is None) and the VUT's driver row nearest t
+        (``_read``), and every hazard, of which those in the given circle at
+        their stored position are kept.  A fetched row's position out of range
+        raises GeoPosition's ValueError."""
         if t_min > t_max:
             raise ValueError(f"t_min {t_min} > t_max {t_max}")
-        bounds = _sql_range(t_min, t_max)
-        near = _sql_range(max(t_min, t - _SQL_INT_MAX), min(t_max, t + _SQL_INT_MAX))
+        keys = {wire.RecordKind.SPAT: intersection, wire.RecordKind.DRIVER_STATE: vut}
         lists = {}
         # one read transaction: the five windows see one snapshot
         with self._lock, self._conn:
             self._conn.execute("BEGIN")
             for kind, raw in _WINDOW_TABLE.items():
-                if raw.track:  # a t past sqlite's integers lies past every row, as its clamp does
-                    args = (*(near or (1, 0)), *(_sql_int(t),) * 2)
-                else:
-                    args = bounds or (1, 0)  # no row, but the column names
-                cur = self._conn.execute(_SELECT_WINDOW[kind], args)
-                rows = _in_area(cur.fetchall(), raw.lat_column, center, radius_m)
-                lists[raw.slice_list] = RawColumns([d[0] for d in cur.description], rows)
+                read = self._read(kind, t, t_min, t_max, keys.get(kind))
+                rows = _in_area(read.rows, raw.lat_column, center, radius_m)
+                lists[raw.slice_list] = RawColumns(read.names, rows)
         return RawSlice(**lists)
 
-    def vut_fix_near(self, vut: StationId, t: int, tolerance_ms: int) -> RawVutSensor | None:
-        """The VUT sensor row closest to t within the tolerance, or None; of
-        two equally near, the earlier."""
-        if _sql_range(vut, vut) is None:  # no row holds a key sqlite cannot bind
-            return None
+    def _read(self, kind: wire.RecordKind, t: int, t_min: int, t_max: int, key=None) -> RawColumns:
+        """The kind's rows in [t_min, t_max] (inclusive), in its order: of a
+        kind with a key only that key's (none if it is None); of a kind with a
+        track each track's row nearest t, of two equally near the earlier, and
+        none 2**63 ms or more from t."""
+        raw = RAW_TABLE[kind]
+        if raw.track:  # a t past sqlite's integers lies past every row, as its clamp does
+            t_min, t_max = max(t_min, t - _SQL_INT_MAX), min(t_max, t + _SQL_INT_MAX)
+        if raw.key and (key is None or _sql_range(key, key) is None):  # no row holds it
+            t_min, t_max, key = 1, 0, 0
+        lo, hi = _sql_range(t_min, t_max) or (1, 0)  # no row, but the column names
         with self._lock:
-            row = self._conn.execute(
-                "SELECT * FROM raw_vut_sensor WHERE station = ?"
-                " AND timestamp_ms BETWEEN ? AND ?"
-                " ORDER BY ABS(timestamp_ms - ?), timestamp_ms LIMIT 1",
-                (vut, _sql_int(t - tolerance_ms), _sql_int(t + tolerance_ms), _sql_int(t)),
-            ).fetchone()
-        return _row_to_vut(row) if row else None
+            cur = self._conn.execute(_SELECT_WINDOW[kind], {"lo": lo, "hi": hi, "t": _sql_int(t), "key": key})
+            return RawColumns([d[0] for d in cur.description], cur.fetchall())
+
+    def _vut_fix(self, vut: StationId, t: int, t_min: int, t_max: int) -> RawVutSensor | None:
+        return next(map(_row_to_vut, self._read(wire.RecordKind.VUT_SENSOR, t, t_min, t_max, vut).rows), None)
+
+    def vut_fix_near(self, vut: StationId, t: int, tolerance_ms: int) -> RawVutSensor | None:
+        """The VUT sensor row nearest t within the tolerance, or None; of two
+        equally near, the earlier."""
+        return self._vut_fix(vut, t, t - tolerance_ms, t + tolerance_ms)
 
     def vut_fixes(self, vut: StationId, t_min: int, t_max: int) -> RawVutSensor | None:
-        """The VUT's latest sensor row in [t_min, t_max], or None."""
-        bounds = _sql_range(t_min, t_max)
-        if bounds is None or _sql_range(vut, vut) is None:
-            return None
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT * FROM raw_vut_sensor WHERE station = ?"
-                " AND timestamp_ms BETWEEN ? AND ? ORDER BY timestamp_ms DESC LIMIT 1",
-                (vut, *bounds),
-            ).fetchone()
-        return _row_to_vut(row) if row else None
+        """The VUT's latest sensor row in [t_min, t_max], or None: the row
+        nearest t_max cut to sqlite's integers, so none 2**63 ms or more below."""
+        return self._vut_fix(vut, _sql_int(t_max), t_min, t_max)
 
     def environment_candidates(self, t: int) -> list[EnvironmentSample]:
         """Samples whose validity window contains t, regardless of area."""
@@ -619,12 +615,9 @@ class SituationStore:
 
     def stats(self) -> dict[str, int]:
         """Row counts per raw table plus the situation total."""
-        out = {}
         with self._lock:
-            for table in RAW_TABLES + ("situation",):
-                (n,) = self._conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()
-                out[table] = n
-        return out
+            return {table: self._conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
+                    for table in RAW_TABLES + ("situation",)}
 
 
 def _in_area(rows: list[tuple], lat: int, center: GeoPosition, radius_m: float) -> list[tuple]:
@@ -680,17 +673,18 @@ def hazard_from_columns(cols) -> HazardEvent:
 
 class RawTable(NamedTuple):
     """One raw record kind's table; its insert statement derives from it, and
-    so do the window statements and time indexes of the kinds a window reads."""
+    so do the read statements and time index of the kinds read by time."""
 
     table: str
     width: int  # column count
-    # window kinds only: the window's ORDER BY, the time the window bounds and
-    # then the rest of the table's UNIQUE key, so windows are in one total order;
-    # for a kind without a track also the columns of its time index
+    # kinds read by time only: a read's ORDER BY, the time it bounds and then
+    # the rest of the table's UNIQUE key, so reads are in one total order; for
+    # a kind without a track also the columns of its time index
     order: tuple[str, ...] = ()
     lat_column: int = 0  # index of the lat column; lon is the next one
     slice_list: str = ""  # the RawSlice list a window fills
-    track: tuple[str, ...] = ()  # if set, a window reads each track's row nearest t; track[0] leads the key
+    track: tuple[str, ...] = ()  # if set, a read keeps each track's row nearest t; track[0] leads the key
+    key: str = ""  # if set, a read is bound to one value of this column, which leads the key before track[0]
 
 
 RAW_TABLE: dict[wire.RecordKind, RawTable] = {
@@ -702,11 +696,14 @@ RAW_TABLE: dict[wire.RecordKind, RawTable] = {
         ("originator", "object_id"),
     ),
     wire.RecordKind.SPAT: RawTable(
-        "raw_spat", 9, ("generation_time", "intersection_id", "signal_group"), 5, "spats"
+        "raw_spat", 9, ("generation_time", "intersection_id", "signal_group"), 5, "spats",
+        ("signal_group",), "intersection_id",
     ),
-    wire.RecordKind.VUT_SENSOR: RawTable("raw_vut_sensor", 24),  # vut_fix_near, vut_fixes
+    wire.RecordKind.VUT_SENSOR: RawTable(  # vut_fix_near, vut_fixes
+        "raw_vut_sensor", 24, ("timestamp_ms", "station"), track=("station",), key="station"
+    ),
     wire.RecordKind.DRIVER_STATE: RawTable(
-        "raw_driver", 10, ("timestamp_ms", "station"), 6, "driver_rows"
+        "raw_driver", 10, ("timestamp_ms", "station"), 6, "driver_rows", ("station",), "station"
     ),
     wire.RecordKind.ENVIRONMENT: RawTable("raw_environment", 17),  # environment_candidates
     wire.RecordKind.HAZARD: RawTable(
@@ -719,29 +716,30 @@ _INSERT_RAW = {
     kind: f"INSERT OR IGNORE INTO {t.table} VALUES ({', '.join('?' * t.width)})"
     for kind, t in RAW_TABLE.items()
 }
-# A window of a kind without a track reads the time range of its table's time index, whose columns are
-# the window order, so the rows come back in order with no sort.
-_WINDOW_INDEX = "".join(
+# A hazard window reads the time range of its table's time index, whose columns are the window order, so
+# the rows come back in order with no sort.  Stores from before SPaT and driver reads were keyed lose theirs.
+_WINDOW_INDEX = "DROP INDEX IF EXISTS raw_spat_window; DROP INDEX IF EXISTS raw_driver_window;" + "".join(
     f"CREATE INDEX IF NOT EXISTS {t.table}_window ON {t.table} ({', '.join(t.order)});"
     for t in _WINDOW_TABLE.values() if not t.track
 )
 
-# A track kind's window walks its UNIQUE (originator, time, ...) index: a recursive loose scan lists the
-# originators, one seek each; each one's window is an index range, of which each track keeps the rowid of
-# its row nearest t, the least (|time - t|, time > t), as the bare column of the query's one min(), in
-# HAVING.  The key is one integer, and the -2**62 keeps it inside 64 bits for |time - t| < 2**63, where
-# sqlite would turn it into an inexact REAL.  Only the kept rows are then read, by rowid.
+# A track kind's read walks its UNIQUE ([key,] track[0], time, ...) index: a recursive loose scan lists the
+# track[0] values inside the key, one seek each; each one's time range is an index range, of which each track
+# keeps the rowid of its row nearest t, the least (|time - t|, time > t), as the bare column of the query's
+# one min(), in HAVING.  The rank is one integer, and the -2**62 keeps it inside 64 bits for |time - t| <
+# 2**63, where sqlite would turn it into an inexact REAL.  Only the kept rows are then read, by rowid.
 _TRACK_WINDOW = (
-    "WITH RECURSIVE k(x) AS (SELECT min({o}) FROM {t} UNION ALL"
-    " SELECT (SELECT min({o}) FROM {t} WHERE {o} > x) FROM k WHERE x NOT NULL),"
-    " p(r) AS (SELECT {t}.rowid FROM k CROSS JOIN {t} WHERE {o} = x AND {time} BETWEEN ? AND ?"
-    " GROUP BY {track} HAVING min((abs({time} - ?) - %d) * 2 + ({time} > ?)) NOT NULL)"
+    "WITH RECURSIVE k(x) AS (SELECT min({o}) FROM {t} WHERE {key} UNION ALL"
+    " SELECT (SELECT min({o}) FROM {t} WHERE {key} AND {o} > x) FROM k WHERE x NOT NULL),"
+    " p(r) AS (SELECT {t}.rowid FROM k CROSS JOIN {t} WHERE {key} AND {o} = x AND {time} BETWEEN :lo AND :hi"
+    " GROUP BY {track} HAVING min((abs({time} - :t) - %d) * 2 + ({time} > :t)) NOT NULL)"
     " SELECT {t}.* FROM p CROSS JOIN {t} ON {t}.rowid = r" % 2**62
 )
 _SELECT_WINDOW = {
-    kind: (_TRACK_WINDOW.format(t=t.table, o=t.track[0], time=t.order[0], track=", ".join(t.track))
+    kind: (_TRACK_WINDOW.format(t=t.table, o=t.track[0], time=t.order[0], track=", ".join(t.track),
+                                key=f"{t.key} = :key" if t.key else "1")
            if t.track else
-           f"SELECT * FROM {t.table} WHERE {t.order[0]} BETWEEN ? AND ?")
+           f"SELECT * FROM {t.table} WHERE {t.order[0]} BETWEEN :lo AND :hi")
     + f" ORDER BY {', '.join(t.order)}"
-    for kind, t in _WINDOW_TABLE.items()
+    for kind, t in RAW_TABLE.items() if t.order
 }

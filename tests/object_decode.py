@@ -325,7 +325,7 @@ def _table_row(row: RawRow) -> tuple[RecordKind, tuple]:
     raise TypeError(f"not a raw row: {type(row).__name__}")
 
 
-# window kind -> a table row in column order as its typed row
+# read kind -> a table row in column order as its typed row
 _TYPED_ROW = {
     RecordKind.CAM_EXTRACT: lambda r: RawCam(
         CamExtract(r[0], r[1], GeoPosition(r[2], r[3]), r[4], r[5], ObjectClassification(r[6])),
@@ -338,6 +338,13 @@ _TYPED_ROW = {
     RecordKind.SPAT: lambda r: RawSpat(
         SpatExtract(r[0], r[1], SignalPhase(r[2]), r[3]), r[4], GeoPosition(r[5], r[6]), r[7], r[8]
     ),
+    RecordKind.VUT_SENSOR: lambda r: RawVutSensor(r[0], VutSensorExtract(
+        timestamp=r[1], brake_actuated=bool(r[2]), abs_active=bool(r[3]), panic_braking=bool(r[4]),
+        clutch_pressed=bool(r[5]), gear=r[6], door_positions=tuple(map(DoorState, r[7:11])),
+        exterior_lights=ExteriorLight(r[11]), gnss=GeoPosition(r[12], r[13]), speed=r[14],
+        accel_longitudinal=r[15], accel_lateral=r[16], rain_intensity=r[17], wiper_active=bool(r[18]),
+        yaw_rate=r[19], steering_wheel_angle=r[20], steering_wheel_velocity=r[21],
+    ), r[22], r[23]),
     RecordKind.DRIVER_STATE: lambda r: RawDriverState(
         r[0], DriverStateSample(*r[1:5], bool(r[5])), GeoPosition(r[6], r[7]), r[8], r[9]
     ),
@@ -348,8 +355,8 @@ _TYPED_ROW = {
 
 
 def typed_rows(kind: RecordKind, rows) -> list[RawRow]:
-    """Window rows of one kind (``RawColumns.rows``) as typed rows: the
-    inverse of ``table_rows`` for the kinds a window reads."""
+    """Table rows of one kind (as ``RawColumns.rows`` holds them) as typed
+    rows: the inverse of ``table_rows`` for the kinds the store reads by time."""
     return [_TYPED_ROW[kind](r) for r in rows]
 
 

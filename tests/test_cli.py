@@ -1,11 +1,15 @@
 import dataclasses
 import inspect
 import json
+import os
 import signal
 import socket
 import sqlite3
 import struct
+import subprocess
+import sys
 import threading
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -136,6 +140,29 @@ def test_store_closes_when_the_with_body_raises(workdir, monkeypatch):
 def test_eval_unknown_situation_is_user_error(workdir, capsys):
     _, config, _, _ = workdir
     assert run("--config", config, "eval", "--situation", "99") == EXIT_USER
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_eval_into_a_closed_pipe_exits_quietly(workdir, reference_rows, unbuffered):
+    """`situfuse eval --situation 1 | head -1`: a stdout whose reader has
+    gone ends the command with exit 0 and nothing on stderr, whether the
+    write that finds it closed comes while the command prints or when the
+    output is flushed at the end."""
+    tmp_path, config, _, _ = workdir
+    with SituationStore(json.loads(Path(config).read_text())["store_path"]) as store:
+        store.insert_raw(reference_raw_rows(reference_rows))
+        fuse_situation(REFERENCE_VUT, REFERENCE_T0, store)
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the first write
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "situfuse.cli", "--config", config, "eval", "--situation", "1"],
+            stdout=write, stderr=subprocess.PIPE, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "PYTHONUNBUFFERED": unbuffered},
+        )
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (EXIT_OK, b"")
 
 
 BEYOND_SQL_INT = "99999999999999999999"

@@ -64,9 +64,11 @@ def _assert_same_record(cfg, store, t):
 @pytest.mark.parametrize("seed", [42, 7])
 @pytest.mark.parametrize("hz", [1.0, 10.0])
 def test_fuse_situation_equals_typed_path(seed, hz):
-    """Every offset {0, +100, +500} ms from an emission instant."""
+    """Every offset {0, +100, +500} ms from an emission instant, and +50 ms,
+    where no report is stamped, so each track's pick leans on the window
+    bound and on the tie rule."""
     cfg, _, store = simulated_scene(seed, hz, hz)
-    for offset in (0, 100, 500):
+    for offset in (0, 50, 100, 500):
         record = _assert_same_record(cfg, store, cfg.start_time_ms + 5000 + offset)
         sources = {e.source for o in record.objects for e in o.provenance}
         assert sources == set(ObservationSource)
@@ -195,7 +197,7 @@ def test_link_lanes_equals_scalar_linking():
             for line in points
         ]
         lanes.append(replace(lanes[0], lane_id=rng.randrange(1, 9)))
-        topology = join_topology(MapTopology(1, tuple(lanes)), [], T0)
+        topology = join_topology(MapTopology(1, tuple(lanes)), [])
         objects = [
             merge_columns([obs(k, east=rng.uniform(-60, 60), north=rng.uniform(-60, 60))])
             for k in range(rng.randrange(0, 40))

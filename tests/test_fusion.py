@@ -533,36 +533,22 @@ def spat_raw(group, t, phase):
 
 def test_join_topology_without_spat_is_unknown():
     topo = MapTopology(1, (lane(1, 3), lane(2, 4, heading_east=False)))
-    joined = join_topology(topo, [], T0)
+    joined = join_topology(topo, [])
     assert all(l.phase is SignalPhase.UNKNOWN for l in joined.lanes)
 
 
 def test_join_topology_applies_group_phase():
     topo = MapTopology(1, (lane(1, 3), lane(2, 4, heading_east=False)))
-    joined = join_topology(topo, [spat_raw(3, T0 - 100, SignalPhase.GREEN)], T0)
+    joined = join_topology(topo, [spat_raw(3, T0 - 100, SignalPhase.GREEN)])
     assert joined.lanes[0].phase is SignalPhase.GREEN
     assert joined.lanes[1].phase is SignalPhase.UNKNOWN
 
 
-def test_join_topology_nearest_spat_wins():
-    topo = MapTopology(1, (lane(1, 3),))
-    spats = [spat_raw(3, T0 - 100, SignalPhase.RED), spat_raw(3, T0 + 50, SignalPhase.GREEN)]
-    assert join_topology(topo, spats, T0).lanes[0].phase is SignalPhase.GREEN
-    assert join_topology(topo, list(reversed(spats)), T0).lanes[0].phase is SignalPhase.GREEN
-
-
-def test_join_topology_tie_takes_the_earlier_spat():
-    """Of two SPaTs of one group equally near t, the earlier sets the phase."""
-    topo = MapTopology(1, (lane(1, 3),))
-    spats = [spat_raw(3, T0 - 60, SignalPhase.RED), spat_raw(3, T0 + 60, SignalPhase.GREEN)]
-    assert join_topology(topo, spats, T0).lanes[0].phase is SignalPhase.RED
-    assert join_topology(topo, list(reversed(spats)), T0).lanes[0].phase is SignalPhase.RED
-
-
 @pytest.mark.parametrize("seed", range(20))
 def test_join_topology_changes_only_each_lanes_phase(seed):
-    """Random lanes, some already phased, and SPaT rows: the lanes come back in
-    order, each equal to its input lane but for the phase the typed join picks."""
+    """Random lanes, some already phased, and a SPaT row for some signal
+    groups: the lanes come back in order, each equal to its input lane but for
+    the phase the typed join gives it."""
     rng = random.Random(seed)
     topo = MapTopology(rng.choice([1, 2]), tuple(
         replace(lane(rng.randrange(1, 50), rng.randrange(1, 6), rng.random() < 0.5),
@@ -570,37 +556,37 @@ def test_join_topology_changes_only_each_lanes_phase(seed):
         for _ in range(rng.randrange(0, 8))
     ))
     spats = [
-        RawSpat(SpatExtract(1, rng.randrange(1, 6), rng.choice(list(SignalPhase)), T0 + 9000),
+        RawSpat(SpatExtract(topo.intersection_id, group, rng.choice(list(SignalPhase)), T0 + 9000),
                 T0 + rng.randrange(-500, 500), CENTER, 9, 1)
-        for _ in range(rng.randrange(0, 12))
+        for group in rng.sample(range(1, 6), rng.randrange(0, 6))
     ]
-    joined = join_topology(topo, table_rows(spats)[RecordKind.SPAT], T0)
+    joined = join_topology(topo, table_rows(spats).get(RecordKind.SPAT, []))
     assert joined.intersection_id == topo.intersection_id
     assert [replace(l, phase=SignalPhase.UNKNOWN) for l in joined.lanes] == [
         replace(l, phase=SignalPhase.UNKNOWN) for l in topo.lanes
     ]
-    assert joined == join_topology_typed(topo, spats, T0)
+    assert joined == join_topology_typed(topo, spats)
 
 
 # --- lane linking ------------------------------------------------------------------
 
 
 def test_link_lane_on_centerline():
-    topo = join_topology(MapTopology(1, (lane(1, 3),)), [], T0)
+    topo = join_topology(MapTopology(1, (lane(1, 3),)), [])
     on_lane = [merge_columns([obs(1, east=30.0, north=0.0, course=90.0)])]
     linked = link_lanes(on_lane, topo)
     assert linked[0].lane_id == 1
 
 
 def test_link_lane_far_object_unlinked():
-    topo = join_topology(MapTopology(1, (lane(1, 3),)), [], T0)
+    topo = join_topology(MapTopology(1, (lane(1, 3),)), [])
     away = [merge_columns([obs(1, east=30.0, north=50.0)])]
     assert link_lanes(away, topo)[0].lane_id is None
 
 
 def test_link_lane_tie_breaks_to_lower_id():
     duplicate = MapTopology(1, (lane(2, 3), lane(1, 3)))
-    topo = join_topology(duplicate, [], T0)
+    topo = join_topology(duplicate, [])
     linked = link_lanes([merge_columns([obs(1, east=30.0, north=0.0)])], topo)
     assert linked[0].lane_id == 1
 
@@ -795,7 +781,9 @@ def test_fused_situation_holds_at_every_100_ms_of_a_scene(cam_hz, cpm_hz):
     for k in range(10, 91):
         t = cfg.start_time_ms + 100 * k
         record = fuse_situation(cfg.vut_station, t, store)
-        window = store.query_raw(t, t - DEFAULT_WINDOW_MS, t + DEFAULT_WINDOW_MS, record.center, record.radius_m)
+        window = store.query_raw(
+            t, t - DEFAULT_WINDOW_MS, t + DEFAULT_WINDOW_MS, record.center, record.radius_m, cfg.vut_station, None
+        )
         observed = {VUT_OBJECT_ID} | {stations[s] for s in window.cams.column("originator").tolist()}
         observed |= {d - CAMERA_TRACK_OFFSET for d in window.cpm_detections.column("object_id").tolist()}
         inside = {

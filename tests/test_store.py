@@ -133,22 +133,22 @@ def test_query_raw_reads_only_the_fused_kinds(store):
         cam_row(1, T0), RawVutSensor(100, make_vut_extract(T0, CENTER), 100, 1),
         RawEnvironment(sample, reporter=42, receive_time=1),
     ]))
-    window = store.query_raw(T0, T0 - 10, T0 + 10, CENTER, 1000.0)
+    window = store.query_raw(T0, T0 - 10, T0 + 10, CENTER, 1000.0, 100, None)
     assert set(vars(window)) == {"cams", "cpm_detections", "spats", "driver_rows", "hazard_rows"}
     assert len(window) == len(window.cams) == 1
 
 
 def test_query_raw_time_boundaries_inclusive(store):
     store.insert_raw(table_rows([cam_row(1, T0), cam_row(2, T0 + 100)]))
-    out = store.query_raw(T0, T0, T0 + 100, CENTER, 1000.0)
+    out = store.query_raw(T0, T0, T0 + 100, CENTER, 1000.0, 100, None)
     assert out.cams.column("originator").tolist() == [1, 2]
-    out = store.query_raw(T0, T0 + 1, T0 + 99, CENTER, 1000.0)
+    out = store.query_raw(T0, T0 + 1, T0 + 99, CENTER, 1000.0, 100, None)
     assert out.cams.rows == []
 
 
 def test_query_raw_rejects_inverted_interval(store):
     with pytest.raises(ValueError):
-        store.query_raw(T0, T0, T0 - 1, CENTER, 10.0)
+        store.query_raw(T0, T0, T0 - 1, CENTER, 10.0, 100, None)
 
 
 def test_query_raw_matches_full_scan_oracle(store):
@@ -168,7 +168,7 @@ def test_query_raw_matches_full_scan_oracle(store):
         t_min = T0 + rng.randrange(0, 8000)
         t_max = t_min + rng.randrange(0, 3000)
         radius = rng.uniform(50, 600)
-        got = store.query_raw(t_min, t_min, t_max, CENTER, radius)
+        got = store.query_raw(t_min, t_min, t_max, CENTER, radius, 100, None)
         expected = {
             r.cam.originator
             for r in rows
@@ -189,7 +189,7 @@ def test_query_raw_orders_hazards_by_their_whole_key(store):
     rng.shuffle(rows)
     for row in rows:  # one insert each, so the rowids follow the shuffle
         store.insert_raw(table_rows([row]))
-    got = store.query_raw(T0, T0, T0 + 10, CENTER, 10.0)
+    got = store.query_raw(T0, T0, T0 + 10, CENTER, 10.0, 100, None)
     expected = sorted(rows, key=lambda r: (r.event.timestamp, r.event.source, int(r.event.kind)))
     assert rows != expected and got.hazard_rows.rows == table_rows(expected)[wire.RecordKind.HAZARD]
 
@@ -220,46 +220,71 @@ def _window_facts(row) -> tuple[wire.RecordKind, int, GeoPosition, tuple]:
 
 
 def _track(row):
-    """The track a CAM or CPM row reports on; None for the kinds whose windows keep every row."""
+    """(key, track) of a row that a read keeps only if nearest t: a CAM or CPM
+    track (no key), a signal group of its intersection, a station's own
+    sensor or driver rows; None for hazards, whose windows keep every row."""
     if isinstance(row, RawCam):
-        return row.cam.originator
+        return None, row.cam.originator
     if isinstance(row, RawCpmDetection):
-        return row.originator, row.detection.object_id
+        return None, (row.originator, row.detection.object_id)
+    if isinstance(row, RawSpat):
+        return row.spat.intersection_id, row.spat.signal_group
+    if isinstance(row, (RawVutSensor, RawDriverState)):
+        return row.station, row.station
     return None
 
 
-def _window_oracle(facts, t, t_min, t_max, radius) -> dict[wire.RecordKind, list]:
-    """The full-scan window: per kind a window reads (a RawSlice list), the
-    typed rows with time in [t_min, t_max]; of CAM and CPM rows only each
-    track's row nearest t (of two equally near the earlier, and none 2**63 ms
-    or more from t); then the rows haversine within the radius, in the
-    documented order."""
-    picked = {kind: {} for kind, raw in store_module.RAW_TABLE.items() if raw.slice_list}
+def _picks(facts, t, t_min, t_max, keys) -> dict[wire.RecordKind, list]:
+    """The full-scan read of each kind the store reads by time: the typed rows
+    with time in [t_min, t_max]; of a kind with tracks only the rows of its
+    key in ``keys`` (none without one), and of those each track's row nearest
+    t (of two equally near the earlier, and none 2**63 ms or more from t).
+    Per kind, (rank, order, position, row) in the documented order."""
+    picked = {kind: {} for kind, raw in store_module.RAW_TABLE.items() if raw.order}
     for r in facts:
         kind, time, position, order = _window_facts(r)
-        track, rank = _track(r), (abs(time - t), time)
+        tracked, rank = _track(r), (abs(time - t), time)
         if kind not in picked or not t_min <= time <= t_max:
             continue
-        if track is None:
+        if tracked is None:
             picked[kind][order] = (rank, order, position, r)
-        elif rank[0] < 2**63 and (track not in picked[kind] or rank < picked[kind][track][0]):
-            picked[kind][track] = (rank, order, position, r)
+        elif tracked[0] == keys.get(kind) and rank[0] < 2**63 and (
+            tracked[1] not in picked[kind] or rank < picked[kind][tracked[1]][0]
+        ):
+            picked[kind][tracked[1]] = (rank, order, position, r)
+    return {kind: sorted(hits.values(), key=lambda h: h[1]) for kind, hits in picked.items()}
+
+
+def _window_oracle(facts, t, t_min, t_max, radius, vut=None, intersection=None) -> dict[wire.RecordKind, list]:
+    """The full-scan window, per kind a window reads (a RawSlice list): the
+    picks (_picks, with the intersection's SPaT rows and the VUT's driver
+    rows) that lie haversine within the radius; no driver row without a VUT
+    and no SPaT row without an intersection."""
+    keys = {wire.RecordKind.SPAT: intersection, wire.RecordKind.DRIVER_STATE: vut}
+    picks = _picks(facts, t, t_min, t_max, keys)
     return {
-        kind: [r for _, _, position, r in sorted(hits.values(), key=lambda h: h[1])
-               if haversine_distance(CENTER, position) <= radius]
-        for kind, hits in picked.items()
+        kind: [r for _, _, position, r in picks[kind] if haversine_distance(CENTER, position) <= radius]
+        for kind, raw in store_module.RAW_TABLE.items() if raw.slice_list
     }
 
 
-def _assert_window(store, facts, t_min, t_max, radius, t=None) -> dict[wire.RecordKind, list]:
+def _keys_of(row) -> dict:
+    """The query_raw keys under which a window reads a SPaT or driver row."""
+    if isinstance(row, RawSpat):
+        return {"intersection": row.spat.intersection_id}
+    return {"vut": row.station} if isinstance(row, RawDriverState) else {}
+
+
+def _assert_window(store, facts, t_min, t_max, radius, t=None, vut=None, intersection=None):
     """The window's rows of each kind equal the table rows of the full scan's
-    typed rows; t is the window's middle unless given."""
+    typed rows; t is the window's middle unless given.  Returns the oracle's
+    rows by kind."""
     t = (t_min + t_max) // 2 if t is None else t
-    got = store.query_raw(t, t_min, t_max, CENTER, radius)
-    expected = _window_oracle(facts, t, t_min, t_max, radius)
+    got = store.query_raw(t, t_min, t_max, CENTER, radius, vut, intersection)
+    expected = _window_oracle(facts, t, t_min, t_max, radius, vut, intersection)
     for kind, rows in expected.items():
         got_rows = getattr(got, store_module.RAW_TABLE[kind].slice_list).rows
-        assert got_rows == table_rows(rows).get(kind, []), (t, t_min, t_max, radius, kind)
+        assert got_rows == table_rows(rows).get(kind, []), (t, t_min, t_max, radius, vut, intersection, kind)
     assert len(got) == sum(map(len, expected.values()))
     return expected
 
@@ -272,7 +297,10 @@ def test_query_raw_every_kind_matches_full_scan_oracle(tmp_path):
     the radius, in the kind's documented order.
     Each kind holds 2400 rows stored in eight batches, epochs out of time
     order, with windows between the inserts, at single instants, between
-    epochs and past every row, then again after the store is reopened."""
+    epochs and past every row, then again after the store is reopened.  A
+    random window reads the SPaT rows of an intersection and the driver rows
+    of a station that have a row in its time range and circle, at a random
+    time and again at that driver row's time."""
     rng = random.Random(41)
     path = str(tmp_path / "window.db")
     store = SituationStore(path)
@@ -285,8 +313,17 @@ def test_query_raw_every_kind_matches_full_scan_oracle(tmp_path):
         t_max = t_min + rng.randrange(30_000)
         radius = rng.uniform(50.0, 800.0)
         t = rng.randrange(t_min - 1000, t_max + 1001)
-        for kind, rows in _assert_window(store, facts, t_min, t_max, radius, t).items():
-            seen[store_module.RAW_TABLE[kind].slice_list] += len(rows)
+        inside = [
+            r for r in facts if isinstance(r, (RawSpat, RawDriverState))
+            and t_min <= _window_facts(r)[1] <= t_max and haversine_distance(CENTER, _window_facts(r)[2]) <= radius
+        ]
+        spats, drivers = ([r for r in inside if isinstance(r, kind)] for kind in (RawSpat, RawDriverState))
+        spat, driver = (rng.choice(rows) if rows else None for rows in (spats, drivers))
+        keys = dict(intersection=spat and spat.spat.intersection_id, vut=driver and driver.station)
+        # then again at the driver row's time, where the read keeps that row
+        for at in (t, driver.sample.timestamp) if driver else (t,):
+            for kind, rows in _assert_window(store, facts, t_min, t_max, radius, at, **keys).items():
+                seen[store_module.RAW_TABLE[kind].slice_list] += len(rows)
 
     for epoch in epochs:
         for kind in wire.RecordKind:
@@ -312,7 +349,7 @@ def test_query_raw_every_kind_matches_full_scan_oracle(tmp_path):
         assert not any(_assert_window(store, facts, t_min, t_max, 1e6).values())
     for r in rng.sample(facts, 20):  # single instants
         t = _window_facts(r)[1]
-        _assert_window(store, facts, t, t, 1e6)
+        _assert_window(store, facts, t, t, 1e6, **_keys_of(r))
     _assert_window(store, facts, T0 + 8000, T0 + EPOCH_MS - 1, 1e6)  # between two epochs
     _assert_window(store, facts, T0, last, 300.0)
 
@@ -469,10 +506,10 @@ def test_time_bounds_beyond_sqlite_integers_are_clamped(store):
         cam_row(1, top - 5), RawVutSensor(100, make_vut_extract(top - 10, CENTER), 100, 1),
     ]))
     for t, cams in ((top - 5, [top - 5]), (top + 10**6, [top - 5]), (2**64, [])):  # 2**63 + 6 from t
-        window = store.query_raw(t, top - 5, top + 10**6, CENTER, 10.0)
+        window = store.query_raw(t, top - 5, top + 10**6, CENTER, 10.0, 100, None)
         assert window.cams.column("generation_time").tolist() == cams
-    assert len(store.query_raw(top + 1, top + 1, 2**64, CENTER, 10.0)) == 0
-    assert len(store.query_raw(-(2**63), -(2**64), -(2**63) - 1, CENTER, 10.0)) == 0
+    assert len(store.query_raw(top + 1, top + 1, 2**64, CENTER, 10.0, 100, None)) == 0
+    assert len(store.query_raw(-(2**63), -(2**64), -(2**63) - 1, CENTER, 10.0, 100, None)) == 0
     assert store.vut_fix_near(100, top + 5, tolerance_ms=20).extract.timestamp == top - 10
     assert store.vut_fix_near(100, top + 5, tolerance_ms=10) is None
     assert store.vut_fixes(100, top - 10, 2**64).extract.timestamp == top - 10
@@ -490,7 +527,7 @@ def test_frame_whose_last_time_is_the_largest_sqlite_integer_stores(store):
     env = wire.decode_batch(frame)
     assert wire.encode_batch(env) == frame
     assert store.insert_envelope(env, receive_time=1) == 2
-    window = store.query_raw(last, last - 50, last, CENTER, 1.0)
+    window = store.query_raw(last, last - 50, last, CENTER, 1.0, 100, 4)
     assert window.cams.column("generation_time").tolist() == [last - 50]
     assert [(r[4], r[3]) for r in window.spats.rows] == [(last, last)]  # generation, change time
 
@@ -534,7 +571,7 @@ def test_query_raw_reads_each_tracks_report_nearest_t(tmp_path):
     store = SituationStore(str(tmp_path / "originators.db"))
     facts = [cpm_row(o, 1, T0 + dt) for o in (0, 5) for dt in (-200, 300)]
     store.insert_raw(table_rows(facts))
-    window = store.query_raw(T0, T0 - 500, T0 + 500, CENTER, 10.0)
+    window = store.query_raw(T0, T0 - 500, T0 + 500, CENTER, 10.0, 100, None)
     assert window.cams.names == CAM_COLUMNS and window.cams.column("originator").tolist() == []
     assert len(_assert_window(store, facts, T0 - 500, T0 + 500, 10.0, T0)[wire.RecordKind.CPM_DETECTION]) == 2
     extremes = (-(2**63), 0, 2**63 - 1)
@@ -551,38 +588,58 @@ def test_query_raw_reads_each_tracks_report_nearest_t(tmp_path):
     store.close()
 
 
+def _plan(store, kind) -> list[str]:
+    """The query plan steps of a kind's read statement."""
+    sql = "EXPLAIN QUERY PLAN " + store_module._SELECT_WINDOW[kind]
+    return [row[3] for row in store._conn.execute(sql, dict.fromkeys(("lo", "hi", "t", "key"), 0))]
+
+
 @pytest.mark.parametrize("kind", [wire.RecordKind.CAM_EXTRACT, wire.RecordKind.CPM_DETECTION])
 def test_track_window_seeks_the_key_index_per_originator(store, kind):
     """A CAM or CPM window reads its table through the UNIQUE key index, one
     (originator, time range) seek per originator, and never scans the table."""
     table = store_module.RAW_TABLE[kind].table
-    sql = store_module._SELECT_WINDOW[kind]
-    plan = [row[3] for row in store._conn.execute("EXPLAIN QUERY PLAN " + sql, (0,) * sql.count("?"))]
+    plan = _plan(store, kind)
     seek = f"INDEX sqlite_autoindex_{table}_1 (originator=? AND generation_time>? AND generation_time<?)"
     assert any(step.startswith(f"SEARCH {table} USING ") and step.endswith(seek) for step in plan), plan
     assert not any(step.startswith(f"SCAN {table}") for step in plan), plan
 
 
-@pytest.mark.parametrize(
-    "kind", [wire.RecordKind.SPAT, wire.RecordKind.DRIVER_STATE, wire.RecordKind.HAZARD],
-    ids=["SPAT", "DRIVER_STATE", "HAZARD"],
-)
+@pytest.mark.parametrize("kind", [wire.RecordKind.HAZARD], ids=["HAZARD"])
 def test_time_window_reads_the_time_index(store, kind):
-    """A SPaT, driver or hazard window reads the time range of its table's
-    time index, in window order: no scan of the table and no sort."""
+    """A hazard window reads the time range of its table's time index, in
+    window order: no scan of the table and no sort."""
     raw = store_module.RAW_TABLE[kind]
-    sql = store_module._SELECT_WINDOW[kind]
-    plan = [row[3] for row in store._conn.execute("EXPLAIN QUERY PLAN " + sql, (0,) * sql.count("?"))]
+    plan = _plan(store, kind)
     seek = f"INDEX {raw.table}_window ({raw.order[0]}>? AND {raw.order[0]}<?)"
     assert any(step.startswith(f"SEARCH {raw.table} USING ") and step.endswith(seek) for step in plan), plan
     assert not any(step.startswith(f"SCAN {raw.table}") for step in plan), plan
     assert not any("USE TEMP B-TREE" in step for step in plan), plan
 
 
+@pytest.mark.parametrize(
+    "kind", [wire.RecordKind.SPAT, wire.RecordKind.VUT_SENSOR, wire.RecordKind.DRIVER_STATE],
+    ids=["SPAT", "VUT_SENSOR", "DRIVER_STATE"],
+)
+def test_keyed_read_searches_the_unique_index(store, kind):
+    """A SPaT, VUT-sensor or driver read seeks its table's UNIQUE index inside
+    the key on every step: one (key, track, time range) seek per track of the
+    key, and no scan of the table."""
+    raw = store_module.RAW_TABLE[kind]
+    unique = f"INDEX sqlite_autoindex_{raw.table}_1 ("
+    plan = _plan(store, kind)
+    seeks = [step for step in plan if step.startswith(f"SEARCH {raw.table} USING ") and unique in step]
+    equal = "".join(f"{c}=? AND " for c in dict.fromkeys((raw.key, *raw.track)))
+    assert any(step.endswith(f"({equal}{raw.order[0]}>? AND {raw.order[0]}<?)") for step in seeks), plan
+    assert all(f"({raw.key}=?" in step for step in seeks) and len(seeks) == 3, plan
+    assert not any(step.startswith(f"SCAN {raw.table}") for step in plan), plan
+
+
 def test_store_file_without_time_indexes_gains_them_on_open(tmp_path):
-    """A file made with the table schema alone, as stores were before the
-    time indexes, gets them the first time it is opened; its windows equal
-    the full scan, and opening it again changes nothing."""
+    """A file made when SPaT and driver windows read time indexes holds
+    raw_spat_window and raw_driver_window but not raw_hazard_window.  The
+    first open drops the two and creates the hazard one, keeping every row,
+    and its windows equal the full scan; opening it again changes nothing."""
     rng = random.Random(47)
     path = str(tmp_path / "older.db")
     facts = [spat_row(rng.randrange(1, 4), rng.randrange(1, 9), T0 + 10 * n) for n in range(300)]
@@ -600,33 +657,43 @@ def test_store_file_without_time_indexes_gains_them_on_open(tmp_path):
     rng.shuffle(facts)  # each row's time is its own, so no two rows share a key
     conn = sqlite3.connect(path)
     conn.executescript(store_module._SCHEMA)
+    conn.execute("CREATE INDEX raw_spat_window ON raw_spat (generation_time, intersection_id, signal_group)")
+    conn.execute("CREATE INDEX raw_driver_window ON raw_driver (timestamp_ms, station)")
     for kind, rows in table_rows(facts).items():
         conn.executemany(store_module._INSERT_RAW[kind], rows)
     conn.commit()
     conn.close()
 
-    def window_indexes():
+    def read(sql):
         conn = sqlite3.connect(path)
         try:
-            return conn.execute(
-                "SELECT name, sql FROM sqlite_master WHERE name LIKE '%_window' ORDER BY name"
-            ).fetchall()
+            return conn.execute(sql).fetchall()
         finally:
             conn.close()
 
-    assert window_indexes() == []
+    def tables():
+        return {table: sorted(read(f"SELECT * FROM {table}")) for table in RAW_TABLES}
+
+    def window_indexes():
+        return [name for (name,) in read("SELECT name FROM sqlite_master WHERE name LIKE '%_window' ORDER BY name")]
+
+    rows = tables()
+    assert window_indexes() == ["raw_driver_window", "raw_spat_window"]
     store = SituationStore(path)
-    indexes = window_indexes()
-    assert [name for name, _ in indexes] == ["raw_driver_window", "raw_hazard_window", "raw_spat_window"]
     for _ in range(20):
         t_min = T0 + rng.randrange(-500, 4500)
-        _assert_window(store, facts, t_min, t_min + rng.choice((0, 10, 300, 2000)), rng.uniform(50, 400))
+        _assert_window(store, facts, t_min, t_min + rng.choice((0, 10, 300, 2000)), rng.uniform(50, 400),
+                       vut=rng.randrange(1, 6), intersection=rng.randrange(1, 4))
     store.close()
+    assert window_indexes() == ["raw_hazard_window"]
+    assert tables() == rows
+    schema = read("SELECT *, (SELECT schema_version FROM pragma_schema_version) FROM sqlite_master")
     store = SituationStore(path)
-    assert window_indexes() == indexes
-    assert all(_assert_window(store, facts, T0 - 1, T0 + 5000, 1e6)[kind] for kind in (
+    assert read("SELECT *, (SELECT schema_version FROM pragma_schema_version) FROM sqlite_master") == schema
+    assert all(_assert_window(store, facts, T0 - 1, T0 + 5000, 1e6, vut=3, intersection=2)[kind] for kind in (
         wire.RecordKind.SPAT, wire.RecordKind.DRIVER_STATE, wire.RecordKind.HAZARD))
     store.close()
+    assert tables() == rows
 
 
 CAM_COLUMNS = [
@@ -662,11 +729,85 @@ def test_query_raw_pick_is_exact(store, t, offsets, window_ms, picked):
     more from t is not read."""
     rows = [cam_row(1, t + d) for d in offsets] + [cpm_row(9, 4, t + d) for d in offsets]
     store.insert_raw(table_rows(rows))
-    window = store.query_raw(t, t - window_ms, t + window_ms, CENTER, 10.0)
+    window = store.query_raw(t, t - window_ms, t + window_ms, CENTER, 10.0, 100, None)
     expected = [] if picked is None else [t + picked]
     for kind_rows in (window.cams, window.cpm_detections):
         assert kind_rows.column("generation_time").tolist() == expected
     _assert_window(store, rows, t - window_ms, t + window_ms, 10.0, t)
+
+
+def test_spat_read_takes_each_groups_row_nearest_t():
+    """Of a signal group's SPaT rows, stored in either order, a window keeps
+    the one nearest t; the rows of another intersection are not read."""
+    rows = [spat_row(1, 3, T0 - 100), spat_row(1, 3, T0 + 50), spat_row(1, 4, T0 - 20), spat_row(2, 3, T0)]
+    for stored in (rows, rows[::-1]):
+        with SituationStore() as store:
+            for row in stored:  # one insert each, so the rowids follow the order
+                store.insert_raw(table_rows([row]))
+            window = store.query_raw(T0, T0 - 500, T0 + 500, CENTER, 10.0, 100, 1)
+            assert [(r[1], r[4]) for r in window.spats.rows] == [(4, T0 - 20), (3, T0 + 50)]
+
+
+def test_spat_read_tie_takes_the_earlier_row():
+    """Of two SPaT rows of one group equally near t, a window keeps the earlier."""
+    rows = [spat_row(1, 3, T0 - 60), spat_row(1, 3, T0 + 60)]
+    for stored in (rows, rows[::-1]):
+        with SituationStore() as store:
+            for row in stored:
+                store.insert_raw(table_rows([row]))
+            for t, kept in ((T0, T0 - 60), (T0 + 1, T0 + 60)):
+                window = store.query_raw(t, t - 500, t + 500, CENTER, 10.0, 100, 1)
+                assert [r[4] for r in window.spats.rows] == [kept]
+
+
+def test_keyed_reads_equal_a_full_scan_pick_then_circle(tmp_path):
+    """Random SPaT, VUT-sensor and driver histories under the keys -2**63, 0,
+    3, 7 and 2**63 - 1, on a 10 ms grid so that ties are common, with rows at
+    both ends of sqlite's integers, stored in shuffled batches: each SPaT and
+    driver window equals a full scan that picks each track's row of the key
+    nearest t (of two equally near the earlier, none 2**63 ms or more from
+    t) and then tests the circle, and so do vut_fix_near and vut_fixes
+    without the circle.  Times, bounds and keys reach past sqlite's integers,
+    and the intersection may be None."""
+    rng = random.Random(48)
+    keys = (-(2**63), 0, 3, 7, 2**63 - 1)
+    edges = (-(2**63), -(2**63) + 10, 2**63 - 11, 2**63 - 1)
+
+    def place():
+        return from_local_enu(CENTER, LocalPoint(rng.uniform(-300, 300), rng.uniform(-300, 300)))
+
+    facts = []
+    for key in keys:
+        for time in rng.sample(range(T0 - 3000, T0 + 3000, 10), 80) + list(edges):
+            facts.append(RawSpat(SpatExtract(key, rng.randrange(1, 4), SignalPhase.RED, 0), time, place(), 9, 1))
+        for time in rng.sample(range(T0 - 3000, T0 + 3000, 10), 40) + list(edges):
+            facts.append(RawDriverState(key, DriverStateSample(time, 1 + time % 5, 3), place(), 9, 1))
+        for time in rng.sample(range(T0 - 3000, T0 + 3000, 10), 40) + list(edges):
+            facts.append(RawVutSensor(key, make_vut_extract(time, place()), 9, 1))
+    rng.shuffle(facts)
+    store = SituationStore(str(tmp_path / "keyed.db"))
+    for k in range(0, len(facts), 200):
+        store.insert_raw(table_rows(facts[k : k + 200]))
+
+    vut_kind = wire.RecordKind.VUT_SENSOR
+    for _ in range(300):
+        t = rng.choice((
+            T0 + 5 * rng.randrange(-700, 700), rng.choice(edges) + rng.randrange(-25, 26), 2**63 + 5, -(2**63) - 5,
+        ))
+        t_min = t - rng.choice((0, 10, 500, 4000, 2**62, 2**64))
+        t_max = t + rng.choice((0, 10, 500, 4000, 2**62, 2**64))
+        vut, intersection = rng.choice(keys + (5, 2**63)), rng.choice(keys + (None, 5, -(2**64)))
+        _assert_window(store, facts, t_min, t_max, rng.choice((100.0, 300.0, 1e6)), t, vut, intersection)
+
+        tolerance = rng.choice((0, 10, 500, 2**64))
+        near = _picks(facts, t, t - tolerance, t + tolerance, {vut_kind: vut})[vut_kind]
+        assert store.vut_fix_near(vut, t, tolerance) == (near[0][3] if near else None), (vut, t, tolerance)
+        latest = [
+            r for r in facts if isinstance(r, RawVutSensor) and r.station == vut
+            and t_min <= r.extract.timestamp <= t_max and min(t_max, 2**63 - 1) - r.extract.timestamp < 2**63
+        ]
+        assert store.vut_fixes(vut, t_min, t_max) == max(latest, key=lambda r: r.extract.timestamp, default=None)
+    store.close()
 
 
 def test_vut_fix_near(store):

@@ -1,14 +1,16 @@
 """Reference fusion path: one typed object per window row.
 
 This is the path that ``fuse_situation`` replaced with numpy columns from
-the window to dedup: each CAM and CPM track's report nearest t, picked from a
-full scan of the time window and kept inside the circle
-(``nearest_reports``) -> ``observation_from_cam``/``observations_from_cpm``
--> each observation and the VUT's own dead-reckoned to t (``predict``) ->
-``dedup`` on the observation list -> per-object, per-lane ``link_lanes``,
-with the window's SPaT, driver and hazard rows typed too
-(``object_decode.typed_rows``) and joined to the topology by
-``join_topology_typed``.  It also keeps the scalar
+the window to dedup: the VUT's fix and each CAM and CPM track's report
+nearest t, picked in Python from a full scan of the time window and kept
+inside the circle (``nearest_rows``) -> ``observation_from_cam``/
+``observations_from_cpm`` -> each observation and the VUT's own
+dead-reckoned to t (``predict``) -> ``dedup`` on the observation list ->
+per-object, per-lane ``link_lanes``, with each signal group's SPaT row and
+the VUT's driver sample picked the same way, the time window's hazard rows in
+the circle read by a full scan and typed too (``object_decode.typed_rows``),
+and the SPaT rows joined to the topology by ``join_topology_typed``.  It reads nothing through the store's
+window or VUT-fix reads, so it is their oracle.  It also keeps the scalar
 similarity check ``is_similar`` (with ``angular_difference``), the scalar
 ``merge_group_scalar`` and the window query, none of which the package has
 any more.  The tests use them as the oracles the column path
@@ -35,6 +37,7 @@ from situfuse.geo import (
     course_to_unit_vector,
     from_local_enu,
     haversine_distance,
+    initial_bearing,
     normalize_course,
     to_local_enu,
 )
@@ -66,31 +69,57 @@ def query_window(
     radius_m: float = fusion.DEFAULT_RADIUS_M,
 ) -> RawSlice:
     """All raw data around the VUT at time t; fails without a nearby VUT fix."""
-    fix = store.vut_fix_near(vut, t, fusion.VUT_FIX_TOLERANCE_MS)
-    if fix is None:
-        raise fusion.NoVutFix(f"no GNSS fix of VUT {vut} near {t}")
-    return store.query_raw(t, t - window_ms, t + window_ms, fix.extract.gnss, radius_m)
+    fix = _fix_near(store, vut, t)
+    topo = fusion._nearest_topology(store, fix.extract.gnss, radius_m)
+    return store.query_raw(t, t - window_ms, t + window_ms, fix.extract.gnss, radius_m, vut,
+                           topo.intersection_id if topo else None)
 
 
-def nearest_reports(store: SituationStore, kind: RecordKind, t: int, window_ms: int,
-                    center: GeoPosition, radius_m: float) -> list:
-    """Typed CAM or CPM rows: of each track's rows within window_ms of t, read
-    by a full scan of the table, the one nearest t (of two equally near, the
-    earlier), if it lies within the circle."""
-    table = RAW_TABLE[kind].table
+def _track_facts(kind: RecordKind, r) -> tuple:
+    """(key, track, time, position) of a typed row: SPaT tracks are signal
+    groups keyed by intersection, VUT-sensor and driver rows are keyed by
+    station; CAM and CPM tracks have no key."""
+    if kind is RecordKind.CAM_EXTRACT:
+        return None, r.cam.originator, r.cam.generation_time, r.cam.position
+    if kind is RecordKind.CPM_DETECTION:
+        return None, (r.originator, r.detection.object_id), r.generation_time, r.detection.position
+    if kind is RecordKind.SPAT:
+        return r.spat.intersection_id, r.spat.signal_group, r.generation_time, r.position
+    if kind is RecordKind.VUT_SENSOR:
+        return r.station, r.station, r.extract.timestamp, r.extract.gnss
+    return r.station, r.station, r.sample.timestamp, r.position
+
+
+def nearest_rows(store: SituationStore, kind: RecordKind, t: int, t_min: int, t_max: int,
+                 key=None, center: GeoPosition | None = None, radius_m: float = 0.0) -> list:
+    """Typed rows of one kind, read by a full scan of its table's rows in
+    [t_min, t_max]: of each track of the key (see _track_facts) the one
+    nearest t, of two equally near the earlier; with a center, only those
+    picked rows that lie within radius_m of it."""
+    table, time_column = RAW_TABLE[kind].table, RAW_TABLE[kind].order[0]
     rows = store._conn.execute(
-        f"SELECT * FROM {table} WHERE generation_time BETWEEN ? AND ?", (t - window_ms, t + window_ms)
+        f"SELECT * FROM {table} WHERE {time_column} BETWEEN ? AND ?", (t_min, t_max)
     ).fetchall()
     nearest = {}
     for r in typed_rows(kind, rows):
-        if kind is RecordKind.CAM_EXTRACT:
-            track, time, position = r.cam.originator, r.cam.generation_time, r.cam.position
-        else:
-            track, time = (r.originator, r.detection.object_id), r.generation_time
-            position = r.detection.position
-        if track not in nearest or (abs(time - t), time) < nearest[track][0]:
+        row_key, track, time, position = _track_facts(kind, r)
+        if row_key == key and (track not in nearest or (abs(time - t), time) < nearest[track][0]):
             nearest[track] = (abs(time - t), time), position, r
-    return [r for _, position, r in nearest.values() if haversine_distance(center, position) <= radius_m]
+    return [r for _, position, r in nearest.values()
+            if center is None or haversine_distance(center, position) <= radius_m]
+
+
+def vut_fix_scan(store: SituationStore, vut: StationId, t: int, t_min: int, t_max: int):
+    """The VUT's sensor row nearest t in [t_min, t_max] by a full scan; None without one."""
+    return next(iter(nearest_rows(store, RecordKind.VUT_SENSOR, t, t_min, t_max, vut)), None)
+
+
+def _fix_near(store: SituationStore, vut: StationId, t: int):
+    tolerance = fusion.VUT_FIX_TOLERANCE_MS
+    fix = vut_fix_scan(store, vut, t, t - tolerance, t + tolerance)
+    if fix is None:
+        raise fusion.NoVutFix(f"no GNSS fix of VUT {vut} near {t}")
+    return fix
 
 
 def predict(o: TrafficObjectObservation, t: int) -> TrafficObjectObservation:
@@ -227,19 +256,10 @@ def link_lanes_scalar(objects, topology, max_lateral_m: float = fusion.DEFAULT_M
     return linked
 
 
-def join_topology_typed(topo: MapTopology, spats: Sequence[RawSpat], t: int) -> MapTopology:
-    """join_topology on typed SPaT rows: each lane gets the phase of its
-    signal group nearest to t, of two equally near the earlier."""
-    by_group: dict[int, RawSpat] = {}
-    for s in spats:
-        if s.spat.intersection_id != topo.intersection_id:
-            continue
-        kept = by_group.get(s.spat.signal_group)
-        if kept is None or (
-            (abs(s.generation_time - t), s.generation_time)
-            < (abs(kept.generation_time - t), kept.generation_time)
-        ):
-            by_group[s.spat.signal_group] = s
+def join_topology_typed(topo: MapTopology, spats: Sequence[RawSpat]) -> MapTopology:
+    """join_topology on typed SPaT rows, one per signal group: each lane gets
+    the phase of its signal group's row, UNKNOWN without one."""
+    by_group = {s.spat.signal_group: s for s in spats}
     lanes = tuple(
         MapLane(
             lane.lane_id, lane.signal_group, lane.polyline, lane.ingress,
@@ -259,16 +279,21 @@ def fuse_situation_typed(
     max_lateral_m: float = fusion.DEFAULT_MAX_LATERAL_M,
 ) -> SituationRecord:
     """fuse_situation (not persisted) with one typed object per window row."""
-    fix = store.vut_fix_near(vut, t, fusion.VUT_FIX_TOLERANCE_MS)
-    if fix is None:
-        raise fusion.NoVutFix(f"no GNSS fix of VUT {vut} near {t}")
+    fix = _fix_near(store, vut, t)
     center = fix.extract.gnss
-    window = store.query_raw(t, t - window_ms, t + window_ms, center, radius_m)
-    cams = nearest_reports(store, RecordKind.CAM_EXTRACT, t, window_ms, center, radius_m)
-    cpms = nearest_reports(store, RecordKind.CPM_DETECTION, t, window_ms, center, radius_m)
-    spats = typed_rows(RecordKind.SPAT, window.spats.rows)
-    drivers = typed_rows(RecordKind.DRIVER_STATE, window.driver_rows.rows)
-    hazard_rows = typed_rows(RecordKind.HAZARD, window.hazard_rows.rows)
+    topo = fusion._nearest_topology(store, center, radius_m)
+    intersection = topo.intersection_id if topo else None
+    window = (t, t - window_ms, t + window_ms)
+    cams = nearest_rows(store, RecordKind.CAM_EXTRACT, *window, None, center, radius_m)
+    cpms = nearest_rows(store, RecordKind.CPM_DETECTION, *window, None, center, radius_m)
+    spats = nearest_rows(store, RecordKind.SPAT, *window, intersection, center, radius_m)
+    drivers = nearest_rows(store, RecordKind.DRIVER_STATE, *window, vut, center, radius_m)
+    hazard_rows = [
+        r for r in typed_rows(RecordKind.HAZARD, store._conn.execute(
+            "SELECT * FROM raw_hazard WHERE timestamp_ms BETWEEN ? AND ?", window[1:]
+        ).fetchall())
+        if haversine_distance(center, r.event.position) <= radius_m
+    ]
 
     observations: list[TrafficObjectObservation] = []
     for raw in cams:
@@ -276,23 +301,23 @@ def fuse_situation_typed(
     for raw in cpms:
         extract = CpmExtract(raw.originator, raw.generation_time, (raw.detection,))
         observations.extend(observations_from_cpm(extract))
-    vut_block = fusion._vut_observation(store, vut, fix)
-    lat, lon, speed, course, code, stamp, source, reporter, vut_id = (a.item() for a in vut_block)
+    # the course from the latest earlier fix within the tolerance, once the VUT has moved
+    here = fix.extract
+    last = vut_fix_scan(store, vut, here.timestamp - 1, here.timestamp - fusion.VUT_FIX_TOLERANCE_MS,
+                        here.timestamp - 1)
+    course = 0.0
+    if last is not None and haversine_distance(last.extract.gnss, here.gnss) > 0.5:
+        course = initial_bearing(last.extract.gnss, here.gnss)
     observations.append(TrafficObjectObservation(
-        vut_id, ObjectClassification(code), GeoPosition(lat, lon), speed, course, stamp,
-        ObservationSource(source), reporter,
+        vut, ObjectClassification.PASSENGER_CAR, here.gnss, here.speed, course, here.timestamp,
+        ObservationSource.VUT_LOCAL_SENSOR, vut,
     ))
     objects = fusion.dedup(of([predict(o, t) for o in observations]))
 
-    topo = fusion._nearest_topology(store, center, radius_m)
-    topology = join_topology_typed(topo, backend_dedup(spats), t) if topo else None
+    topology = join_topology_typed(topo, spats) if topo else None
     objects = link_lanes_scalar(objects, topology, max_lateral_m)
 
-    driver = None
-    driver_rows = [r for r in drivers if r.station == vut]
-    if driver_rows:
-        nearest = min(driver_rows, key=lambda r: (abs(r.sample.timestamp - t), r.sample.timestamp))
-        driver = nearest.sample
+    driver = drivers[0].sample if drivers else None
     hazards = tuple(
         sorted(
             (r.event for r in backend_dedup(hazard_rows)),
