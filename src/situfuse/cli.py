@@ -24,6 +24,7 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from time import perf_counter
 
 from .config import AppConfig
 from .fusion import NoVutFix, fuse_situation
@@ -47,6 +48,9 @@ class IngestReport:
     batches: int = 0
     records: int = 0
     inserted: int = 0
+    bytes_read: int = 0  # frames with their length prefixes
+    decode_ms: float = 0.0  # read_ksb per file, decode_batch per listener frame
+    insert_ms: float = 0.0  # insert_envelope
     rejected: Counter = field(default_factory=Counter)  # WireError/OSError class name -> count
 
     @property
@@ -54,11 +58,18 @@ class IngestReport:
         return self.records - self.inserted
 
 
-def _ingest_envelopes(store: SituationStore, envelopes, report: IngestReport) -> None:
+def _ingest(store: SituationStore, report: IngestReport, size: int, decode) -> None:
+    """Count ``size`` bytes read, decode them (``decode()``, all or nothing) and store each envelope."""
+    report.bytes_read += size
+    start = perf_counter()
+    envelopes = decode()
+    report.decode_ms += (perf_counter() - start) * 1000
     for env in envelopes:
         report.batches += 1
         report.records += len(env.records)
+        start = perf_counter()
         report.inserted += store.insert_envelope(env, time.time_ns() // 1_000_000)
+        report.insert_ms += (perf_counter() - start) * 1000
 
 
 def serve_ingest(
@@ -88,7 +99,8 @@ def serve_ingest(
             conn.settimeout(READ_TIMEOUT_S)
             with conn, conn.makefile("rb") as stream:
                 try:
-                    _ingest_envelopes(store, wire.iter_frames(stream), report)
+                    for frame in wire.read_frames(stream):
+                        _ingest(store, report, wire.FRAME_LEN.size + len(frame), lambda: [wire.decode_batch(frame)])
                 except (wire.WireError, OSError) as err:
                     report.rejected[type(err).__name__] += 1
     return report
@@ -151,7 +163,7 @@ def cmd_ingest(config: AppConfig, args) -> int:
     report = IngestReport()
     with SituationStore(config.store_path) as store:
         for path in args.files:
-            _ingest_envelopes(store, wire.read_ksb(path), report)
+            _ingest(store, report, os.path.getsize(path), lambda: wire.read_ksb(path))
         if args.listen is not None:
             serve_ingest(store, host, port, connections=args.connections, report=report)
     rejected = sum(report.rejected.values())
@@ -160,6 +172,7 @@ def cmd_ingest(config: AppConfig, args) -> int:
         f"ingested {report.batches} batches, {report.records} records,"
         f" {report.duplicates_skipped} duplicates skipped,"
         f" {rejected} frames rejected" + (f" ({by_class})" if rejected else "")
+        + f", {report.bytes_read} bytes read, decode {report.decode_ms:.1f} ms, insert {report.insert_ms:.1f} ms"
     )
     return EXIT_OK
 

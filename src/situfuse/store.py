@@ -6,9 +6,13 @@ re-ingesting a message that is already present (same message key) is silently
 skipped, so ingestion is idempotent.  Every read of "the row at t" (of a CAM
 or CPM track, a signal group of one intersection, the VUT's fixes and driver
 samples) seeks the table's message-key index once per track, inside the key if
-any, and each track keeps its row nearest t.  A hazard window reads its table's
-time index.  A situation is written in a single transaction: either all of its
-child rows land or none do.
+any, and each track keeps its row nearest t.  A hazard window and the
+environment read take their table's time index.  A situation is written in a
+single transaction: either all of its child rows land or none do.
+
+Every write binds its rows, in order, into multi-row ``INSERT ... VALUES
+(...), (...)`` statements (``_insert``), so sqlite enters its program and opens
+a table's cursors once per chunk of rows, not once per row.
 
 A file store runs in sqlite's write-ahead-log mode with ``synchronous`` at its
 WAL default, FULL: each frame, situation or topology is one transaction whose
@@ -28,7 +32,8 @@ import json
 import sqlite3
 import threading
 from dataclasses import dataclass
-from itertools import compress, groupby
+from functools import cache
+from itertools import chain, compress, groupby, islice
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -361,6 +366,26 @@ def _sql_int(t: int) -> int:
     return min(max(t, _SQL_INT_MIN), _SQL_INT_MAX)
 
 
+# A statement binds a power of two of rows, at most 64 and at most 999 values (SQLITE_MAX_VARIABLE_NUMBER
+# before sqlite 3.32): at most 7 shapes a table, 85 over every table written here, which with this module's
+# 29 other statements stay within the sqlite3 module's 128-entry statement cache.
+@cache
+def _insert_sql(head: str, width: int, rows: int) -> str:
+    return f"{head} VALUES " + ", ".join(["(" + ", ".join("?" * width) + ")"] * rows)
+
+
+def _insert(conn: sqlite3.Connection, head: str, rows) -> None:
+    """Run ``head`` ("INSERT ... INTO table") on ``rows``, equal-width tuples,
+    in order, reading at most 64 rows of the iterable at a time."""
+    rows = iter(rows)
+    while chunk := list(islice(rows, 64)):
+        done, width = 0, len(chunk[0])
+        while done < len(chunk):
+            size = 1 << min(len(chunk) - done, 999 // width).bit_length() - 1
+            conn.execute(_insert_sql(head, width, size), [*chain.from_iterable(chunk[done : done + size])])
+            done += size
+
+
 class SituationStore:
     """Single-writer storage; all access is serialized through one lock.
     A file store is opened in WAL mode (see the module docstring)."""
@@ -389,15 +414,16 @@ class SituationStore:
 
     def insert_raw(self, rows_by_kind) -> int:
         """Append table rows, keyed by record kind as ``wire.raw_rows`` builds
-        them, skipping already-present message keys: one transaction with one
-        executemany per raw table.  Returns the number of net-new rows.
+        them, skipping already-present message keys: one transaction, in which
+        each kind's rows stream through ``_insert`` in order, so of two rows
+        with one key the first is kept.  Returns the number of net-new rows.
         """
         with self._lock:
             before = self._conn.total_changes
             try:
                 with self._conn:
                     for kind, rows in rows_by_kind.items():
-                        self._conn.executemany(_INSERT_RAW[kind], rows)
+                        _insert(self._conn, f"INSERT OR IGNORE INTO {RAW_TABLE[kind].table}", rows)
             except sqlite3.Error as e:
                 raise StorageFailure(str(e)) from e
             return self._conn.total_changes - before
@@ -458,14 +484,11 @@ class SituationStore:
         return self._vut_fix(vut, _sql_int(t_max), t_min, t_max)
 
     def environment_candidates(self, t: int) -> list[EnvironmentSample]:
-        """Samples whose validity window contains t, regardless of area."""
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT * FROM raw_environment WHERE timestamp_ms <= ?"
-                " AND timestamp_ms + validity_s * 1000 >= ? ORDER BY timestamp_ms, station",
-                (_sql_int(t), _sql_int(t)),
-            ).fetchall()
-        return [_environment_from_columns(r[1:15]) for r in rows]
+        """Samples whose validity window contains t, regardless of area, in (timestamp, station)
+        order: the wire carries a validity of at most 0xFFFF s, so the read is [t - 0xFFFF s, t]."""
+        t = _sql_int(t)
+        rows = self._read(wire.RecordKind.ENVIRONMENT, t, t - 0xFFFF * 1000, t).rows
+        return [_environment_from_columns(r[1:15]) for r in rows if r[1] + r[2] * 1000 >= t]
 
     def driver_samples(self, station: StationId) -> list[RawDriverState]:
         if _sql_range(station, station) is None:
@@ -484,11 +507,11 @@ class SituationStore:
         with self._lock, self._conn:
             self._conn.execute("DELETE FROM map_topology WHERE intersection_id = ?",
                                (topo.intersection_id,))
-            self._conn.executemany("INSERT INTO map_topology VALUES (?,?,?,?,?)", [
+            _insert(self._conn, "INSERT INTO map_topology", (
                 (topo.intersection_id, lane.lane_id, lane.signal_group, lane.ingress,
                  _polyline_json(lane.polyline))
                 for lane in topo.lanes
-            ])
+            ))
 
     def topologies(self) -> list[MapTopology]:
         with self._lock:
@@ -517,7 +540,7 @@ class SituationStore:
             return sid
 
     def _insert_situation_children(self, sid: int, s: SituationRecord) -> None:
-        """One executemany per child table."""
+        """Each child table's rows, in order, through ``_insert``."""
         lanes = s.topology.lanes if s.topology is not None else ()
         for table, rows in (
             ("fused_object", [
@@ -543,10 +566,7 @@ class SituationStore:
             ("environment",
              [(sid, *_environment_columns(s.environment))] if s.environment is not None else []),
         ):
-            if rows:
-                self._conn.executemany(
-                    f"INSERT INTO {table} VALUES ({', '.join('?' * len(rows[0]))})", rows
-                )
+            _insert(self._conn, f"INSERT INTO {table}", rows)
 
     def load_situation(self, situation_id: int) -> SituationRecord | None:
         if _sql_range(situation_id, situation_id) is None:
@@ -583,22 +603,13 @@ class SituationStore:
                 " FROM topology_lane WHERE situation_id = ? ORDER BY lane_id",
                 (sid,),
             ))), None)
-            vrow = c.execute(
-                "SELECT * FROM vut_sensor WHERE situation_id = ?", (sid,)
-            ).fetchone()
-            drow = c.execute(
-                "SELECT timestamp_ms, valence, arousal, heart_rate, self_reported"
-                " FROM driver_state WHERE situation_id = ?",
-                (sid,),
-            ).fetchone()
+            vrow, drow, erow = (c.execute(f"SELECT * FROM {table} WHERE situation_id = ?", (sid,)).fetchone()
+                                for table in ("vut_sensor", "driver_state", "environment"))
             hazards = tuple(map(hazard_from_columns, c.execute(
                 "SELECT source, kind, timestamp_ms, lat, lon FROM hazard"
                 " WHERE situation_id = ? ORDER BY entry_seq",
                 (sid,),
             )))
-            erow = c.execute(
-                "SELECT * FROM environment WHERE situation_id = ?", (sid,)
-            ).fetchone()
         return SituationRecord(
             situation_id=sid,
             center=GeoPosition(clat, clon),
@@ -608,7 +619,7 @@ class SituationStore:
             objects=objects,
             topology=topology,
             vut_sensor=_row_to_vut_extract(vrow[1:]) if vrow else None,
-            driver=driver_from_columns(drow) if drow else None,
+            driver=driver_from_columns(drow[1:]) if drow else None,
             hazards=hazards,
             environment=_environment_from_columns(erow[1:]) if erow else None,
         )
@@ -705,22 +716,19 @@ RAW_TABLE: dict[wire.RecordKind, RawTable] = {
     wire.RecordKind.DRIVER_STATE: RawTable(
         "raw_driver", 10, ("timestamp_ms", "station"), 6, "driver_rows", ("station",), "station"
     ),
-    wire.RecordKind.ENVIRONMENT: RawTable("raw_environment", 17),  # environment_candidates
+    wire.RecordKind.ENVIRONMENT: RawTable("raw_environment", 17, ("timestamp_ms", "station")),
     wire.RecordKind.HAZARD: RawTable(
         "raw_hazard", 7, ("timestamp_ms", "source", "kind"), 3, "hazard_rows"
     ),
 }
 _WINDOW_TABLE = {kind: t for kind, t in RAW_TABLE.items() if t.slice_list}
 RAW_TABLES = tuple(t.table for t in RAW_TABLE.values())
-_INSERT_RAW = {
-    kind: f"INSERT OR IGNORE INTO {t.table} VALUES ({', '.join('?' * t.width)})"
-    for kind, t in RAW_TABLE.items()
-}
-# A hazard window reads the time range of its table's time index, whose columns are the window order, so
-# the rows come back in order with no sort.  Stores from before SPaT and driver reads were keyed lose theirs.
+# A hazard window and the environment read take the time range of their table's time index, whose columns
+# are the read order, so the rows come back in order with no sort.  Stores from before SPaT and driver
+# reads were keyed lose theirs.
 _WINDOW_INDEX = "DROP INDEX IF EXISTS raw_spat_window; DROP INDEX IF EXISTS raw_driver_window;" + "".join(
     f"CREATE INDEX IF NOT EXISTS {t.table}_window ON {t.table} ({', '.join(t.order)});"
-    for t in _WINDOW_TABLE.values() if not t.track
+    for t in RAW_TABLE.values() if t.order and not t.track
 )
 
 # A track kind's read walks its UNIQUE ([key,] track[0], time, ...) index: a recursive loose scan lists the

@@ -337,9 +337,12 @@ def _dtype(layout: struct.Struct, names: str) -> np.dtype:
     return np.dtype([(name, "<" + code) for name, code in zip(names.split(), codes, strict=True)])
 
 
-def _known(codes: np.ndarray, members: type[enum.IntEnum]) -> np.ndarray:
-    """The codes, each one outside the enum replaced by 0."""
-    return np.where(np.isin(codes, list(members)), codes, 0)
+def _known(members: type[enum.IntEnum]) -> np.ndarray:
+    """A lookup table over the u8 codes: a member's code maps to itself, any other code to 0."""
+    return np.array([code if code in set(members) else 0 for code in range(256)], np.uint8)
+
+
+_CLASSIFICATION, _PHASE, _HAZARD_KIND = map(_known, (ObjectClassification, SignalPhase, HazardKind))
 
 
 # A kind's columns: (record columns, time ms, lat, lon, station) -> the
@@ -348,16 +351,16 @@ def _known(codes: np.ndarray, members: type[enum.IntEnum]) -> np.ndarray:
 
 def _cam_columns(c, t, lat, lon, station):
     return (c["originator"], t, lat, lon, c["speed"] * 0.01, c["course"] * 0.1,
-            _known(c["classification"], ObjectClassification))
+            _CLASSIFICATION[c["classification"]])
 
 
 def _cpm_columns(c, t, lat, lon, station):
-    return (c["originator"], t, c["object_id"], _known(c["classification"], ObjectClassification), lat, lon,
+    return (c["originator"], t, c["object_id"], _CLASSIFICATION[c["classification"]], lat, lon,
             c["speed"] * 0.01, c["course"] * 0.1)
 
 
 def _spat_columns(c, t, lat, lon, station):
-    return (c["intersection"], c["signal_group"], _known(c["phase"], SignalPhase), c["change_time"],
+    return (c["intersection"], c["signal_group"], _PHASE[c["phase"]], c["change_time"],
             t, lat, lon)
 
 
@@ -384,7 +387,7 @@ def _environment_columns(c, t, lat, lon, station):
 
 
 def _hazard_columns(c, t, lat, lon, station):
-    return (c["source"], _known(c["hazard_kind"], HazardKind), t, lat, lon)
+    return (c["source"], _HAZARD_KIND[c["hazard_kind"]], t, lat, lon)
 
 
 class KindCodec(NamedTuple):
@@ -721,7 +724,7 @@ def plan_batches(records: Sequence[AbsoluteRecord], station: StationId) -> list[
 
 # --- file and stream framing -----------------------------------------------
 
-_FRAME_LEN = struct.Struct("<I")
+FRAME_LEN = struct.Struct("<I")
 # the largest envelope: a full record count of the largest payload kind
 MAX_FRAME = HEADER.size + MAX_RECORDS * (RECORD_HEAD.size + max(PAYLOAD_SIZE.values()))
 
@@ -731,27 +734,27 @@ def write_frames(fp: BinaryIO, envelopes: Iterable[BatchEnvelope]) -> int:
     n = 0
     for env in envelopes:
         frame = encode_batch(env)
-        fp.write(_FRAME_LEN.pack(len(frame)))
+        fp.write(FRAME_LEN.pack(len(frame)))
         fp.write(frame)
         n += 1
     return n
 
 
-def iter_frames(fp: BinaryIO) -> Iterator[BatchEnvelope]:
-    """Decode length-prefixed envelope frames one at a time until end of stream."""
+def read_frames(fp: BinaryIO) -> Iterator[bytes]:
+    """Length-prefixed frames, undecoded, one at a time until end of stream."""
     while True:
-        head = fp.read(_FRAME_LEN.size)
+        head = fp.read(FRAME_LEN.size)
         if not head:
             return
-        if len(head) < _FRAME_LEN.size:
+        if len(head) < FRAME_LEN.size:
             raise Truncated("frame length prefix cut short")
-        (length,) = _FRAME_LEN.unpack(head)
+        (length,) = FRAME_LEN.unpack(head)
         if length > MAX_FRAME:
             raise FrameTooLarge(f"frame length {length} exceeds the format maximum {MAX_FRAME}")
         frame = fp.read(length)
         if len(frame) < length:
             raise Truncated(f"frame of {length} bytes cut short at {len(frame)}")
-        yield decode_batch(frame)
+        yield frame
 
 
 def write_ksb(path, envelopes: Iterable[BatchEnvelope]) -> int:
@@ -762,4 +765,4 @@ def write_ksb(path, envelopes: Iterable[BatchEnvelope]) -> int:
 def read_ksb(path) -> list[BatchEnvelope]:
     """Every frame of a .ksb file; all or nothing."""
     with open(path, "rb") as fp:
-        return list(iter_frames(fp))
+        return list(map(decode_batch, read_frames(fp)))

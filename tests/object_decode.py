@@ -8,6 +8,8 @@ for error and row for row, and as the inverse of the ``wire.pack_*`` payload
 codecs.  ``table_rows`` turns typed rows into the raw-table rows that
 ``SituationStore.insert_raw`` takes, independently of ``wire.raw_rows``, and
 ``typed_rows`` turns a window's table rows back into typed rows.
+``one_row_insert`` is the one-row statement that tests writing raw rows on
+their own connection run, and the oracle of the store's multi-row writes.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from situfuse.messages import (
     VutSensorExtract,
 )
 from situfuse.store import (
+    RAW_TABLE,
     RawCam,
     RawCpmDetection,
     RawDriverState,
@@ -368,3 +371,9 @@ def table_rows(rows) -> dict[RecordKind, list[tuple]]:
         kind, columns = _table_row(row)
         out.setdefault(kind, []).append(columns)
     return out
+
+
+def one_row_insert(kind: RecordKind) -> str:
+    """The kind's raw-table insert of one row, skipping a present message key."""
+    t = RAW_TABLE[kind]
+    return f"INSERT OR IGNORE INTO {t.table} VALUES ({', '.join('?' * t.width)})"

@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import json
 import os
+import re
 import signal
 import socket
 import sqlite3
@@ -60,10 +61,15 @@ def test_pipeline_simulate_ingest_fuse_eval(workdir, capsys):
     first_report = capsys.readouterr().out.splitlines()[-1]
     assert "0 duplicates skipped" in first_report
 
-    # re-ingestion is idempotent
+    # re-ingestion is idempotent: every record is a skipped duplicate and no table changes
+    with SituationStore(json.loads(Path(config).read_text())["store_path"]) as store:
+        stats = store.stats()
     assert run("--config", config, "ingest", *map(str, ksb_files)) == EXIT_OK
     second_report = capsys.readouterr().out.splitlines()[-1]
-    assert "0 duplicates skipped" not in second_report
+    records, skipped = map(int, re.search(r"(\d+) records, (\d+) duplicates skipped", second_report).groups())
+    assert skipped == records > 0
+    with SituationStore(json.loads(Path(config).read_text())["store_path"]) as store:
+        assert store.stats() == stats
 
     at = scenario.start_time_ms + 2000
     assert run("--config", config, "fuse", "--vut", str(scenario.vut_station), "--at", str(at)) == EXIT_OK
@@ -97,6 +103,29 @@ def test_pipeline_simulate_ingest_fuse_eval(workdir, capsys):
     assert run("--config", config, "stats") == EXIT_OK
     stats_out = capsys.readouterr().out
     assert "raw_cam" in stats_out and "situation" in stats_out
+
+
+INGEST_LINE = re.compile(
+    r"ingested (\d+) batches, (\d+) records, (\d+) duplicates skipped, (\d+) frames rejected,"
+    r" (\d+) bytes read, decode (\d+\.\d) ms, insert (\d+\.\d) ms"
+)
+
+
+def test_ingest_report_shows_bytes_and_times(workdir, capsys):
+    """The report line keeps its counts and adds the bytes read (frame length
+    prefixes included, so the files' total size) and the decode and insert ms."""
+    tmp_path, config, scenario_path, _ = workdir
+    out_dir = tmp_path / "batches"
+    assert run("--config", config, "simulate", "--scenario", scenario_path, "--out", str(out_dir)) == EXIT_OK
+    ksb_files = sorted(out_dir.glob("*.ksb"))
+    capsys.readouterr()
+    assert run("--config", config, "ingest", *map(str, ksb_files)) == EXIT_OK
+    line = capsys.readouterr().out.splitlines()[-1]
+    batches, records, skipped, rejected, size, decode_ms, insert_ms = INGEST_LINE.fullmatch(line).groups()
+    assert int(batches) == sum(len(wire.read_ksb(p)) for p in ksb_files)
+    assert (int(skipped), int(rejected)) == (0, 0) and int(records) > 0
+    assert int(size) == sum(p.stat().st_size for p in ksb_files)
+    assert float(decode_ms) >= 0.0 and float(insert_ms) >= 0.0
 
 
 def test_fuse_unknown_vut_is_user_error(workdir, capsys):
@@ -490,6 +519,25 @@ def test_listener_stamps_each_frame_with_its_own_receive_time(workdir, monkeypat
     assert {r[-1] for table in rows(store).values() for r in table} == {1000, 2000}
     store.close()
     expected.close()
+
+
+def test_listener_reports_the_bytes_of_each_frame(workdir):
+    """Frames on two connections: the bytes read are every frame with its
+    length prefix, and the decode and insert times are counted."""
+    _, _, _, scenario = workdir
+    _, envelopes = generate(scenario)
+    first, second = envelopes[:2], envelopes[2:]
+    store = SituationStore(":memory:")
+
+    def first_client(port):
+        with socket.create_connection(("127.0.0.1", port)) as sock:
+            sock.sendall(b"".join(map(_framed, first)))
+
+    report = _serve_two_connections(store, first_client, second)
+    assert report.batches == len(envelopes) and not report.rejected
+    assert report.bytes_read == sum(map(len, map(_framed, envelopes)))
+    assert report.decode_ms > 0.0 and report.insert_ms > 0.0
+    store.close()
 
 
 @pytest.mark.parametrize("fault", sorted(FRAME_FAULTS))

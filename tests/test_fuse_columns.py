@@ -15,7 +15,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from situfuse import store as store_module
 from situfuse import wire
 from situfuse.fusion import (
     SimilarityThresholds,
@@ -41,7 +40,7 @@ from situfuse.simgen import VUT_OBJECT_ID
 from situfuse.store import RawHazard, RawSpat, RawVutSensor, SituationStore
 
 from conftest import make_vut_extract, oracle_components, simulated_scene
-from object_decode import table_rows
+from object_decode import one_row_insert, table_rows
 from test_fusion import CENTER, T0, obs, random_instance
 from typed_fuse import (
     fuse_situation_typed,
@@ -222,7 +221,7 @@ def _raw_store(tmp_path, rows) -> SituationStore:
     store.insert_raw(table_rows([RawVutSensor(100, make_vut_extract(TW, CENTER), 100, 1)]))
     conn = sqlite3.connect(path)
     for kind, columns in rows:
-        conn.execute(store_module._INSERT_RAW[kind], columns)
+        conn.execute(one_row_insert(kind), columns)
     conn.commit()
     conn.close()
     return store

@@ -1,9 +1,11 @@
 import random
 import sqlite3
 import struct
+import sys
 import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from situfuse.geo import GeoPosition, from_local_enu, haversine_distance
@@ -38,7 +40,7 @@ from situfuse.store import (
 from situfuse import store as store_module
 from situfuse import wire
 from conftest import make_vut_extract
-from object_decode import rows_from_envelope, table_rows
+from object_decode import one_row_insert, rows_from_envelope, table_rows
 from test_wire import CAM_PAYLOAD, random_envelope, random_payload, raw_frame
 
 T0 = 1_700_000_000_000
@@ -423,7 +425,7 @@ def test_query_raw_exact_after_foreign_delete_vacuum_insert(tmp_path):
     conn.execute("VACUUM")
     new = _cam_epoch(rng, 3, 800, 10_000)
     (cam_rows,) = table_rows(new).values()
-    conn.executemany(store_module._INSERT_RAW[wire.RecordKind.CAM_EXTRACT], cam_rows)
+    conn.executemany(one_row_insert(wire.RecordKind.CAM_EXTRACT), cam_rows)
     conn.commit()
     conn.close()
 
@@ -486,7 +488,7 @@ def test_rollback_journal_store_converts_to_wal_keeping_its_rows(tmp_path):
     rows = [cam_row(i, T0 + 10 * i, east_m=i) for i in range(1, 50)]
     conn = sqlite3.connect(path)
     conn.executescript(store_module._SCHEMA)
-    conn.executemany(store_module._INSERT_RAW[wire.RecordKind.CAM_EXTRACT], *table_rows(rows).values())
+    conn.executemany(one_row_insert(wire.RecordKind.CAM_EXTRACT), *table_rows(rows).values())
     conn.commit()
     conn.close()
     assert _journal_mode(path) == "delete"
@@ -605,10 +607,10 @@ def test_track_window_seeks_the_key_index_per_originator(store, kind):
     assert not any(step.startswith(f"SCAN {table}") for step in plan), plan
 
 
-@pytest.mark.parametrize("kind", [wire.RecordKind.HAZARD], ids=["HAZARD"])
+@pytest.mark.parametrize("kind", [wire.RecordKind.HAZARD, wire.RecordKind.ENVIRONMENT], ids=["HAZARD", "ENVIRONMENT"])
 def test_time_window_reads_the_time_index(store, kind):
-    """A hazard window reads the time range of its table's time index, in
-    window order: no scan of the table and no sort."""
+    """A hazard window and the environment read take the time range of their
+    table's time index, in read order: no scan of the table and no sort."""
     raw = store_module.RAW_TABLE[kind]
     plan = _plan(store, kind)
     seek = f"INDEX {raw.table}_window ({raw.order[0]}>? AND {raw.order[0]}<?)"
@@ -637,9 +639,10 @@ def test_keyed_read_searches_the_unique_index(store, kind):
 
 def test_store_file_without_time_indexes_gains_them_on_open(tmp_path):
     """A file made when SPaT and driver windows read time indexes holds
-    raw_spat_window and raw_driver_window but not raw_hazard_window.  The
-    first open drops the two and creates the hazard one, keeping every row,
-    and its windows equal the full scan; opening it again changes nothing."""
+    raw_spat_window and raw_driver_window but not raw_hazard_window or
+    raw_environment_window.  The first open drops the two and creates the
+    hazard and environment ones, keeping every row, and its windows equal the
+    full scan; opening it again changes nothing."""
     rng = random.Random(47)
     path = str(tmp_path / "older.db")
     facts = [spat_row(rng.randrange(1, 4), rng.randrange(1, 9), T0 + 10 * n) for n in range(300)]
@@ -660,7 +663,7 @@ def test_store_file_without_time_indexes_gains_them_on_open(tmp_path):
     conn.execute("CREATE INDEX raw_spat_window ON raw_spat (generation_time, intersection_id, signal_group)")
     conn.execute("CREATE INDEX raw_driver_window ON raw_driver (timestamp_ms, station)")
     for kind, rows in table_rows(facts).items():
-        conn.executemany(store_module._INSERT_RAW[kind], rows)
+        conn.executemany(one_row_insert(kind), rows)
     conn.commit()
     conn.close()
 
@@ -685,7 +688,7 @@ def test_store_file_without_time_indexes_gains_them_on_open(tmp_path):
         _assert_window(store, facts, t_min, t_min + rng.choice((0, 10, 300, 2000)), rng.uniform(50, 400),
                        vut=rng.randrange(1, 6), intersection=rng.randrange(1, 4))
     store.close()
-    assert window_indexes() == ["raw_hazard_window"]
+    assert window_indexes() == ["raw_environment_window", "raw_hazard_window"]
     assert tables() == rows
     schema = read("SELECT *, (SELECT schema_version FROM pragma_schema_version) FROM sqlite_master")
     store = SituationStore(path)
@@ -843,6 +846,40 @@ def test_environment_candidates(store):
     assert store.environment_candidates(T0 + 61_000) == []
 
 
+def test_environment_candidates_equal_a_full_scan(store):
+    """Samples of validity 0, 0xFFFF s and between, some sharing a time: at
+    each sample's first and last valid ms and one past either, and at random
+    times, the candidates are those of a full scan whose validity holds t,
+    in (timestamp, station) order."""
+    rng = random.Random(71)
+    samples = []
+    for n in range(150):
+        t = T0 + rng.randrange(0, 40) * 5_000_000 + rng.choice((0, 1, 999))
+        validity = rng.choice((0, 0xFFFF, rng.randrange(1, 0xFFFF)))
+        samples.append((t, rng.randrange(1, 6), validity))
+    samples = list({(t, station): (t, station, v) for t, station, v in samples}.values())
+    rows = [
+        RawEnvironment(EnvironmentSample(
+            timestamp=t, validity_duration_s=v, area_center=CENTER, area_radius_m=100.0,
+            temperature_c=5.0, precipitation_mm_h=0.0, wind_speed_ms=2.0, wind_direction=10.0,
+            illuminance_lux=500.0, visibility_m=2000.0, pressure_hpa=1009.0, humidity_pct=80.0,
+            cloudiness_pct=float(station),
+        ), reporter=station, receive_time=1)
+        for t, station, v in samples
+    ]
+    store.insert_raw(table_rows(rows))
+    edges = {e for t, _, v in samples for e in (t - 1, t, t + 1000 * v, t + 1000 * v + 1)}
+    times = sorted(edges) + [T0 + rng.randrange(-10**8, 3 * 10**8) for _ in range(100)]
+    assert {v for _, _, v in samples} >= {0, 0xFFFF}
+    seen = 0
+    for t in times:
+        want = sorted((r for r in rows if r.sample.timestamp <= t <= r.sample.timestamp
+                       + 1000 * r.sample.validity_duration_s), key=lambda r: (r.sample.timestamp, r.reporter))
+        assert store.environment_candidates(t) == [r.sample for r in want], t
+        seen += len(want) > 1
+    assert seen > 50
+
+
 def test_topology_round_trip(store):
     topo = MapTopology(
         intersection_id=4,
@@ -876,7 +913,16 @@ def test_put_topology_stores_no_phase(store):
     ]
 
 
-def random_situation(rng, situation_id=0) -> SituationRecord:
+def random_situation(rng, situation_id=0, size=None) -> SituationRecord:
+    """A random situation; ``size``, if given, is its number of objects, of
+    lanes (no topology at 0) and of hazards, and every one-row part is present."""
+
+    def count(lo, hi):
+        return rng.randrange(lo, hi) if size is None else size
+
+    def chance(p):
+        return rng.random() < p if size is None else True
+
     center = from_local_enu(CENTER, LocalPoint(rng.uniform(-100, 100), rng.uniform(-100, 100)))
     objects = tuple(
         FusedObject(
@@ -897,10 +943,10 @@ def random_situation(rng, situation_id=0) -> SituationRecord:
             ),
             lane_id=rng.choice([None, 1, 2]),
         )
-        for k in range(rng.randrange(0, 5))
+        for k in range(count(0, 5))
     )
     topology = None
-    if rng.random() < 0.5:
+    if chance(0.5) and size != 0:
         topology = MapTopology(
             intersection_id=rng.randrange(1, 9),
             lanes=tuple(
@@ -914,11 +960,11 @@ def random_situation(rng, situation_id=0) -> SituationRecord:
                     ingress=rng.random() < 0.5,
                     phase=rng.choice(list(SignalPhase)),
                 )
-                for k in range(rng.randrange(1, 3))
+                for k in range(count(1, 3))
             ),
         )
     driver = None
-    if rng.random() < 0.5:
+    if chance(0.5):
         driver = DriverStateSample(
             timestamp=T0,
             valence=rng.randrange(1, 6),
@@ -928,10 +974,10 @@ def random_situation(rng, situation_id=0) -> SituationRecord:
         )
     hazards = tuple(
         HazardEvent(rng.choice(list(HazardKind)), T0 + k, center, rng.randrange(1, 50))
-        for k in range(rng.randrange(0, 3))
+        for k in range(count(0, 3))
     )
     environment = None
-    if rng.random() < 0.3:
+    if chance(0.3):
         environment = EnvironmentSample(
             timestamp=T0, validity_duration_s=600, area_center=center, area_radius_m=900.0,
             temperature_c=rng.uniform(-10, 35), precipitation_mm_h=rng.uniform(0, 10),
@@ -940,7 +986,7 @@ def random_situation(rng, situation_id=0) -> SituationRecord:
             pressure_hpa=rng.uniform(950, 1050), humidity_pct=rng.uniform(0, 100),
             cloudiness_pct=rng.uniform(0, 100),
         )
-    vut_sensor = make_vut_extract(T0, center) if rng.random() < 0.7 else None
+    vut_sensor = make_vut_extract(T0, center) if chance(0.7) else None
     return SituationRecord(
         situation_id=situation_id,
         center=center,
@@ -1221,3 +1267,92 @@ def test_insert_envelope_stores_what_the_typed_rows_store():
     assert max(row[11] for row in got["raw_vut_sensor"]) <= 0x3F  # lights
     columnar.close()
     typed.close()
+
+
+# -- the write path: multi-row statements against one statement per row ------------------------
+
+
+def _random_frames(rng: np.random.Generator, conn, table: str, sizes) -> list[list[tuple]]:
+    """Random rows of ``table`` in frames of the given sizes.  About a third of
+    the rows take the message key of an earlier row: the one before it (inside
+    one chunk), the one 40 before it (in an earlier chunk) or a row of an
+    earlier frame.  A nullable column is NULL in about a tenth of the rows."""
+    n = sum(sizes)
+    columns = []
+    for _, _, ctype, notnull, _, _ in conn.execute(f"PRAGMA table_info({table})"):
+        values = (rng.integers(-(2**63), 2**63, n, dtype=np.int64) if ctype == "INTEGER"
+                  else rng.uniform(-1e6, 1e6, n)).tolist()
+        if not notnull:
+            values = [None if null else v for v, null in zip(values, (rng.random(n) < 0.1).tolist())]
+        columns.append(values)
+    rows = [list(r) for r in zip(*columns)]
+    (index,) = [name for _, name, _, origin, _ in conn.execute(f"PRAGMA index_list({table})") if origin == "u"]
+    key = [cid for _, cid, _ in conn.execute(f"PRAGMA index_info({index})")]
+    starts = np.cumsum([0, *sizes]).tolist()
+    frames = []
+    for start, end in zip(starts, starts[1:]):
+        for i, how in zip(range(start, end), rng.integers(0, 9, end - start).tolist()):
+            source = {0: i - 1, 1: i - 40, 2: int(rng.integers(0, start)) if start else -1}.get(how, -1)
+            if source >= max(0, start if how < 2 else 0):
+                for c in key:
+                    rows[i][c] = rows[source][c]
+        frames.append([tuple(r) for r in rows[start:end]])
+    return frames
+
+
+def _rowid_contents(conn, tables) -> dict[str, list[tuple]]:
+    return {t: conn.execute(f"SELECT rowid, * FROM {t} ORDER BY rowid").fetchall() for t in tables}
+
+
+@pytest.mark.parametrize("kind", list(wire.RecordKind), ids=[k.name for k in wire.RecordKind])
+def test_insert_raw_equals_one_statement_per_row(kind):
+    """Frames of 0 to 1000 rows around the chunk sizes, and one of 65,535 rows,
+    go in through insert_raw and, on a second connection, one row at a time
+    through the one-row statement: every frame returns the same net-new count
+    and the table ends equal, rowids included."""
+    table = store_module.RAW_TABLE[kind].table
+    oracle = sqlite3.connect(":memory:")
+    oracle.executescript(store_module._SCHEMA)
+    sizes = [0, 1, 31, 32, 33, 63, 64, 65, 1000, 33, 65_535, 64]
+    frames = _random_frames(np.random.default_rng([61, int(kind)]), oracle, table, sizes)
+    store = SituationStore(":memory:")
+    offered = ignored = 0
+    for k, frame in enumerate(frames):
+        want = sum(oracle.execute(one_row_insert(kind), row).rowcount for row in frame)
+        oracle.commit()
+        assert store.insert_raw({kind: iter(frame)}) == want, f"frame {k} of {len(frame)} rows"
+        offered, ignored = offered + len(frame), ignored + len(frame) - want
+    assert _rowid_contents(store._conn, [table]) == _rowid_contents(oracle, [table])
+    assert 0.2 < ignored / offered < 0.4
+    store.close()
+    oracle.close()
+
+
+@pytest.mark.parametrize("size", [0, 1, 63, 64, 65, 300])
+def test_persist_load_round_trip_at_chunk_sizes(store, size):
+    """A situation of that many objects, lanes and hazards (and every one-row
+    part) reloads equal to what was persisted."""
+    record = random_situation(random.Random(size), size=size)
+    sid = store.persist_situation(record)
+    assert store.load_situation(sid) == replace(record, situation_id=sid)
+    assert store._conn.execute("SELECT COUNT(*) FROM fused_object").fetchone() == (size,)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="Connection.setlimit needs Python 3.11")
+def test_writes_bind_at_most_999_values(store):
+    """Under sqlite's old limit of 999 bound values a statement, every raw kind
+    ingests, a full situation persists and a topology of 300 lanes is put."""
+    store._conn.setlimit(sqlite3.SQLITE_LIMIT_VARIABLE_NUMBER, 999)
+    with pytest.raises(sqlite3.OperationalError, match="too many SQL variables"):
+        store._conn.execute(f"SELECT {', '.join('?' * 1000)}", [0] * 1000)
+    rng = np.random.default_rng(62)
+    frame = {kind: _random_frames(rng, store._conn, store_module.RAW_TABLE[kind].table, [1000])[0]
+             for kind in wire.RecordKind}
+    assert store.insert_raw(frame) == sum(store.stats()[t] for t in RAW_TABLES) > 5000
+    record = random_situation(random.Random(63), size=300)
+    sid = store.persist_situation(record)
+    assert store.load_situation(sid) == replace(record, situation_id=sid)
+    store.put_topology(replace(record.topology, lanes=tuple(
+        replace(lane, phase=SignalPhase.UNKNOWN) for lane in record.topology.lanes)))
+    assert store.topologies() == [replace(record.topology, lanes=tuple(
+        replace(lane, phase=SignalPhase.UNKNOWN) for lane in record.topology.lanes))]

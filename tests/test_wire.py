@@ -431,7 +431,7 @@ def test_frame_stream_truncation():
     wire.write_frames(buffer, [env])
     data = buffer.getvalue()
     with pytest.raises(Truncated):
-        list(wire.iter_frames(io.BytesIO(data[:-3])))
+        list(wire.read_frames(io.BytesIO(data[:-3])))
 
 
 def test_frame_length_prefix_bound_is_derived_from_the_format():
@@ -451,7 +451,7 @@ def test_read_frames_rejects_oversized_prefix_before_reading(length):
     good = encode_batch(random_envelope(random.Random(59)))
     data = struct.pack("<I", len(good)) + good + struct.pack("<I", length) + b"\x00" * 64
     with pytest.raises(wire.FrameTooLarge):
-        list(wire.iter_frames(_ReadGuard(data)))
+        list(wire.read_frames(_ReadGuard(data)))
 
 
 def test_read_ksb_rejects_oversized_prefix(tmp_path):
@@ -473,7 +473,7 @@ def test_frame_of_exactly_the_maximum_size_decodes():
     buffer = io.BytesIO()
     wire.write_frames(buffer, [env])
     assert len(buffer.getvalue()) == 4 + wire.MAX_FRAME
-    assert list(wire.iter_frames(_ReadGuard(buffer.getvalue()))) == [env]
+    assert list(map(wire.decode_batch, wire.read_frames(_ReadGuard(buffer.getvalue())))) == [env]
 
 
 def _vut_payload(doors=0, rain=0, gear=1):
