@@ -29,7 +29,7 @@ from time import perf_counter
 from .config import AppConfig
 from .fusion import NoVutFix, fuse_situation
 from .geo import feature_collection, geojson_feature
-from .metrics import evaluate_situation, handover_summary, is_vut_object, rows_to_csv
+from .metrics import evaluate_situation, handover_summary, rows_to_csv, vut_marks
 from .simgen import ScenarioConfig, generate
 from .situation import SituationRecord
 from .store import SituationStore, StorageFailure
@@ -109,6 +109,7 @@ def serve_ingest(
 def situation_geojson(record: SituationRecord) -> str:
     """A situation as point/line features: objects, VUT, lanes, hazards."""
     lanes = record.topology.lanes if record.topology is not None else ()
+    marks = vut_marks(record.objects, record.vut).tolist()
     return feature_collection([
         *(geojson_feature("Point", [obj.position.lon, obj.position.lat], {
             "id": obj.fused_id,
@@ -117,8 +118,8 @@ def situation_geojson(record: SituationRecord) -> str:
             "course": obj.course,
             "lane_id": obj.lane_id,
             "sources": len(obj.provenance),
-            "vut": is_vut_object(obj, record.vut),
-        }) for obj in record.objects),
+            "vut": mark > 0,
+        }) for obj, mark in zip(record.objects, marks)),
         *(geojson_feature("LineString", [[p.lon, p.lat] for p in lane.polyline], {
             "lane_id": lane.lane_id,
             "signal_group": lane.signal_group,

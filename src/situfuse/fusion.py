@@ -15,7 +15,9 @@ and the cube edge is at least that chord, so every similar pair lies in
 adjacent cells, at the poles and across +-180 degrees alike.  The grid is
 therefore a pure optimization: the resulting groups are exactly the connected
 components of the pairwise similarity relation, joined with one relation of
-identity: a station's own sensor row and its own self-report.
+identity: a station's own sensor row and its own self-report.  Every group
+merges at once into the situation's columns (FusedColumns); link_lanes sets
+their lane column.
 """
 
 from __future__ import annotations
@@ -30,17 +32,12 @@ from .geo import (
     EARTH_RADIUS_M,
     MAX_LOCAL_RANGE_M,
     GeoPosition,
-    LocalPoint,
-    from_local_enu,
     haversine_distance,
     haversine_distances,
     initial_bearing,
-    normalize_course,
     to_local_enu_arrays,
 )
 from .messages import (
-    CLASSIFICATION_BY_CODE,
-    SOURCE_BY_CODE,
     MapLane,
     MapTopology,
     ObjectClassification,
@@ -52,7 +49,7 @@ from .messages import (
 # Not used here: perfbench/trace.py wraps these fusion globals by name.
 from .aggregators import backend_dedup  # noqa: F401
 from .messages import observation_from_cam, observations_from_cpm  # noqa: F401
-from .situation import FusedObject, ProvenanceEntry, SituationRecord
+from .situation import FusedColumns, SituationRecord
 from .aggregators import environment_for
 from .store import RawColumns, SituationStore, driver_from_columns, hazard_from_columns
 from .wire import MAX_TIME_MS
@@ -201,7 +198,7 @@ def dedup(
     th: SimilarityThresholds | None = None,
     cfg: object = None,
     stats: DedupStats | None = None,
-) -> list[FusedObject]:
+) -> FusedColumns:
     """Merge all observations of the same physical object into one record.
 
     Groups are the connected components of the similarity relation joined
@@ -222,8 +219,6 @@ def dedup(
         stats.comparisons = int(len(idx_i))
         stats.similar_pairs = int(similar.sum())
         stats.groups = len(fused)
-
-    fused.sort(key=lambda f: (f.position.lat, f.position.lon, f.course))
     return fused
 
 
@@ -233,63 +228,65 @@ _WINNER_RANK[[ObservationSource.VUT_LOCAL_SENSOR, ObservationSource.CAM_SELF_REP
 _NO_CLASS = np.iinfo(np.int64).max
 
 
-def _merge_groups(c: ObservationColumns, labels: np.ndarray) -> list[FusedObject]:
-    """Collapse each set of equal labels into one object, in label order.
+def _left_sums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Each group's sum of each row of ``values``, whose columns run in groups
+    of ``sizes``: added one column at a time from 0.0, as Python 3.11's
+    ``sum`` (not numpy's pairwise sum, nor 3.12's compensated one).  Step j
+    adds the j-th column of every group that has one; largest groups first."""
+    by_size = np.argsort(-sizes, kind="stable")
+    first = (np.cumsum(sizes) - sizes)[by_size]
+    sums = np.zeros((len(values), len(sizes)))
+    for j, k in enumerate(np.searchsorted(-sizes[by_size], -np.arange(sizes.max(initial=0))).tolist()):
+        sums[:, by_size[:k]] += values[:, first[:k] + j]
+    return sums
+
+
+def _merge_groups(c: ObservationColumns, labels: np.ndarray) -> FusedColumns:
+    """Collapse each set of equal labels into one object, ordered by fused
+    position (lat, lon, then course), of equal positions in label order.
 
     A self-report knows its own kinematics best, so a CAM wins outright, then
     the VUT's own sensors; otherwise detections are averaged (positions on
-    the local plane, courses circularly).  Members are in (timestamp, source,
-    reporter, object_id) order; a winner is its source's newest member, of
-    equal times the lowest reporter, then object_id, then input position.
-    Averages sum in member order.
+    the local plane at the first member, courses circularly, summed in member
+    order by ``_left_sums``).  Members are in (timestamp, source, reporter,
+    object_id) order; a winner is its source's newest member, of equal times
+    the lowest reporter, then object_id, then input position.  Provenance is
+    in (source, reporter, object_id) order.
     """
     n = len(labels)
-    if n == 0:
-        return []
     order = np.lexsort((c.object_id, c.reporter, c.source, c.timestamp, labels))
-    starts = np.flatnonzero(np.r_[True, np.diff(labels[order]) != 0])
-    ends = np.r_[starts[1:], n]
-    sizes = ends - starts
+    starts = np.flatnonzero(np.diff(labels[order], prepend=-1))
+    sizes = np.diff(starts, append=n)
     rank = _WINNER_RANK[c.source]
-    best = np.lexsort((-np.arange(n), -c.object_id, -c.reporter, c.timestamp, rank, labels))[ends - 1]
+    best = np.lexsort((-np.arange(n), -c.object_id, -c.reporter, c.timestamp, rank, labels))[starts + sizes - 1]
     averaged = (rank[best] == 0) & (sizes > 1)  # else the best member (or the only one) wins
-    codes = np.where(c.classification == 0, _NO_CLASS, c.classification)[order]
-    codes = np.minimum.reduceat(codes, starts)
-    codes = np.where(codes == _NO_CLASS, 0, codes).tolist()
-    entries = np.lexsort((c.object_id, c.reporter, c.source, labels))
-    provenance = list(map(
-        ProvenanceEntry, map(SOURCE_BY_CODE.__getitem__, c.source[entries].tolist()),
-        c.reporter[entries].tolist(), c.object_id[entries].tolist(),
-    ))
-    # member positions on the plane at their group's first member (at their
-    # own position outside averaged groups, where nothing is projected)
-    origin = np.where(np.repeat(averaged, sizes), np.repeat(order[starts], sizes), order)
-    east, north = (
-        a.tolist() for a in to_local_enu_arrays(c.lat[origin], c.lon[origin], c.lat[order], c.lon[order])
+    codes = np.minimum.reduceat(np.where(c.classification == 0, _NO_CLASS, c.classification)[order], starts)
+    codes = np.where(codes == _NO_CLASS, 0, codes)
+    fused_id, lat, lon, speed, course = (a[best] for a in (c.object_id, c.lat, c.lon, c.speed, c.course))
+
+    k, members, first = sizes[averaged], order[np.repeat(averaged, sizes)], order[starts[averaged]]
+    east, north = to_local_enu_arrays(np.repeat(c.lat[first], k), np.repeat(c.lon[first], k),
+                                      c.lat[members], c.lon[members])
+    rad = np.radians(c.course[members]).tolist()
+    sums = _left_sums(np.array([east, north, c.speed[members], list(map(math.sin, rad)), list(map(math.cos, rad))]), k)
+    # from_local_enu's and normalize_course's arithmetic
+    cos_lat = np.array(list(map(math.cos, np.radians(c.lat[first]).tolist())))
+    lat[averaged] = c.lat[first] + np.degrees(sums[1] / k / EARTH_RADIUS_M)
+    wrapped = c.lon[first] + np.degrees(sums[0] / k / (EARTH_RADIUS_M * cos_lat))
+    lon[averaged] = np.where(wrapped > 180.0, wrapped - 360.0, np.where(wrapped < -180.0, wrapped + 360.0, wrapped))
+    speed[averaged] = sums[2] / k
+    turned = np.fmod(np.degrees(list(map(math.atan2, sums[3].tolist(), sums[4].tolist()))), 360.0)
+    course[averaged] = np.where(turned < 0.0, turned + 360.0, turned)
+    fused_id[averaged] = np.minimum.reduceat(c.object_id[members], np.cumsum(k) - k)
+
+    out = np.lexsort((course, lon, lat))
+    rank_out = np.empty(n, dtype=np.intp)  # each observation's group's place in the output
+    rank_out[order] = np.repeat(np.argsort(out), sizes)
+    entries = np.lexsort((c.object_id, c.reporter, c.source, rank_out))
+    return FusedColumns(
+        fused_id[out], codes[out], lat[out], lon[out], speed[out], course[out], (None,) * len(out),
+        c.source[entries], c.reporter[entries], c.object_id[entries], sizes[out],
     )
-    lat, lon, speed, rad, object_id = (
-        a[order].tolist() for a in (c.lat, c.lon, c.speed, np.radians(c.course), c.object_id)
-    )
-    w_lat, w_lon, w_speed, w_course, w_id = (
-        a[best].tolist() for a in (c.lat, c.lon, c.speed, c.course, c.object_id)
-    )
-    fused = []
-    for g, (a, b, avg) in enumerate(zip(starts.tolist(), ends.tolist(), averaged.tolist())):
-        if avg:
-            k = b - a
-            position = from_local_enu(
-                GeoPosition(lat[a], lon[a]), LocalPoint(sum(east[a:b]) / k, sum(north[a:b]) / k)
-            )
-            course = math.degrees(math.atan2(sum(map(math.sin, rad[a:b])), sum(map(math.cos, rad[a:b]))))
-            merged = (min(object_id[a:b]), position, sum(speed[a:b]) / k, normalize_course(course))
-        else:
-            merged = (w_id[g], GeoPosition(w_lat[g], w_lon[g]), w_speed[g], w_course[g])
-        fused_id, position, fused_speed, fused_course = merged
-        fused.append(FusedObject(
-            fused_id, CLASSIFICATION_BY_CODE[codes[g]], position, fused_speed, fused_course,
-            tuple(provenance[a:b]),
-        ))
-    return fused
 
 
 # --- linking ------------------------------------------------------------------
@@ -324,22 +321,21 @@ def _lane_distances(lat: np.ndarray, lon: np.ndarray, lanes: Sequence[MapLane]) 
     return np.minimum.reduceat(d, np.flatnonzero(np.diff(owner[a], prepend=-1)), axis=0)
 
 
-def link_lanes(objects, topology, max_lateral_m: float = DEFAULT_MAX_LATERAL_M):
+def link_lanes(objects, topology, max_lateral_m: float = DEFAULT_MAX_LATERAL_M) -> FusedColumns:
     """Assign each object the nearest lane within the lateral tolerance; of
-    equally near lanes, the lowest lane id."""
-    objects = list(objects)
+    equally near lanes, the lowest lane id.  An object near no lane keeps its
+    lane id."""
+    objects = FusedColumns.of(objects)
     if topology is None or not topology.lanes:
         return objects
     lanes = sorted(topology.lanes, key=lambda lane: lane.lane_id)
-    lat = np.array([o.position.lat for o in objects])
-    lon = np.array([o.position.lon for o in objects])
-    d = _lane_distances(lat, lon, lanes)
+    d = _lane_distances(objects.lat, objects.lon, lanes)
     within = d <= max_lateral_m
     nearest = np.where(within, d, np.inf).argmin(axis=0)
-    return [
-        replace(obj, lane_id=lanes[k].lane_id) if linked else obj
-        for obj, k, linked in zip(objects, nearest.tolist(), within.any(axis=0).tolist())
-    ]
+    return replace(objects, lane_id=[
+        lanes[k].lane_id if linked else lane_id
+        for k, linked, lane_id in zip(nearest.tolist(), within.any(axis=0).tolist(), objects.lane_id)
+    ])
 
 
 # --- situation assembly -------------------------------------------------------
@@ -444,25 +440,12 @@ def fuse_situation(
     objects = dedup(_predict(ObservationColumns(*map(np.concatenate, zip(*blocks))), t), th)
 
     topology = join_topology(topo, window.spats.rows) if topo else None
-    objects = link_lanes(objects, topology, max_lateral_m)
-    driver = next((driver_from_columns(r[1:6]) for r in window.driver_rows.rows), None)
-
-    hazards = tuple(map(hazard_from_columns, window.hazard_rows.rows))
-
-    environment = environment_for(t, center, store.environment_candidates(t))
-
     record = SituationRecord(
-        situation_id=0,
-        center=center,
-        radius_m=radius_m,
-        timestamp=t,
-        vut=vut,
-        objects=tuple(objects),
-        topology=topology,
-        vut_sensor=fix.extract,
-        driver=driver,
-        hazards=hazards,
-        environment=environment,
+        situation_id=0, center=center, radius_m=radius_m, timestamp=t, vut=vut,
+        objects=link_lanes(objects, topology, max_lateral_m), topology=topology, vut_sensor=fix.extract,
+        driver=next((driver_from_columns(r[1:6]) for r in window.driver_rows.rows), None),
+        hazards=tuple(map(hazard_from_columns, window.hazard_rows.rows)),
+        environment=environment_for(t, center, store.environment_candidates(t)),
     )
     sid = store.persist_situation(record)
     return replace(record, situation_id=sid)

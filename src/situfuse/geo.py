@@ -93,13 +93,13 @@ def to_local_enu_arrays(origin_lat, origin_lon, lat, lon) -> tuple[np.ndarray, n
     scalar arithmetic (``math.cos`` included, once per origin element), so the
     same floats and, for the first point out of range, the same RangeExceeded."""
     cos_lat = np.reshape(list(map(math.cos, np.radians(origin_lat).ravel().tolist())), np.shape(origin_lat))
-    origin_lat, origin_lon, lat, lon = np.broadcast_arrays(origin_lat, origin_lon, lat, lon)
-    dlon = lon - origin_lon
+    dlon = np.subtract(lon, origin_lon)
     dlon = np.where(dlon >= 180.0, dlon - 360.0, np.where(dlon < -180.0, dlon + 360.0, dlon))
-    north = EARTH_RADIUS_M * np.radians(lat - origin_lat)
+    north = EARTH_RADIUS_M * np.radians(np.subtract(lat, origin_lat))
     east = EARTH_RADIUS_M * np.radians(dlon) * cos_lat
     far = east * east + north * north >= MAX_LOCAL_RANGE_M * MAX_LOCAL_RANGE_M
     if far.any():
+        origin_lat, origin_lon, lat, lon = np.broadcast_arrays(origin_lat, origin_lon, lat, lon)
         k = np.unravel_index(far.argmax(), far.shape)
         o, p = (GeoPosition(float(a[k]), float(b[k])) for a, b in ((origin_lat, origin_lon), (lat, lon)))
         to_local_enu(o, p)  # raises RangeExceeded

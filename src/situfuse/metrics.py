@@ -12,10 +12,8 @@ to the vehicle under test:
   rate; the slower the approach, the larger the value, with a MAX sentinel
   when they close at RU_CLOSING_FLOOR_MS or less.
 
-Evaluation is one numpy pass over all objects with the scalar formulas'
-floats, bit for bit what one object at a time gives.  It saves most on
-situations of many rows (~225 on the benchmark's dense crossing, ~60 on its
-history scenes); on a few objects numpy's fixed cost can exceed the old loop.
+Evaluation reads the situation's columns: the VUT and every relation come
+from one numpy pass, with the scalar formulas' floats bit for bit.
 
 The CSV export mirrors the evaluation table layout with exactly these
 columns: ID, Classification, Lat, Lon, Speed, Course, Distance, TTI_OBJ,
@@ -33,13 +31,14 @@ import numpy as np
 
 from .geo import EARTH_RADIUS_M, course_to_unit_vector, to_local_enu_arrays
 from .messages import (
+    CLASSIFICATION_BY_CODE,
     DriverStateSample,
     HazardEvent,
     HazardKind,
     ObjectClassification,
     ObservationSource,
 )
-from .situation import FusedObject, SituationRecord
+from .situation import FusedColumns, SituationRecord
 
 # RU sentinel meaning "not closing"; rendered as the literal MAX in CSV.
 RU_MAX = None
@@ -72,78 +71,71 @@ class EvaluationRow(NamedTuple):
     ru: int | None  # None is the MAX sentinel
 
 
-def _relations(vut: FusedObject, objects) -> list[tuple[float, int, int, int | None]]:
-    """(distance, TTI_OBJ, TTI_VUT, RU) of each object relative to ``vut`` in one
-    numpy pass, with the scalar formulas' floats: math's sin, cos, asin and hypot
-    mapped over lists and haversine's squares as Python ``** 2`` (numpy's differ in
-    the last bit), ``round`` on kept values only.  A negative speed raises ValueError,
-    the VUT's before any object's; then a far object raises RangeExceeded."""
-    if vut.speed < 0:
-        raise ValueError(f"negative speed: {vut.speed}")
-    lat, lon, speed, course = np.array(
-        [(o.position.lat, o.position.lon, o.speed, o.course) for o in objects], dtype=float
-    ).reshape(-1, 4).T
+def _relations(vut: tuple[float, float, float, float], lat, lon, speed, course) -> tuple[list, ...]:
+    """Distance, TTI_OBJ, TTI_VUT and RU lists of the objects (arrays) relative
+    to ``vut`` (lat, lon, speed, course), with the scalar formulas' floats:
+    math's sin, cos, asin and hypot mapped over lists and haversine's squares
+    as Python ``** 2`` (numpy's differ in the last bit), ``round`` on kept
+    values only.  A negative speed raises ValueError, the VUT's before any
+    object's; then a far object raises RangeExceeded."""
+    v_lat, v_lon, v_speed, v_course = vut
+    if v_speed < 0:
+        raise ValueError(f"negative speed: {v_speed}")
     if (speed < 0.0).any():
         raise ValueError(f"negative speed: {speed[speed < 0.0][0]}")
-    v = vut.position
-    east, north = to_local_enu_arrays(v.lat, v.lon, lat, lon)
+    east, north = to_local_enu_arrays(v_lat, v_lon, lat, lon)
     with np.errstate(all="ignore"):
-        sin2_dphi = np.array([math.sin(x) ** 2 for x in (np.radians(lat - v.lat) / 2.0).tolist()])
-        sin2_dlam = np.array([math.sin(x) ** 2 for x in (np.radians(lon - v.lon) / 2.0).tolist()])
+        sin2_dphi = np.array([math.sin(x) ** 2 for x in (np.radians(lat - v_lat) / 2.0).tolist()])
+        sin2_dlam = np.array([math.sin(x) ** 2 for x in (np.radians(lon - v_lon) / 2.0).tolist()])
         cos_phi2 = np.array(list(map(math.cos, np.radians(lat).tolist())))
-        h = sin2_dphi + math.cos(math.radians(v.lat)) * cos_phi2 * sin2_dlam
+        h = sin2_dphi + math.cos(math.radians(v_lat)) * cos_phi2 * sin2_dlam
         distance = 2.0 * EARTH_RADIUS_M * np.array(list(map(math.asin, np.minimum(1.0, np.sqrt(h)).tolist())))
-        ve, vn = course_to_unit_vector(vut.course)
+        ve, vn = course_to_unit_vector(v_course)
         rad = np.radians(course).tolist()
         oe, on = np.array(list(map(math.sin, rad))), np.array(list(map(math.cos, rad)))
         det = oe * vn - on * ve
         dist_vut = (oe * north - on * east) / det
         dist_obj = (ve * north - vn * east) / det
         crossing = np.flatnonzero(~(
-            (speed < TTI_SPEED_FLOOR_MS) | (vut.speed < TTI_SPEED_FLOOR_MS)
+            (speed < TTI_SPEED_FLOOR_MS) | (v_speed < TTI_SPEED_FLOOR_MS)
             | (np.abs(det) < _PARALLEL_EPS) | (dist_vut < 0.0) | (dist_obj < 0.0)
         ))
         tti_obj, tti_vut = np.full((2, len(lat)), -1, dtype=object)
         tti_obj[crossing] = list(map(round, (1000.0 * dist_obj[crossing] / speed[crossing]).tolist()))
-        tti_vut[crossing] = list(map(round, (1000.0 * dist_vut[crossing] / vut.speed).tolist()))
+        tti_vut[crossing] = list(map(round, (1000.0 * dist_vut[crossing] / v_speed).tolist()))
 
         d = np.array(list(map(math.hypot, east.tolist(), north.tolist())))
-        closing = -(east * (speed * oe - vut.speed * ve) + north * (speed * on - vut.speed * vn)) / d
+        closing = -(east * (speed * oe - v_speed * ve) + north * (speed * on - v_speed * vn)) / d
         approaching = np.flatnonzero(~((d < 1e-9) | (closing <= RU_CLOSING_FLOOR_MS)))
         ru = np.full(len(lat), RU_MAX, dtype=object)
         ru[approaching] = [max(1, round(x)) for x in (1000.0 * d[approaching] / closing[approaching]).tolist()]
-    return list(zip(distance.tolist(), tti_obj.tolist(), tti_vut.tolist(), ru.tolist()))
+    return distance.tolist(), tti_obj.tolist(), tti_vut.tolist(), ru.tolist()
 
 
-def _vut_mark(obj: FusedObject, vut_station: int) -> int:
-    """2 when the VUT's own sensors report ``obj``, else 1 when its CAM does, else 0."""
-    mark = 0
-    for source, _, object_id in obj.provenance:
-        if source is ObservationSource.VUT_LOCAL_SENSOR:
-            return 2
-        if source is ObservationSource.CAM_SELF_REPORT and object_id == vut_station:
-            mark = 1
-    return mark
-
-
-def is_vut_object(obj: FusedObject, vut_station: int) -> bool:
-    """Whether a fused object's provenance traces back to the VUT itself."""
-    return _vut_mark(obj, vut_station) > 0
+def vut_marks(objects: FusedColumns, vut_station: int) -> np.ndarray:
+    """Per object 2 when the VUT's own sensors report it, else 1 when its CAM
+    does (a self-report of object id ``vut_station``), else 0."""
+    mark = np.where(objects.source == ObservationSource.VUT_LOCAL_SENSOR, 2,
+                    (objects.source == ObservationSource.CAM_SELF_REPORT) & (objects.object_id == vut_station))
+    return np.maximum.reduceat(mark, np.cumsum(objects.counts) - objects.counts)
 
 
 def evaluate_situation(s: SituationRecord) -> list[EvaluationRow]:
     """One row per traffic object other than the VUT, ordered by object id
     (one id's objects in situation order), relative to the first object the
     VUT's own sensors report, else to the first its CAM reports."""
-    marks = [_vut_mark(o, s.vut) for o in s.objects]
-    if not any(marks):
+    o = s.objects
+    marks = vut_marks(o, s.vut)
+    if not marks.any():
         raise MissingVutState(f"situation {s.situation_id} has no object of VUT {s.vut}")
-    chosen = s.objects[marks.index(max(marks))]
-    others = [o for o, mark in zip(s.objects, marks) if not mark]
-    rows = [
-        EvaluationRow(o.fused_id, o.classification, o.position.lat, o.position.lon, o.speed, o.course, *relation)
-        for o, relation in zip(others, _relations(chosen, others))
-    ]
+    vut = tuple(a[marks.argmax()].item() for a in (o.lat, o.lon, o.speed, o.course))
+    others = marks == 0
+    lat, lon, speed, course = (a[others] for a in (o.lat, o.lon, o.speed, o.course))
+    rows = list(map(
+        EvaluationRow, o.fused_id[others].tolist(),
+        map(CLASSIFICATION_BY_CODE.__getitem__, o.classification[others].tolist()),
+        lat.tolist(), lon.tolist(), speed.tolist(), course.tolist(), *_relations(vut, lat, lon, speed, course),
+    ))
     rows.sort(key=itemgetter(0))
     return rows
 

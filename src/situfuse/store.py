@@ -33,15 +33,13 @@ import sqlite3
 import threading
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, compress, groupby, islice
-from operator import itemgetter
+from itertools import chain, compress, islice, repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from .geo import GeoPosition, haversine_distances
 from .messages import (
-    CLASSIFICATION_BY_CODE,
     SOURCE_BY_CODE,
     CamExtract,
     CpmDetection,
@@ -58,7 +56,7 @@ from .messages import (
     StationId,
     VutSensorExtract,
 )
-from .situation import FusedObject, ProvenanceEntry, SituationRecord
+from .situation import FusedColumns, SituationRecord
 from . import wire
 
 
@@ -542,16 +540,14 @@ class SituationStore:
     def _insert_situation_children(self, sid: int, s: SituationRecord) -> None:
         """Each child table's rows, in order, through ``_insert``."""
         lanes = s.topology.lanes if s.topology is not None else ()
+        o = s.objects
+        seq = np.repeat(np.arange(len(o)), o.counts)
+        entry_seq = np.arange(len(seq)) - np.repeat(np.cumsum(o.counts) - o.counts, o.counts)
         for table, rows in (
-            ("fused_object", [
-                (sid, seq, o.fused_id, int(o.classification), o.position.lat, o.position.lon,
-                 o.speed, o.course, o.lane_id)
-                for seq, o in enumerate(s.objects)
-            ]),
-            ("provenance", [
-                (sid, seq, eseq, int(e.source), e.reporter, e.object_id)
-                for seq, o in enumerate(s.objects) for eseq, e in enumerate(o.provenance)
-            ]),
+            ("fused_object", zip(repeat(sid), range(len(o)), *(a.tolist() for a in (
+                o.fused_id, o.classification, o.lat, o.lon, o.speed, o.course)), o.lane_id)),
+            ("provenance", zip(repeat(sid), *(a.tolist() for a in (
+                seq, entry_seq, o.source, o.reporter, o.object_id)))),
             ("topology_lane", [
                 (sid, s.topology.intersection_id, lane.lane_id, lane.signal_group, lane.ingress,
                  int(lane.phase), _polyline_json(lane.polyline))
@@ -579,25 +575,13 @@ class SituationStore:
             if head is None:
                 return None
             sid, vut, timestamp, clat, clon, radius = head
-            provenance = {
-                seq: tuple([ProvenanceEntry(SOURCE_BY_CODE[src], rep, oid) for _, src, rep, oid in entries])
-                for seq, entries in groupby(c.execute(
-                    "SELECT seq, source, reporter, source_object_id FROM provenance"
-                    " WHERE situation_id = ? ORDER BY seq, entry_seq",
-                    (sid,),
-                ), key=itemgetter(0))
-            }
-            objects = tuple(
-                FusedObject(
-                    fused_id, CLASSIFICATION_BY_CODE[cls], GeoPosition(lat, lon), speed,
-                    course, provenance.get(seq, ()), lane_id,
-                )
-                for seq, fused_id, cls, lat, lon, speed, course, lane_id in c.execute(
-                    "SELECT seq, fused_id, classification, lat, lon, speed, course, lane_id"
-                    " FROM fused_object WHERE situation_id = ? ORDER BY seq",
-                    (sid,),
-                ).fetchall()
-            )
+            objects = _fused_columns(c.execute(
+                "SELECT seq, fused_id, classification, lat, lon, speed, course, lane_id"
+                " FROM fused_object WHERE situation_id = ? ORDER BY seq", (sid,),
+            ).fetchall(), c.execute(
+                "SELECT seq, source, reporter, source_object_id FROM provenance"
+                " WHERE situation_id = ? ORDER BY seq, entry_seq", (sid,),
+            ).fetchall())
             topology = next(iter(_topologies(c.execute(
                 "SELECT intersection_id, lane_id, signal_group, ingress, phase, polyline"
                 " FROM topology_lane WHERE situation_id = ? ORDER BY lane_id",
@@ -611,16 +595,9 @@ class SituationStore:
                 (sid,),
             )))
         return SituationRecord(
-            situation_id=sid,
-            center=GeoPosition(clat, clon),
-            radius_m=radius,
-            timestamp=timestamp,
-            vut=vut,
-            objects=objects,
-            topology=topology,
-            vut_sensor=_row_to_vut_extract(vrow[1:]) if vrow else None,
-            driver=driver_from_columns(drow[1:]) if drow else None,
-            hazards=hazards,
+            situation_id=sid, center=GeoPosition(clat, clon), radius_m=radius, timestamp=timestamp, vut=vut,
+            objects=objects, topology=topology, vut_sensor=_row_to_vut_extract(vrow[1:]) if vrow else None,
+            driver=driver_from_columns(drow[1:]) if drow else None, hazards=hazards,
             environment=_environment_from_columns(erow[1:]) if erow else None,
         )
 
@@ -629,6 +606,21 @@ class SituationStore:
         with self._lock:
             return {table: self._conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
                     for table in RAW_TABLES + ("situation",)}
+
+
+def _fused_columns(objects: list[tuple], entries: list[tuple]) -> FusedColumns:
+    """fused_object rows (seq, then FusedColumns' order) and provenance rows
+    (seq, source, reporter, object id), in seq order, as columns: every entry's
+    source is checked (ObservationSource's ValueError), then those of no object dropped."""
+    seq, *head, lane_id = list(zip(*objects)) or [()] * 8
+    entry_seq, *provenance = list(zip(*entries)) or [()] * 4
+    for code in dict.fromkeys(provenance[0]):
+        SOURCE_BY_CODE[code]
+    entry_seq = np.array(entry_seq, dtype=np.int64)
+    lo = np.searchsorted(entry_seq, seq)
+    counts = np.searchsorted(entry_seq, seq, side="right") - lo
+    kept = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+    return FusedColumns(*head, lane_id, *(np.array(a, dtype=np.int64)[kept] for a in provenance), counts)
 
 
 def _in_area(rows: list[tuple], lat: int, center: GeoPosition, radius_m: float) -> list[tuple]:

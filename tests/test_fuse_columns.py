@@ -8,6 +8,7 @@ typed objects make them.
 """
 
 import itertools
+import math
 import random
 import sqlite3
 from dataclasses import replace
@@ -24,7 +25,7 @@ from situfuse.fusion import (
     join_topology,
     link_lanes,
 )
-from situfuse.geo import LocalPoint, from_local_enu
+from situfuse.geo import GeoPosition, LocalPoint, from_local_enu, to_local_enu
 from situfuse.messages import (
     HazardEvent,
     HazardKind,
@@ -45,6 +46,7 @@ from test_fusion import CENTER, T0, obs, random_instance
 from typed_fuse import (
     fuse_situation_typed,
     is_similar,
+    left_fold,
     link_lanes_scalar,
     merge_columns,
     merge_group_scalar,
@@ -171,9 +173,58 @@ def test_merge_group_equals_scalar_merge():
                 source=rng.choice(list(ObservationSource)), reporter=rng.randrange(3),
                 t=T0 + rng.randrange(3),
             )
-            for _ in range(rng.randrange(1, 7))
+            for _ in range(rng.randrange(1, 41))
         ]
-        assert merge_columns(group) == merge_group_scalar(group)
+        assert bits(merge_columns(group)) == bits(merge_group_scalar(group))
+
+
+def bits(fused) -> tuple:
+    """A fused object with its floats by their exact bits."""
+    return (fused.fused_id, fused.classification, fused.position.lat.hex(), fused.position.lon.hex(),
+            fused.speed.hex(), fused.course.hex(), fused.provenance, fused.lane_id)
+
+
+def test_dedup_averages_a_large_group_among_singletons_bit_for_bit():
+    """One CPM-only group of 24 members, all pairwise similar, among 150
+    singletons at least 10 m apart: the group averages as merge_group_scalar's
+    left folds do, bit for bit, and every singleton stays itself."""
+    rng = random.Random(64)
+    group = [
+        obs(k, east=rng.uniform(-0.5, 0.5), north=rng.uniform(-0.5, 0.5), speed=rng.uniform(9.5, 10.5),
+            course=rng.choice([rng.uniform(0.0, 5.0), rng.uniform(355.0, 359.99)]), reporter=500 + k % 5,
+            t=T0 + rng.randrange(3))
+        for k in range(24)
+    ]
+    singles = [
+        obs(100 + k, east=20.0 * (k % 15) - 150.0, north=20.0 * (k // 15) + 15.0, speed=rng.uniform(0, 20),
+            course=rng.uniform(0, 359.99), source=rng.choice(list(ObservationSource)))
+        for k in range(150)
+    ]
+    sample = singles[:70] + group + singles[70:]
+    rng.shuffle(sample)
+    expected = [merge_group_scalar(group), *map(merge_group_scalar, ([o] for o in singles))]
+    expected.sort(key=lambda f: (f.position.lat, f.position.lon, f.course))
+    fused = dedup(of(sample))
+    assert [bits(f) for f in fused] == [bits(f) for f in expected]
+    assert max(len(f.provenance) for f in fused) == 24
+
+
+def test_averages_are_a_left_fold_not_a_compensated_sum():
+    """Four CPM detections 0.7 m apart on the equator: their east offsets sum
+    to 4.199999999999999 added one by one, 4.2 compensated (math.fsum, and
+    Python 3.12's sum), and the fused longitude is the left fold's."""
+    origin = GeoPosition(0.0, 0.0)
+    group = [replace(obs(k, reporter=500 + k), position=from_local_enu(origin, LocalPoint(0.7 * k, 0.0)))
+             for k in range(4)]
+    east = [to_local_enu(origin, o.position).east for o in group]
+    assert left_fold(east) != math.fsum(east)
+    folded, compensated = (
+        from_local_enu(origin, LocalPoint(total / 4, 0.0)) for total in (left_fold(east), math.fsum(east))
+    )
+    assert folded.lon != compensated.lon
+    assert merge_columns(group).position == folded == merge_group_scalar(group).position
+    speeds = [replace(group[k % 4], speed=0.1) for k in range(10)]
+    assert merge_columns(speeds).speed == left_fold([0.1] * 10) / 10 == 0.09999999999999999
 
 
 def test_link_lanes_equals_scalar_linking():

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from situfuse.geo import (
     initial_bearing,
     normalize_course,
     to_local_enu,
+    to_local_enu_arrays,
 )
 from typed_fuse import angular_difference
 
@@ -82,6 +84,32 @@ def test_to_local_enu_range_limit():
     o = GeoPosition(49.0, 7.0)
     with pytest.raises(RangeExceeded):
         to_local_enu(o, GeoPosition(49.2, 7.0))  # ~22 km north
+
+
+def test_to_local_enu_arrays_scalar_and_array_origins_agree():
+    """A scalar origin broadcasts by the arithmetic alone: the same bits as one
+    origin per point and as to_local_enu, across the antimeridian too, and for
+    a far point the same RangeExceeded as to_local_enu's."""
+    rng = random.Random(8)
+    for o in (GeoPosition(49.234, 6.98), GeoPosition(-12.5, 179.9999), GeoPosition(0.0, -180.0)):
+        points = [from_local_enu(o, LocalPoint(rng.uniform(-6000, 6000), rng.uniform(-6000, 6000)))
+                  for _ in range(60)]
+        lat, lon = np.array([p.lat for p in points]), np.array([p.lon for p in points])
+        scalar = to_local_enu_arrays(o.lat, o.lon, lat, lon)
+        arrays = to_local_enu_arrays(np.full(60, o.lat), np.full(60, o.lon), lat, lon)
+        one_by_one = [to_local_enu(o, p) for p in points]
+        for k in range(2):
+            assert [x.hex() for x in scalar[k].tolist()] == [x.hex() for x in arrays[k].tolist()]
+            assert scalar[k].tolist() == [q[k] for q in one_by_one]
+        lat[[17, 40]] += 0.2  # ~22 km north
+        messages = []
+        for origin in ((o.lat, o.lon), (np.full(60, o.lat), np.full(60, o.lon))):
+            with pytest.raises(RangeExceeded) as err:
+                to_local_enu_arrays(*origin, lat, lon)
+            messages.append(str(err.value))
+        with pytest.raises(RangeExceeded) as err:
+            to_local_enu(o, GeoPosition(float(lat[17]), float(lon[17])))
+        assert messages == [str(err.value)] * 2
 
 
 def test_from_local_enu_inverse_of_east_arc():

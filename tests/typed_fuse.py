@@ -12,8 +12,8 @@ the circle read by a full scan and typed too (``object_decode.typed_rows``),
 and the SPaT rows joined to the topology by ``join_topology_typed``.  It reads nothing through the store's
 window or VUT-fix reads, so it is their oracle.  It also keeps the scalar
 similarity check ``is_similar`` (with ``angular_difference``), the scalar
-``merge_group_scalar`` and the window query, none of which the package has
-any more.  The tests use them as the oracles the column path
+``merge_group_scalar`` (whose averages are ``left_fold``s) and the window
+query, none of which the package has any more.  The tests use them as the oracles the column path
 must match exactly; ``of`` turns an observation list into the one
 ``ObservationColumns`` block that ``dedup`` takes, and ``merge_columns``
 runs the package's column merge on one group, so tests can build a single
@@ -23,7 +23,9 @@ fused object.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import replace
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -172,6 +174,12 @@ def merge_columns(group: Sequence[TrafficObjectObservation]) -> FusedObject:
     return fusion._merge_groups(of(group), np.zeros(len(group), dtype=np.int64))[0]
 
 
+def left_fold(values) -> float:
+    """The floats' sum added one at a time from 0.0, in order: Python 3.11's
+    ``sum``, not 3.12's compensated one."""
+    return reduce(operator.add, values, 0.0)
+
+
 def merge_group_scalar(group: Sequence[TrafficObjectObservation]) -> FusedObject:
     """The column merge, one observation object at a time."""
     members = sorted(group, key=lambda o: (o.timestamp, int(o.source), o.reporter, o.object_id))
@@ -199,12 +207,12 @@ def merge_group_scalar(group: Sequence[TrafficObjectObservation]) -> FusedObject
     else:
         origin = members[0].position
         pts = [to_local_enu(origin, o.position) for o in members]
-        east = sum(p.east for p in pts) / len(pts)
-        north = sum(p.north for p in pts) / len(pts)
+        east = left_fold(p.east for p in pts) / len(pts)
+        north = left_fold(p.north for p in pts) / len(pts)
         position = from_local_enu(origin, LocalPoint(east, north))
-        speed = sum(o.speed for o in members) / len(members)
-        sin_sum = sum(math.sin(math.radians(o.course)) for o in members)
-        cos_sum = sum(math.cos(math.radians(o.course)) for o in members)
+        speed = left_fold(o.speed for o in members) / len(members)
+        sin_sum = left_fold(math.sin(math.radians(o.course)) for o in members)
+        cos_sum = left_fold(math.cos(math.radians(o.course)) for o in members)
         course = normalize_course(math.degrees(math.atan2(sin_sum, cos_sum)))
         rep_id = min(o.object_id for o in members)
 
